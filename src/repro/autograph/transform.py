@@ -40,7 +40,9 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import threading
 import types
+import weakref
 from typing import Callable, Optional
 
 from repro.autograph import operators
@@ -921,6 +923,81 @@ def _prepare(fn: Callable):
     return fnode, filename
 
 
+#: ``fn.__code__`` -> ``(co_filename, transformed code object or None)``.
+#: Everything conversion reads apart from globals, defaults and closure
+#: cells is a function of the code object (its source, its free-variable
+#: names), so closures and per-instance ``repro.function`` wrappers over
+#: one ``def`` share a single parse/transform/compile; ``None`` records
+#: the verdict that there is nothing to lower.  Code objects compare by
+#: value without their filename, hence the filename in the entry.  Weak
+#: keys: an entry dies with the code it describes.  Functions carrying
+#: ``__wrapped__`` are not memoized (their source is someone else's).
+_TEMPLATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _template_code(fn: types.FunctionType) -> Optional[types.CodeType]:
+    """The converted code object for ``fn.__code__`` (memoized), or None."""
+    if hasattr(fn, "__wrapped__"):
+        # inspect.getsource follows __wrapped__: the source belongs to the
+        # wrapped function, while every function a functools.wraps
+        # decorator returns shares the wrapper's one __code__.
+        return _build_template(fn)
+    code = fn.__code__
+    with _TEMPLATES_LOCK:
+        entry = _TEMPLATES.get(code)
+    if entry is not None and entry[0] == code.co_filename:
+        return entry[1]
+    template = _build_template(fn)
+    with _TEMPLATES_LOCK:
+        _TEMPLATES[code] = (code.co_filename, template)
+    return template
+
+
+def _build_template(fn: types.FunctionType) -> Optional[types.CodeType]:
+    """Parse, transform and compile ``fn``'s source; None if left alone."""
+    prepared = _prepare(fn)
+    if prepared is None:
+        return None
+    fnode, filename = prepared
+
+    # Default expressions were evaluated at the original def site; strip
+    # them from the AST and re-attach the evaluated objects in convert().
+    fnode.args.defaults = []
+    fnode.args.kw_defaults = [None] * len(fnode.args.kwonlyargs)
+    for arg in (
+        fnode.args.posonlyargs
+        + fnode.args.args
+        + fnode.args.kwonlyargs
+        + [a for a in (fnode.args.vararg, fnode.args.kwarg) if a]
+    ):
+        arg.annotation = None
+    fnode.returns = None
+
+    # Wrap in a factory whose parameters are the free variables (plus
+    # the operators module), so the compiled inner function has matching
+    # co_freevars; convert() re-attaches each function's own cells.
+    freevars = list(fn.__code__.co_freevars)
+    factory = ast.FunctionDef(
+        name="_ag_factory__",
+        args=_no_args([AG_NAME] + freevars),
+        body=[fnode, ast.Return(value=_load(fnode.name))],
+        decorator_list=[],
+        returns=None,
+    )
+    module = ast.Module(body=[factory], type_ignores=[])
+    ast.fix_missing_locations(module)
+
+    try:
+        code = compile(module, filename, "exec")
+    except (SyntaxError, ValueError):
+        return None
+
+    namespace: dict = {}
+    exec(code, {"__name__": fn.__module__}, namespace)
+    return namespace["_ag_factory__"](operators, *([None] * len(freevars))).__code__
+
+
 def convert(fn: Callable) -> Callable:
     """Return ``fn`` rewritten for staged control flow, or ``fn`` itself.
 
@@ -946,48 +1023,9 @@ def convert(fn: Callable) -> Callable:
         or fn.__name__ == "<lambda>"
     ):
         return fn
-    prepared = _prepare(fn)
-    if prepared is None:
+    template = _template_code(fn)
+    if template is None:
         return fn
-    fnode, filename = prepared
-
-    # Default expressions were evaluated at the original def site; strip
-    # them from the AST and re-attach the evaluated objects below.
-    fnode.args.defaults = []
-    fnode.args.kw_defaults = [None] * len(fnode.args.kwonlyargs)
-    for arg in (
-        fnode.args.posonlyargs
-        + fnode.args.args
-        + fnode.args.kwonlyargs
-        + [a for a in (fnode.args.vararg, fnode.args.kwarg) if a]
-    ):
-        arg.annotation = None
-    fnode.returns = None
-
-    # Wrap in a factory whose parameters are the free variables (plus
-    # the operators module), so the compiled inner function has matching
-    # co_freevars; the original closure cells are re-attached afterwards.
-    freevars = list(fn.__code__.co_freevars)
-    factory = ast.FunctionDef(
-        name="_ag_factory__",
-        args=_no_args([AG_NAME] + freevars),
-        body=[fnode, ast.Return(value=_load(fnode.name))],
-        decorator_list=[],
-        returns=None,
-    )
-    module = ast.Module(body=[factory], type_ignores=[])
-    ast.fix_missing_locations(module)
-
-    try:
-        code = compile(module, filename, "exec")
-    except (SyntaxError, ValueError):
-        return fn
-
-    namespace: dict = {}
-    exec(code, {"__name__": fn.__module__}, namespace)
-    template = namespace["_ag_factory__"](
-        operators, *([None] * len(freevars))
-    )
 
     cell_by_name = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
     cell_by_name[AG_NAME] = types.CellType(operators)
@@ -995,10 +1033,10 @@ def convert(fn: Callable) -> Callable:
         cell_by_name[name]
         if name in cell_by_name
         else types.CellType(None)
-        for name in template.__code__.co_freevars
+        for name in template.co_freevars
     )
     new_fn = types.FunctionType(
-        template.__code__,
+        template,
         fn.__globals__,
         fn.__name__,
         fn.__defaults__,

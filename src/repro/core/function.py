@@ -42,6 +42,7 @@ import collections
 import functools
 import inspect
 import threading
+import time
 import warnings
 import weakref
 from typing import Callable, Optional, Sequence
@@ -660,6 +661,9 @@ class Function:
         self._call_index = 0
         self._last_warn_index: Optional[int] = None
         self._last_trace_key: Optional[tuple] = None
+        # Wall-clock cost of the most recent trace + optimize + infer,
+        # quoted by RetraceWarning.
+        self._last_trace_ms = 0.0
         self._lock = threading.RLock()
         self._trace_count = 0
         self._created_variables: list[Variable] = []
@@ -704,7 +708,12 @@ class Function:
         Returns a dict with one entry per trace (exact and relaxed
         cache levels), each reporting the fusion outcome (node counts
         before/after the ``fuse`` pass, fused-region sizes from largest
-        to smallest) and the executor's static memory plan (peak
+        to smallest, how many regions reused a cached code object, and
+        ``codegen_fallbacks`` — regions demoted to the interpreted loop
+        because codegen failed, with the first error), the wall-clock
+        cost of each compilation stage (``stage_ms``: ``trace_ms``, one
+        ``<i>:<pass>_ms`` per optimize pass including ``fuse``,
+        ``infer_ms``, ``plan_ms``), and the executor's static memory plan (peak
         planned live bytes, in-place donation count, plus the byte size
         of the trace's own input signature — inputs are caller-held and
         count zero inside the plan).  A symbolic (shape-relaxed) trace
@@ -745,6 +754,12 @@ class Function:
                 ),
                 "fused_regions": list(fstats["regions"]) if fstats else [],
                 "fused_ops": fstats["fused_ops"] if fstats else 0,
+                "fusion_code_cache": (
+                    dict(fstats["code_cache"]) if fstats else {"hits": 0, "misses": 0}
+                ),
+                "codegen_fallbacks": fstats["codegen_fallbacks"] if fstats else 0,
+                "codegen_error": fstats["codegen_error"] if fstats else None,
+                "stage_ms": dict(gf.stage_ms),
                 "peak_live_bytes": plan.get("peak_live_bytes", 0),
                 "peak_is_lower_bound": plan.get("lower_bound", False),
                 "donated_nodes": plan.get("donated_nodes", 0),
@@ -1126,7 +1141,9 @@ class Function:
         warnings.warn(
             f"Function {self._name!r} retraced {sum(self._recent_traces)} times "
             f"in its last {len(self._recent_traces)} calls; retracing is "
-            f"expensive. Last retrace: {_diff_cache_keys(self._last_trace_key, key)}. "
+            f"expensive (the last trace took {self._last_trace_ms:.1f} ms to "
+            "trace and optimize, before planning). "
+            f"Last retrace: {_diff_cache_keys(self._last_trace_key, key)}. "
             "Consider an input_signature, or experimental_relax_shapes=True "
             "(env REPRO_RELAX_SHAPES=1) to generalize varying dimensions.",
             RetraceWarning,
@@ -1221,12 +1238,14 @@ class Function:
         self._stats["traces"] += 1
         marked_args, marked_kwargs = self._mark_tensors(args, kwargs)
         name = f"{self._name}_{context.unique_id()}"
+        start = time.perf_counter()
         graph, flat_outputs, structure = self._pipeline.trace(
             self._traced_callable(),
             specs,
             name=name,
             structured_args=(marked_args, marked_kwargs),
         )
+        trace_ms = (time.perf_counter() - start) * 1e3
         concrete = ConcreteFunction(
             name=name,
             graph=graph,
@@ -1236,7 +1255,9 @@ class Function:
             jit_compile=self._jit_compile,
             pipeline=self._pipeline,
         )
+        concrete.graph_function.stage_ms["trace_ms"] = trace_ms
         self._pipeline.finalize(concrete.graph_function)
+        self._last_trace_ms = (time.perf_counter() - start) * 1e3
         return concrete
 
     @staticmethod

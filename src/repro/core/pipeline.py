@@ -37,6 +37,7 @@ artifacts only where a backend demands them).
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Optional, Sequence
 
 from repro.tensor import TensorSpec
@@ -53,8 +54,14 @@ def refine_shapes(fn) -> int:
     compatible with both wins.  Inference failures and inconsistencies
     are treated conservatively: the existing spec is kept.
 
+    A graph in which no node was ever created with an unknown dimension
+    (an exact trace) has nothing to sharpen, so it returns without
+    visiting a node.
+
     Returns the number of tensors whose spec became more specific.
     """
+    if not fn.graph.has_unknown_dims:
+        return 0
     refined = 0
     for node in fn.graph.nodes:
         if node.op_name == "Placeholder":
@@ -118,10 +125,15 @@ class CompilationPipeline:
 
         Optimization first (rewrites may replace symbolic chains with
         constants), then a shape-refinement sweep so the sharpened specs
-        are visible to later stages.  Returns the merged report.
+        are visible to later stages.  Returns the merged report: the
+        per-pass counts, ``infer:refined``, and every ``*_ms`` stage
+        time recorded on ``fn.stage_ms`` so far.
         """
         report = self.optimize(fn)
+        start = time.perf_counter()
         report["infer:refined"] = refine_shapes(fn)
+        fn.stage_ms["infer_ms"] = (time.perf_counter() - start) * 1e3
+        report.update(fn.stage_ms)
         return report
 
     def optimize(self, fn) -> dict:

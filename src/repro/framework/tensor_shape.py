@@ -48,6 +48,18 @@ class TensorShape:
         else:
             self._dims = tuple(_check_dim(d) for d in dims)
 
+    @classmethod
+    def _from_dims(cls, dims: Optional[tuple]) -> "TensorShape":
+        """Wrap a dims tuple whose entries are already validated.
+
+        The shape algebra below only ever recombines dims taken from
+        existing shapes; re-validating them is most of what a shape
+        costs during tracing.
+        """
+        self = object.__new__(cls)
+        self._dims = dims
+        return self
+
     # -- basic protocol ------------------------------------------------
     @property
     def rank(self) -> Optional[int]:
@@ -77,7 +89,7 @@ class TensorShape:
                 return TensorShape(None)
             return None
         if isinstance(key, slice):
-            return TensorShape(self._dims[key])
+            return TensorShape._from_dims(self._dims[key])
         return self._dims[key]
 
     def __bool__(self) -> bool:
@@ -86,7 +98,7 @@ class TensorShape:
     # -- predicates ----------------------------------------------------
     @property
     def is_fully_defined(self) -> bool:
-        return self._dims is not None and all(d is not None for d in self._dims)
+        return self._dims is not None and None not in self._dims
 
     def num_elements(self) -> Optional[int]:
         """Total element count, or None if not fully defined."""
@@ -144,7 +156,7 @@ class TensorShape:
                 merged.append(a)
             else:
                 raise InvalidArgumentError(f"Shapes {self} and {other} are incompatible")
-        return TensorShape(merged)
+        return TensorShape._from_dims(tuple(merged))
 
     def most_general(self, other) -> "TensorShape":
         """The most specific shape that both shapes are subtypes of.
@@ -157,9 +169,11 @@ class TensorShape:
             return TensorShape(None)
         if len(self._dims) != len(other._dims):
             return TensorShape(None)
-        return TensorShape(
-            a if (a is not None and a == b) else None
-            for a, b in zip(self._dims, other._dims)
+        return TensorShape._from_dims(
+            tuple(
+                a if (a is not None and a == b) else None
+                for a, b in zip(self._dims, other._dims)
+            )
         )
 
     def relaxed(self) -> "TensorShape":
@@ -171,7 +185,7 @@ class TensorShape:
         """
         if self._dims is None:
             return self
-        return TensorShape([None] * len(self._dims))
+        return TensorShape._from_dims((None,) * len(self._dims))
 
     @property
     def num_unknown(self) -> Optional[int]:
@@ -184,7 +198,7 @@ class TensorShape:
         other = as_shape(other)
         if self._dims is None or other._dims is None:
             return TensorShape(None)
-        return TensorShape(self._dims + other._dims)
+        return TensorShape._from_dims(self._dims + other._dims)
 
     def as_list(self) -> list[DimValue]:
         if self._dims is None:
@@ -198,6 +212,8 @@ class TensorShape:
 
     # -- hashing / equality ----------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if type(other) is TensorShape:
+            return self._dims == other._dims
         try:
             other_shape = as_shape(other)  # type: ignore[arg-type]
         except TypeError:
@@ -238,9 +254,15 @@ def as_shape(value) -> TensorShape:
 def broadcast_shapes(a, b) -> TensorShape:
     """NumPy-style broadcasting over partially-known shapes."""
     a, b = as_shape(a), as_shape(b)
-    if a.dims is None or b.dims is None:
+    if a._dims is None or b._dims is None:
         return TensorShape(None)
-    ra, rb = list(a.dims), list(b.dims)
+    # Shapes are immutable, so the two commonest outcomes hand back an
+    # operand: equal shapes, and a scalar against anything.
+    if a._dims == b._dims or not b._dims:
+        return a
+    if not a._dims:
+        return b
+    ra, rb = list(a._dims), list(b._dims)
     # Left-pad the shorter shape with 1s.
     if len(ra) < len(rb):
         ra = [1] * (len(rb) - len(ra)) + ra
@@ -262,4 +284,4 @@ def broadcast_shapes(a, b) -> TensorShape:
             out.append(da)
         else:
             raise InvalidArgumentError(f"Shapes {a} and {b} are not broadcastable")
-    return TensorShape(out)
+    return TensorShape._from_dims(tuple(out))

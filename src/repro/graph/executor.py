@@ -154,6 +154,7 @@ class GraphRunner:
         self.fetches = list(fetches)
         self._include_side_effects = include_side_effects
         self.label_errors = label_errors
+        self._parallel_lock = threading.Lock()
         self._build_schedule()
 
     def _build_schedule(self) -> None:
@@ -283,7 +284,9 @@ class GraphRunner:
         self.plan = [tuple(entry) for entry in self.plan]
         self._build_memory_plan()
         self._hoist_constants()
-        self._build_parallel_plan()
+        # The parallel task contraction belongs to ``run(parallel=True)``,
+        # which builds it on first use; a rebuilt schedule drops it.
+        self._parallel: Optional[tuple] = None
 
     def _hoist_constants(self) -> None:
         """Materialize Const nodes once, at plan-build time.
@@ -586,7 +589,22 @@ class GraphRunner:
         cost = self._task_cost(node)
         return cost is not None and cost <= self.TINY_TASK_ELEMENTS
 
-    def _build_parallel_plan(self) -> None:
+    def _parallel_plan(self) -> tuple:
+        """``(tasks, deps, dependents)``, built by the first parallel run.
+
+        Double-checked like :meth:`GraphFunction.plan`: concurrent
+        first callers agree on one plan, and serial-only runners never
+        pay for the contraction.
+        """
+        plan = self._parallel
+        if plan is None:
+            with self._parallel_lock:
+                plan = self._parallel
+                if plan is None:
+                    plan = self._parallel = self._build_parallel_plan()
+        return plan
+
+    def _build_parallel_plan(self) -> tuple:
         """Contract the schedule into parallel tasks.
 
         A fused region is already one task.  Beyond that, a tiny node
@@ -630,24 +648,23 @@ class GraphRunner:
         for i in range(len(schedule)):
             groups.setdefault(island_root(i), []).append(i)
 
-        self.par_tasks: list[list[Node]] = []
+        tasks: list[list[Node]] = []
         task_of: dict[int, int] = {}
         for root in sorted(groups):
             members = sorted(groups[root])
             for i in members:
-                task_of[i] = len(self.par_tasks)
-            self.par_tasks.append([schedule[i] for i in members])
+                task_of[i] = len(tasks)
+            tasks.append([schedule[i] for i in members])
 
-        n_tasks = len(self.par_tasks)
-        self.par_deps: list[int] = [0] * n_tasks
-        self.par_dependents: list[list[int]] = [[] for _ in range(n_tasks)]
+        deps: list[int] = [0] * len(tasks)
+        dependents: list[list[int]] = [[] for _ in tasks]
         edges: set[tuple[int, int]] = set()
 
         def add_edge(src: int, dst: int) -> None:
             if src != dst and (src, dst) not in edges:
                 edges.add((src, dst))
-                self.par_deps[dst] += 1
-                self.par_dependents[src].append(dst)
+                deps[dst] += 1
+                dependents[src].append(dst)
 
         prev_stateful_task: Optional[int] = None
         for i, node in enumerate(schedule):
@@ -661,16 +678,18 @@ class GraphRunner:
                 if prev_stateful_task is not None:
                     add_edge(prev_stateful_task, ti)
                 prev_stateful_task = ti
+        return tasks, deps, dependents
 
     def _run_parallel(self, feed_values: dict[int, Tensor]) -> list[Tensor]:
-        deps = list(self.par_deps)
+        tasks, plan_deps, dependents = self._parallel_plan()
+        deps = list(plan_deps)
         counts = dict(self.consumers)
 
         store: dict[int, Tensor] = {}
         store_lock = threading.Lock()
         done = threading.Event()
         errors: list[BaseException] = []
-        pending = len(self.par_tasks)
+        pending = len(tasks)
         pool = _thread_pool()
 
         def finish_task(index: int) -> None:
@@ -680,7 +699,7 @@ class GraphRunner:
                 pending -= 1
                 if pending == 0:
                     done.set()
-                for dep in self.par_dependents[index]:
+                for dep in dependents[index]:
                     deps[dep] -= 1
                     if deps[dep] == 0:
                         ready.append(dep)
@@ -692,7 +711,7 @@ class GraphRunner:
                 done.set()
                 return
             try:
-                for node in self.par_tasks[index]:
+                for node in tasks[index]:
                     if node.op_name == "Placeholder":
                         value = feed_values[id(node)]
                         out_id = id(node.outputs[0])
@@ -726,7 +745,7 @@ class GraphRunner:
                 return
             finish_task(index)
 
-        if not self.par_tasks:
+        if not tasks:
             done.set()
         roots = [i for i, d in enumerate(deps) if d == 0]
         for index in roots:

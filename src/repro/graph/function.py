@@ -13,6 +13,7 @@ compilation (XLA compiles one function into one accelerator program).
 from __future__ import annotations
 
 import threading
+import time
 from typing import Optional, Sequence
 
 from repro.framework.errors import InvalidArgumentError
@@ -72,6 +73,11 @@ class GraphFunction:
         self.output_specs = [TensorSpec(t.shape, t.dtype) for t in self.outputs]
         self._runner = None
         self._plan_lock = threading.Lock()
+        # Wall-clock milliseconds each compilation stage last spent on
+        # this function: ``trace_ms``, ``<i>:<pass>_ms`` per optimize
+        # pass, ``infer_ms``, ``plan_ms``.  Written by the stage that
+        # ran, read by ``Function.execution_stats()``.
+        self.stage_ms: dict[str, float] = {}
 
     @property
     def contains_py_func(self) -> bool:
@@ -101,7 +107,9 @@ class GraphFunction:
             with self._plan_lock:
                 runner = self._runner
                 if runner is None:
+                    start = time.perf_counter()
                     runner = self._runner = GraphRunner(self.graph, self.outputs)
+                    self.stage_ms["plan_ms"] = (time.perf_counter() - start) * 1e3
         return runner
 
     def release_plan(self) -> None:

@@ -32,6 +32,8 @@ invariant and abandons fusion entirely if it ever fails.
 
 from __future__ import annotations
 
+import functools
+import types
 from collections import deque
 from typing import Optional, Sequence
 
@@ -93,6 +95,52 @@ def _spec_bytes(spec: TensorSpec) -> tuple[int, bool]:
     return max(n, 1) * spec.dtype.size, lower
 
 
+@functools.lru_cache(maxsize=256)
+def _code_for(num_inputs: int, wiring: tuple, out_refs: tuple) -> types.CodeType:
+    """Code object of ``_run(inputs, device)`` for one region wiring.
+
+    ``wiring`` is ``(in_refs, donate, dies)`` per step.  The generated
+    source names kernels, attrs and in-place kernels only through
+    per-step globals (``K{k}``/``A{k}``/``P{k}``), so the code object
+    depends on nothing but the wiring: regions with equal wiring share
+    one code object, and each binds it to its own globals dict, so no
+    state is ever shared through the cache.  Process-wide and bounded:
+    L2HMC, ResNet and Adam each repeat a handful of wirings across every
+    trace, retrace and forward/backward split.
+    """
+    n = num_inputs
+    lines = ["def _run(inputs, device):"]
+    if n == 1:
+        lines.append("    v0, = inputs")
+    elif n:
+        lines.append("    " + ", ".join(f"v{i}" for i in range(n)) + " = inputs")
+    for k, (in_refs, donate, dies) in enumerate(wiring):
+        out = f"v{n + k}"
+        args = (
+            "("
+            + ", ".join(f"v{r}" for r in in_refs)
+            + ("," if len(in_refs) == 1 else "")
+            + ")"
+        )
+        if donate >= 0:
+            lines.append("    try:")
+            lines.append(f"        {out} = P{k}({args}, A{k}, device, v{donate})")
+            lines.append("    except (ValueError, TypeError):")
+            lines.append(f"        {out} = K{k}({args}, A{k}, device)")
+        else:
+            lines.append(f"    {out} = K{k}({args}, A{k}, device)")
+        # Match the interpreter's free list: drop dead internals so
+        # the planned internal peak holds for compiled runs too.
+        for d in dies:
+            lines.append(f"    v{d} = None")
+    outs = [f"v{r}" for r in out_refs]
+    lines.append(
+        "    return " + (outs[0] if len(outs) == 1 else "(" + ", ".join(outs) + ")")
+    )
+    module = compile("\n".join(lines), "<fusion-region>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
 class FusionRegion:
     """A precompiled cluster of elementwise operations.
 
@@ -117,6 +165,8 @@ class FusionRegion:
         "peak_is_lower_bound",
         "donated_steps",
         "backend",
+        "code_cache_hit",
+        "codegen_error",
         "_compiled",
     )
 
@@ -141,10 +191,16 @@ class FusionRegion:
         self.peak_is_lower_bound = peak_is_lower_bound
         self.donated_steps = donated_steps
         self.backend = backend
+        self.code_cache_hit = False
+        self.codegen_error: Optional[str] = None
         try:
             self._compiled = self._compile()
-        except Exception:  # pragma: no cover - codegen is deterministic
+        except Exception as exc:
+            # The region still runs (interpreted loop in ``__call__``),
+            # but the demotion is reported: ``fuse_function`` counts it
+            # into the trace's fusion stats as ``codegen_fallbacks``.
             self._compiled = None
+            self.codegen_error = f"{type(exc).__name__}: {exc}"
 
     @property
     def size(self) -> int:
@@ -159,49 +215,29 @@ class FusionRegion:
         resolved at build time: each slot becomes a local, each step a
         single kernel call with its arguments named inline.  Semantics
         are identical to the interpreted loop in :meth:`__call__`
-        (which remains as the fallback), including the in-place
-        donation fallback for polymorphic callers.
+        (which replays a failed run to attribute the error), including
+        the in-place donation fallback for polymorphic callers.
+
+        The code object comes from :func:`_code_for` (memoized on the
+        wiring alone); this region's kernels and attrs are bound as the
+        globals of its own function object.
         """
-        n = self.num_inputs
-        env = {"ValueError": ValueError, "TypeError": TypeError}
-        lines = ["def _run(inputs, device):"]
-        if n == 1:
-            lines.append("    v0, = inputs")
-        elif n:
-            lines.append(
-                "    " + ", ".join(f"v{i}" for i in range(n)) + " = inputs"
-            )
-        for k, (_op, kernel, inplace, attrs, in_refs, donate, dies) in enumerate(
-            self.steps
-        ):
-            out = f"v{n + k}"
-            env[f"K{k}"] = kernel
-            env[f"A{k}"] = attrs
-            args = (
-                "("
-                + ", ".join(f"v{r}" for r in in_refs)
-                + ("," if len(in_refs) == 1 else "")
-                + ")"
-            )
-            if donate >= 0:
-                env[f"P{k}"] = inplace
-                lines.append("    try:")
-                lines.append(f"        {out} = P{k}({args}, A{k}, device, v{donate})")
-                lines.append("    except (ValueError, TypeError):")
-                lines.append(f"        {out} = K{k}({args}, A{k}, device)")
-            else:
-                lines.append(f"    {out} = K{k}({args}, A{k}, device)")
-            # Match the interpreter's free list: drop dead internals so
-            # the planned internal peak holds for compiled runs too.
-            for d in dies:
-                lines.append(f"    v{d} = None")
-        outs = [f"v{r}" for r in self.out_refs]
-        lines.append(
-            "    return "
-            + (outs[0] if len(outs) == 1 else "(" + ", ".join(outs) + ")")
+        steps = self.steps
+        hits = _code_for.cache_info().hits
+        code = _code_for(
+            self.num_inputs,
+            tuple([(s[4], s[5], s[6]) for s in steps]),
+            self.out_refs,
         )
-        exec(compile("\n".join(lines), "<fusion-region>", "exec"), env)
-        return env["_run"]
+        # Observability only: exact unless another thread is fusing too.
+        self.code_cache_hit = _code_for.cache_info().hits > hits
+        env = {}
+        for k, step in enumerate(steps):
+            env[f"K{k}"] = step[1]
+            env[f"A{k}"] = step[3]
+            if step[5] >= 0:
+                env[f"P{k}"] = step[2]
+        return types.FunctionType(code, env)
 
     def __call__(self, inputs, device):
         """Run the region's kernels over concrete arrays."""
@@ -315,46 +351,78 @@ def _fusable(node: Node) -> bool:
     return registry.has_kernel(node.op_name, "CPU")
 
 
-def _ancestor_masks(nodes: list[Node], pos_of: dict[int, int]) -> list[int]:
+def _producer_positions(
+    nodes: list[Node], pos_of: dict[int, int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per node: list positions of its data-input and control-input producers.
+
+    Data producers keep input order (and duplicates); producers outside
+    the node list are dropped.  Every later stage of the pass walks
+    these instead of re-resolving ``id(t.node)`` per edge.
+    """
+    get = pos_of.get
+    data: list[list[int]] = []
+    control: list[list[int]] = []
+    for node in nodes:
+        row = [get(id(t.node)) for t in node.inputs]
+        if None in row:
+            row = [p for p in row if p is not None]
+        data.append(row)
+        crow = [get(id(c)) for c in node.control_inputs]
+        if None in crow:
+            crow = [p for p in crow if p is not None]
+        control.append(crow)
+    return data, control
+
+
+def _ancestor_masks(producers: list[list[int]], control: list[list[int]]) -> list[int]:
     """Per-node ancestor sets as bitmasks over node-list positions."""
-    masks = [0] * len(nodes)
-    for i, node in enumerate(nodes):
+    masks = [0] * len(producers)
+    for i, row in enumerate(producers):
         a = 0
-        for t in node.inputs:
-            p = pos_of.get(id(t.node))
-            if p is not None:
-                a |= masks[p] | (1 << p)
-        for c in node.control_inputs:
-            p = pos_of.get(id(c))
-            if p is not None:
-                a |= masks[p] | (1 << p)
+        for p in row:
+            a |= masks[p] | (1 << p)
+        for p in control[i]:
+            a |= masks[p] | (1 << p)
         masks[i] = a
     return masks
 
 
-def _cluster(nodes: list[Node], pos_of: dict[int, int]) -> tuple[dict, list]:
+def _cluster(
+    nodes: list[Node], producers: list[list[int]], control: list[list[int]]
+) -> tuple[dict, list]:
     """Greedy downward clustering with the exact acyclicity check.
 
     Returns ``(cluster_of, members)``: position -> cluster id, and the
     member-position lists (ascending, i.e. topological).
     """
-    ancestors = _ancestor_masks(nodes, pos_of)
+    ancestors = _ancestor_masks(producers, control)
     cluster_of: dict[int, int] = {}
     members: list[list[int]] = []
     masks: list[int] = []
+    # Per cluster: every producer position that ever fed a member from
+    # outside (entries absorbed by a later union are skipped on read),
+    # and the lowest member position.
+    feeders: list[set[int]] = []
+    lowest: list[int] = []
 
     def can_union(src: int, dst: int) -> bool:
         """Is contracting clusters ``src`` + ``dst`` still acyclic?
 
         Exact condition: no external input producer of the combined set
         may have an ancestor inside it (such a producer would sit on a
-        path that leaves the set and comes back).
+        path that leaves the set and comes back).  A producer listed
+        before the set's lowest member has no ancestor in it, so only
+        the few feeders past that point pay for a mask test.
         """
         combined = masks[src] | masks[dst]
-        for m in members[src] + members[dst]:
-            for t in nodes[m].inputs:
-                w = pos_of.get(id(t.node))
-                if w is None or (combined >> w) & 1:
+        floor = min(lowest[src], lowest[dst])
+        for group in (feeders[src], feeders[dst]):
+            for w in group:
+                if w <= floor:
+                    continue
+                c = cluster_of.get(w, -1)
+                if c == src or c == dst:
                     continue
                 if ancestors[w] & combined:
                     return False
@@ -366,25 +434,25 @@ def _cluster(nodes: list[Node], pos_of: dict[int, int]) -> tuple[dict, list]:
         merged = sorted(members[dst] + members[src])
         members[dst] = merged
         masks[dst] |= masks[src]
+        feeders[dst] |= feeders[src]
+        lowest[dst] = min(lowest[dst], lowest[src])
         members[src] = []
         masks[src] = 0
+        feeders[src] = set()
 
     for i, node in enumerate(nodes):
         if not _fusable(node):
             continue
+        row = producers[i]
         joined = -1
-        for t in node.inputs:
-            p = pos_of.get(id(t.node))
-            if p is None:
-                continue
+        for p in row:
             cid = cluster_of.get(p, -1)
             if cid < 0:
                 continue
             cmask = masks[cid]
             ok = True
-            for t2 in node.inputs:
-                q = pos_of.get(id(t2.node))
-                if q is None or cluster_of.get(q, -1) == cid:
+            for q in row:
+                if cluster_of.get(q, -1) == cid:
                     continue
                 if ancestors[q] & cmask:
                     # Joining would route a path out of the cluster and
@@ -398,13 +466,11 @@ def _cluster(nodes: list[Node], pos_of: dict[int, int]) -> tuple[dict, list]:
             cluster_of[i] = joined
             members[joined].append(i)
             masks[joined] |= 1 << i
+            feeders[joined].update(row)
             # A join point may connect further clusters (the other
             # operands of a DAG merge node): union them in when the
             # contracted result stays acyclic.
-            for t in node.inputs:
-                q = pos_of.get(id(t.node))
-                if q is None:
-                    continue
+            for q in row:
                 other = cluster_of.get(q, -1)
                 if other < 0 or other == joined:
                     continue
@@ -414,46 +480,45 @@ def _cluster(nodes: list[Node], pos_of: dict[int, int]) -> tuple[dict, list]:
             cluster_of[i] = len(members)
             members.append([i])
             masks.append(1 << i)
+            feeders.append(set(row))
+            lowest.append(i)
     return cluster_of, members
 
 
 def _contracted_is_acyclic(
-    nodes: list[Node], pos_of: dict[int, int], kept_cluster_of: dict[int, int]
+    producers: list[list[int]],
+    control: list[list[int]],
+    kept_cluster_of: dict[int, int],
 ) -> bool:
-    """Kahn sweep over the cluster-contracted graph (safety net)."""
-    def key_of(p: int):
-        cid = kept_cluster_of.get(p)
-        return ("c", cid) if cid is not None else ("n", p)
+    """Kahn sweep over the cluster-contracted graph (safety net).
 
-    adj: dict = {}
-    indeg: dict = {}
-    for i, node in enumerate(nodes):
-        kv = key_of(i)
-        adj.setdefault(kv, set())
-        indeg.setdefault(kv, 0)
-        preds = [t.node for t in node.inputs] + list(node.control_inputs)
-        for pn in preds:
-            p = pos_of.get(id(pn))
-            if p is None:
-                continue
-            ku = key_of(p)
-            if ku == kv:
-                continue
-            succs = adj.setdefault(ku, set())
-            indeg.setdefault(ku, 0)
-            if kv not in succs:
-                succs.add(kv)
-                indeg[kv] += 1
-    queue = deque(k for k in adj if indeg[k] == 0)
+    Vertex ``n + cid`` stands for kept cluster ``cid``, vertex ``p`` for
+    an unclustered node.  Parallel edges are kept and counted once per
+    occurrence on both sides, which Kahn's algorithm tolerates.
+    """
+    n = len(producers)
+    vertex = [
+        p if (c := kept_cluster_of.get(p)) is None else n + c for p in range(n)
+    ]
+    succs: dict[int, list[int]] = {v: [] for v in vertex}
+    indeg = dict.fromkeys(succs, 0)
+    for i, kv in enumerate(vertex):
+        for row in (producers[i], control[i]):
+            for p in row:
+                ku = vertex[p]
+                if ku != kv:
+                    succs[ku].append(kv)
+                    indeg[kv] += 1
+    queue = deque(v for v, d in indeg.items() if d == 0)
     seen = 0
     while queue:
         u = queue.popleft()
         seen += 1
-        for v in adj[u]:
+        for v in succs[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    return seen == len(adj)
+    return seen == len(succs)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +589,7 @@ def _build_region(
     # Pick at most one in-place donation per step: a dying, fresh,
     # exclusively-owned internal input with matching static shape/dtype.
     donates: list[int] = []
+    inplace_kernels: list = []
     for k, node in enumerate(member_nodes):
         donate = -1
         inplace = (
@@ -546,6 +612,7 @@ def _build_region(
                 donate = r
                 break
         donates.append(donate)
+        inplace_kernels.append(inplace if donate >= 0 else None)
 
     # Assemble steps + static transient-memory accounting.
     steps = []
@@ -584,7 +651,7 @@ def _build_region(
                     allow_soft_placement=False,
                     backend=region_backend,
                 ),
-                registry.get_inplace_kernel(node.op_name) if donate >= 0 else None,
+                inplace_kernels[k],
                 node.attrs,
                 step_in_refs[k],
                 donate,
@@ -618,7 +685,9 @@ def fuse_function(fn) -> int:
     """Fuse elementwise regions of ``fn``'s graph in place.
 
     Returns the number of fused nodes created, and records
-    ``fn._fusion_stats`` (node counts before/after and region sizes).
+    ``fn._fusion_stats``: node counts before/after, region sizes, how
+    many regions reused a cached code object, and how many fell back to
+    the interpreted loop because codegen failed (with the first error).
     """
     graph: Graph = fn.graph
     nodes = graph.nodes
@@ -626,30 +695,31 @@ def fuse_function(fn) -> int:
     if before < MIN_REGION_SIZE:
         return 0
     pos_of = {id(node): i for i, node in enumerate(nodes)}
+    producers, control = _producer_positions(nodes, pos_of)
 
-    cluster_of, members = _cluster(nodes, pos_of)
+    cluster_of, members = _cluster(nodes, producers, control)
     kept = [cid for cid, ms in enumerate(members) if len(ms) >= MIN_REGION_SIZE]
     if not kept:
-        fn._fusion_stats = {
-            "nodes_before": before,
-            "nodes_after": before,
-            "regions": [],
-            "fused_ops": 0,
-        }
+        fn._fusion_stats = _fusion_stats(before, before, [])
         return 0
     kept_set = set(kept)
     kept_cluster_of = {
         p: cid for p, cid in cluster_of.items() if cid in kept_set
     }
-    if not _contracted_is_acyclic(nodes, pos_of, kept_cluster_of):
+    if not _contracted_is_acyclic(producers, control, kept_cluster_of):
         # Should be unreachable given the merge-time check; abandon
         # fusion for this graph rather than risk an unschedulable plan.
         return 0
 
-    # Which member outputs escape their cluster (or are fetched)?
+    # Which member outputs escape their cluster (or are fetched)?  A
+    # fused node will sit where its last member sat; a consumer that
+    # ends up before that position leaves the list out of order.
     escaping = {id(t) for t in fn.outputs}
+    last_of = {cid: members[cid][-1] for cid in kept}
+    out_of_order = False
     for i, node in enumerate(nodes):
         ci = kept_cluster_of.get(i)
+        at = i if ci is None else last_of[ci]
         for t in node.inputs:
             p = pos_of.get(id(t.node))
             if p is None:
@@ -657,11 +727,13 @@ def fuse_function(fn) -> int:
             cp = kept_cluster_of.get(p)
             if cp is not None and cp != ci:
                 escaping.add(id(t))
+                if last_of[cp] > at:
+                    out_of_order = True
 
     replacements: dict[int, SymbolicTensor] = {}
     removed: set[int] = set()
     fused_at: dict[int, Node] = {}
-    region_sizes: list[int] = []
+    regions: list[FusionRegion] = []
     for cid in kept:
         positions = members[cid]
         member_nodes = [nodes[p] for p in positions]
@@ -679,11 +751,11 @@ def fuse_function(fn) -> int:
             new._constant_value = old._constant_value
             replacements[id(old)] = new
         # The fused node takes the last member's list position; the
-        # closing topological sort repairs any consumer that sat
-        # between members (safe — the merge check ruled out cycles).
+        # closing topological sort repairs any consumer that now
+        # precedes it (safe — the merge check ruled out cycles).
         fused_at[positions[-1]] = fused
         removed.update(positions[:-1])
-        region_sizes.append(region.size)
+        regions.append(region)
 
     graph.nodes = [
         fused_at.get(i, node)
@@ -694,16 +766,27 @@ def fuse_function(fn) -> int:
     fn.outputs = [replacements.get(id(t), t) for t in fn.outputs]
     fn._runner = None
 
-    from repro.graph.optimize import _topological_sort
+    if out_of_order:
+        from repro.graph.optimize import _topological_sort
 
-    _topological_sort(fn)
-    fn._fusion_stats = {
+        _topological_sort(fn)
+    fn._fusion_stats = _fusion_stats(before, len(graph.nodes), regions)
+    return len(regions)
+
+
+def _fusion_stats(before: int, after: int, regions: list) -> dict:
+    sizes = [r.size for r in regions]
+    errors = [r.codegen_error for r in regions if r.codegen_error is not None]
+    hits = sum(1 for r in regions if r.code_cache_hit)
+    return {
         "nodes_before": before,
-        "nodes_after": len(graph.nodes),
-        "regions": sorted(region_sizes, reverse=True),
-        "fused_ops": sum(region_sizes),
+        "nodes_after": after,
+        "regions": sorted(sizes, reverse=True),
+        "fused_ops": sum(sizes),
+        "code_cache": {"hits": hits, "misses": len(regions) - len(errors) - hits},
+        "codegen_fallbacks": len(errors),
+        "codegen_error": errors[0] if errors else None,
     }
-    return len(region_sizes)
 
 
 def has_fused_nodes(fn) -> bool:

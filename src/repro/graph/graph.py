@@ -140,6 +140,7 @@ class Node:
         "graph",
         "name",
         "op_name",
+        "op_def",
         "inputs",
         "attrs",
         "device",
@@ -160,15 +161,14 @@ class Node:
         self.graph = graph
         self.name = name
         self.op_name = op_name
+        # Registrations are permanent (re-registering an op raises), so
+        # the definition is resolved once here, not per pass per node.
+        self.op_def: registry.OpDef = registry.get_op_def(op_name)
         self.inputs = list(inputs)
         self.attrs = dict(attrs)
         self.device = device
         self.control_inputs: list["Node"] = []
         self.outputs = [SymbolicTensor(self, i, spec) for i, spec in enumerate(output_specs)]
-
-    @property
-    def op_def(self) -> registry.OpDef:
-        return registry.get_op_def(self.op_name)
 
     def __repr__(self) -> str:
         ins = ", ".join(t.name for t in self.inputs)
@@ -193,6 +193,12 @@ class Graph:
         # Cache: interned Const nodes keyed by (dtype, shape, bytes).
         self._const_cache: dict = {}
         self.contains_py_func = False
+        # Sticky: has any operation ever been staged here with an output
+        # of unknown rank or dimension?  While False, every spec in the
+        # graph is exact and shape refinement has nothing to sharpen.
+        # (Nodes built directly — fused regions — adopt specs of staged
+        # members, so they cannot introduce an unknown.)
+        self.has_unknown_dims = False
 
     # -- naming ------------------------------------------------------------
     def unique_name(self, base: str) -> str:
@@ -231,6 +237,11 @@ class Graph:
         resolved = [self._resolve_input(op_name, t) for t in inputs]
         node_name = self.unique_name(name or op_name)
         output_specs = op_def.infer(resolved, attrs)
+        if not self.has_unknown_dims:
+            for spec in output_specs:
+                if not spec.shape.is_fully_defined:
+                    self.has_unknown_dims = True
+                    break
         node = Node(
             graph=self,
             name=node_name,

@@ -20,13 +20,16 @@ effect.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.framework import dtypes
+from repro.framework.dtypes import DType
+from repro.framework.tensor_shape import TensorShape
 from repro.ops import registry
-from repro.tensor import Tensor
+from repro.tensor import Tensor, TensorSpec
 from repro.graph.graph import Graph, Node, SymbolicTensor
 
 __all__ = ["optimize_function", "DEFAULT_PASSES"]
@@ -40,10 +43,8 @@ _NEVER_FOLD = frozenset({"Const", "Placeholder"})
 
 
 def _attr_key(attrs: dict):
-    from repro.framework.dtypes import DType
-    from repro.framework.tensor_shape import TensorShape
-    from repro.tensor import TensorSpec
-
+    if not attrs:
+        return ()
     items = []
     for k in sorted(attrs):
         v = attrs[k]
@@ -75,10 +76,39 @@ def _attr_key(attrs: dict):
     return tuple(items)
 
 
-def _replace_uses(fn, replacements: dict) -> None:
-    fn.graph.apply_replacements(replacements)
-    fn.outputs = [replacements.get(id(t), t) for t in fn.outputs]
-    fn._runner = None
+class _Replacements:
+    """Tensor replacements a pass accumulates while it walks the nodes.
+
+    A pass visits nodes in topological order and rewires each node's
+    inputs as it reaches it (:meth:`rewire`), so by the end of the walk
+    every consumer already points at the final tensor and only the
+    function's output list is left to patch (:meth:`finish`) — one
+    visit per node, no graph-wide sweep per rewrite.
+    """
+
+    __slots__ = ("map",)
+
+    def __init__(self) -> None:
+        self.map: dict[int, SymbolicTensor] = {}
+
+    def add(self, old: SymbolicTensor, new: SymbolicTensor) -> None:
+        self.map[id(old)] = new
+
+    def resolve(self, t: SymbolicTensor) -> SymbolicTensor:
+        rmap = self.map
+        while id(t) in rmap:
+            t = rmap[id(t)]
+        return t
+
+    def rewire(self, node: Node) -> None:
+        if self.map:
+            resolve = self.resolve
+            node.inputs = [resolve(t) for t in node.inputs]
+
+    def finish(self, fn) -> None:
+        if self.map:
+            fn.outputs = [self.resolve(t) for t in fn.outputs]
+            fn._runner = None
 
 
 def prune(fn) -> int:
@@ -94,9 +124,23 @@ def constant_fold(fn) -> int:
     graph: Graph = fn.graph
     folded = 0
     const_values: dict[int, np.ndarray] = {}
+    replaced = _Replacements()
     for node in list(graph.nodes):
         if node.op_name == "Const":
             const_values[id(node.outputs[0])] = node.attrs["value"]
+            continue
+        replaced.rewire(node)
+        # Cheapest rejection first: almost every node has an input
+        # whose value is not statically known.
+        arrays = []
+        for t in node.inputs:
+            value = const_values.get(id(t))
+            if value is None:
+                value = t.constant_value
+            if value is None:
+                break
+            arrays.append(np.asarray(value))
+        if len(arrays) != len(node.inputs):
             continue
         op_def = node.op_def
         if (
@@ -109,18 +153,6 @@ def constant_fold(fn) -> int:
         if any(
             t.dtype in (dtypes.resource, dtypes.variant) for t in node.outputs
         ):
-            continue
-        arrays = []
-        ok = True
-        for t in node.inputs:
-            value = const_values.get(id(t))
-            if value is None:
-                value = t.constant_value
-            if value is None:
-                ok = False
-                break
-            arrays.append(np.asarray(value))
-        if not ok:
             continue
         kernel = registry.get_kernel(node.op_name, "CPU")
         try:
@@ -136,16 +168,15 @@ def constant_fold(fn) -> int:
         results = [np.asarray(r) for r in results]
         if any(r.size > _MAX_FOLD_ELEMENTS for r in results):
             continue
-        replacements = {}
         with graph.as_default():
             from repro.runtime.executor import execute
 
             for out_sym, value in zip(node.outputs, results):
                 const_out = execute("Const", [], {"value": value})
-                replacements[id(out_sym)] = const_out
+                replaced.add(out_sym, const_out)
                 const_values[id(const_out)] = value
-        _replace_uses(fn, replacements)
         folded += 1
+    replaced.finish(fn)
     if folded:
         # New Const nodes were appended; restore topological node order.
         _topological_sort(fn)
@@ -166,15 +197,10 @@ def arithmetic_simplify(fn) -> int:
     """Apply algebraic identities that remove whole nodes."""
     graph: Graph = fn.graph
     rewrites = 0
-    replacements: dict = {}
-
-    def resolve(t):
-        while id(t) in replacements:
-            t = replacements[id(t)]
-        return t
+    replaced = _Replacements()
 
     for node in graph.nodes:
-        node.inputs = [resolve(t) for t in node.inputs]
+        replaced.rewire(node)
         out = node.outputs[0] if node.outputs else None
         new = None
         if node.op_name == "Add":
@@ -223,17 +249,10 @@ def arithmetic_simplify(fn) -> int:
         elif node.op_name == "Identity":
             new = node.inputs[0] if node.device is None else None
         if new is not None:
-            replacements[id(out)] = new
+            replaced.add(out, new)
             rewrites += 1
-    _replace_uses(fn, {k: _final(replacements, k) for k in replacements})
+    replaced.finish(fn)
     return rewrites
-
-
-def _final(replacements: dict, key):
-    t = replacements[key]
-    while id(t) in replacements:
-        t = replacements[id(t)]
-    return t
 
 
 def cse(fn) -> int:
@@ -247,22 +266,17 @@ def cse(fn) -> int:
     """
     graph: Graph = fn.graph
     seen: dict = {}
-    replacements: dict = {}
+    replaced = _Replacements()
     merged = 0
 
-    def resolve(t):
-        while id(t) in replacements:
-            t = replacements[id(t)]
-        return t
-
     for node in graph.nodes:
-        node.inputs = [resolve(t) for t in node.inputs]
+        replaced.rewire(node)
         op_def = node.op_def
         if op_def.is_stateful or op_def.has_side_effects or node.op_name == "Placeholder":
             continue
         sig = (
             node.op_name,
-            tuple(id(t) for t in node.inputs),
+            tuple(map(id, node.inputs)),
             _attr_key(node.attrs),
             node.device,
         )
@@ -271,9 +285,9 @@ def cse(fn) -> int:
             seen[sig] = node
             continue
         for old, new in zip(node.outputs, existing.outputs):
-            replacements[id(old)] = new
+            replaced.add(old, new)
         merged += 1
-    _replace_uses(fn, {k: _final(replacements, k) for k in replacements})
+    replaced.finish(fn)
     return merged
 
 
@@ -292,22 +306,17 @@ def dedup_reads(fn) -> int:
     """
     graph: Graph = fn.graph
     current_read: dict[int, SymbolicTensor] = {}
-    replacements: dict = {}
+    replaced = _Replacements()
     merged = 0
 
-    def resolve(t):
-        while id(t) in replacements:
-            t = replacements[id(t)]
-        return t
-
     for node in graph.nodes:
-        node.inputs = [resolve(t) for t in node.inputs]
+        replaced.rewire(node)
         op = node.op_name
         if op == "ReadVariableOp":
             handle = node.inputs[0]
             existing = current_read.get(id(handle))
             if existing is not None:
-                replacements[id(node.outputs[0])] = existing
+                replaced.add(node.outputs[0], existing)
                 merged += 1
             else:
                 current_read[id(handle)] = node.outputs[0]
@@ -320,7 +329,7 @@ def dedup_reads(fn) -> int:
                 for t in node.inputs:
                     if t.dtype == dtypes.resource:
                         current_read.pop(id(t), None)
-    _replace_uses(fn, {k: _final(replacements, k) for k in replacements})
+    replaced.finish(fn)
     return merged
 
 
@@ -375,8 +384,13 @@ def _default_passes() -> Sequence[str]:
 def _topological_sort(fn) -> None:
     """Restore producer-before-consumer node order after rewrites.
 
-    Constant folding appends its replacement Const nodes at the end of
-    the node list; the executor relies on list order being topological.
+    The executor relies on list order being topological, and so does
+    every pass (each walks the list once, rewiring consumers as it
+    meets them).  Passes that only remove nodes or point a consumer at
+    an earlier tensor keep the order; the two that can break it sort
+    before they return — constant folding (replacement Const nodes are
+    appended at the end) and fusion (a fused node sits where its last
+    member sat, possibly after a consumer of an earlier member).
     """
     order: list[Node] = []
     visited: set[int] = set()
@@ -402,12 +416,32 @@ def _topological_sort(fn) -> None:
     fn.graph.nodes = order
 
 
+def _is_topological(fn) -> bool:
+    seen: set[int] = set()
+    for node in fn.graph.nodes:
+        for t in node.inputs:
+            if id(t.node) not in seen:
+                return False
+        for c in node.control_inputs:
+            if id(c) not in seen:
+                return False
+        seen.add(id(node))
+    return True
+
+
 def optimize_function(fn, passes: Optional[Sequence[str]] = None) -> dict:
-    """Run the pass pipeline on a GraphFunction; returns per-pass counts."""
+    """Run the pass pipeline on a GraphFunction; returns per-pass counts.
+
+    ``fn.graph.nodes`` must be in producer-before-consumer order (any
+    traced graph is): the passes rewire consumers as they walk and would
+    silently lose a rewrite on a consumer listed before its producer.
+    Each pass's wall time lands in ``fn.stage_ms`` under ``<i>:<pass>_ms``.
+    """
+    assert _is_topological(fn), "optimize_function needs topologically ordered nodes"
     report: dict[str, int] = {}
     for i, name in enumerate(passes if passes is not None else _default_passes()):
-        count = _PASSES[name](fn)
-        report[f"{i}:{name}"] = count
-    _topological_sort(fn)
+        start = time.perf_counter()
+        report[f"{i}:{name}"] = _PASSES[name](fn)
+        fn.stage_ms[f"{i}:{name}_ms"] = (time.perf_counter() - start) * 1e3
     fn._runner = None
     return report

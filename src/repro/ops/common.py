@@ -86,7 +86,7 @@ def unary_infer(inputs, attrs) -> list[TensorSpec]:
 
 def elementwise_infer(inputs, attrs) -> list[TensorSpec]:
     """Broadcasting elementwise op: common broadcast shape, first dtype."""
-    shape = TensorShape(inputs[0].shape)
+    shape = inputs[0].shape
     for other in inputs[1:]:
         shape = broadcast_shapes(shape, other.shape)
     return [TensorSpec(shape, inputs[0].dtype)]

@@ -572,7 +572,8 @@ class TensorSpec:
     __slots__ = ("shape", "dtype", "name")
 
     def __init__(self, shape, dtype=dtypes.float32, name: Optional[str] = None) -> None:
-        self.shape = TensorShape(shape)
+        # Shapes are immutable: an existing one is shared, not copied.
+        self.shape = shape if type(shape) is TensorShape else TensorShape(shape)
         self.dtype = dtypes.as_dtype(dtype)
         self.name = name
 

@@ -16,6 +16,7 @@ must *not* change matters as much as what it lowers.  These tests pin:
   a trace.
 """
 
+import functools
 import traceback
 
 import numpy as np
@@ -221,6 +222,101 @@ def test_closure_mutating_nonlocal_reaches_original_cell():
     convert(bump)()
     assert hits == 3
     assert counter["n"] == 3
+
+
+def _make_counter(step):
+    total = 0
+
+    def bump(n):
+        nonlocal total
+        i = 0
+        while i < n:
+            total += step
+            i += 1
+        return total
+
+    return bump, lambda: total
+
+
+def test_closures_sharing_code_convert_once_and_keep_their_own_cells(monkeypatch):
+    """Conversion is memoized on ``__code__``: the parse/transform/compile
+    happens once per ``def``; cells, defaults and globals bind per function."""
+    from repro.autograph import transform
+
+    compiles = []
+    monkeypatch.setattr(
+        transform,
+        "compile",
+        lambda *args, **kwargs: compiles.append(args[1]) or compile(*args, **kwargs),
+        raising=False,
+    )
+    bump_a, read_a = _make_counter(1)
+    bump_b, read_b = _make_counter(10)
+    assert bump_a.__code__ is bump_b.__code__
+    conv_a, conv_b = convert(bump_a), convert(bump_b)
+    assert is_converted(conv_a) and is_converted(conv_b)
+    assert len(compiles) == 1
+    assert conv_a.__code__ is conv_b.__code__
+    assert conv_a is not conv_b
+    assert conv_a(3) == 3 and conv_b(2) == 20
+    # ``nonlocal`` writes landed in each closure's own original cell.
+    assert (read_a(), read_b()) == (3, 20)
+    assert bump_a(1) == 4  # the unconverted original shares that cell
+    # The "nothing to lower" verdict is memoized the same way: the
+    # source is read and parsed at most once.
+    parses = []
+    prepare = transform._prepare
+    monkeypatch.setattr(
+        transform, "_prepare", lambda fn: parses.append(fn) or prepare(fn)
+    )
+
+    def plain(x):
+        return x + 1
+
+    assert convert(plain) is plain
+    assert convert(plain) is plain
+    assert len(parses) == 1
+    assert len(compiles) == 1
+
+
+def _passthrough(f):
+    @functools.wraps(f)
+    def wrapper(*args, **kwargs):
+        return f(*args, **kwargs)
+
+    return wrapper
+
+
+@_passthrough
+def _wrapped_plus_one(x):
+    if repro.reduce_sum(x) > 0:
+        y = x + 1.0
+    else:
+        y = x
+    return y
+
+
+@_passthrough
+def _wrapped_times_ten(x):
+    if repro.reduce_sum(x) > 0:
+        y = x * 10.0
+    else:
+        y = x
+    return y
+
+
+def test_functools_wraps_decorated_functions_do_not_share_a_conversion():
+    """Every function one ``functools.wraps`` decorator returns has the
+    same ``__code__`` but its source is the wrapped function's; the memo
+    must not hand the second one the first one's body."""
+    assert _wrapped_plus_one.__code__ is _wrapped_times_ten.__code__
+    ones = repro.constant(np.ones(2, dtype=np.float32))
+    first = repro.function(_wrapped_plus_one)
+    second = repro.function(_wrapped_times_ten)
+    np.testing.assert_array_equal(first(ones).numpy(), [2.0, 2.0])
+    np.testing.assert_array_equal(second(ones).numpy(), [10.0, 10.0])
+    np.testing.assert_array_equal(first(-ones).numpy(), [-1.0, -1.0])
+    assert first.trace_count == 1 and second.trace_count == 1
 
 
 def test_while_else_left_interpreted():

@@ -163,3 +163,120 @@ class TestPerShapeCompiledCache:
         assert concrete._compiled_cache
         concrete.release()
         assert not concrete._compiled_cache
+
+
+def _count_infer_calls(monkeypatch):
+    """Patch ``OpDef.infer`` to count invocations; returns the counter."""
+    from repro.ops import registry
+
+    calls = [0]
+    original = registry.OpDef.infer
+
+    def counting(self, input_specs, attrs):
+        calls[0] += 1
+        return original(self, input_specs, attrs)
+
+    monkeypatch.setattr(registry.OpDef, "infer", counting)
+    return calls
+
+
+class TestEachNodeInferredOnce:
+    """Post-trace stages must not re-derive what the trace already knows."""
+
+    @staticmethod
+    def _static_program(x, w1, w2):
+        h = repro.tanh(repro.matmul(x, w1) * 0.5 + 0.25)
+        h = h * h + repro.exp(-h) * 2.0
+        for _ in range(6):
+            h = repro.tanh(h * 1.5 - 0.1)
+        logits = repro.matmul(h, w2)
+        scale = repro.constant(2.0) * repro.constant(4.0)  # folds
+        return repro.reduce_sum(logits * scale) + repro.reduce_mean(h)
+
+    def test_infer_calls_bounded_by_nodes_traced(self, monkeypatch):
+        from repro.runtime.context import context
+
+        previous = context.graph_fusion
+        context.graph_fusion = True
+        try:
+            calls = _count_infer_calls(monkeypatch)
+            pipeline = CompilationPipeline()
+            specs = [
+                TensorSpec([8, 16], repro.float32),
+                TensorSpec([16, 32], repro.float32),
+                TensorSpec([32, 4], repro.float32),
+            ]
+            graph, outs, _ = pipeline.trace(
+                self._static_program,
+                specs,
+                name="static",
+                structured_args=((TENSOR_MARKER,) * 3, {}),
+            )
+            nodes_traced = len(graph.nodes)
+            fn = GraphFunction("static", graph, list(graph.inputs), outs)
+            report = pipeline.finalize(fn)
+            pipeline.plan(fn)
+        finally:
+            context.graph_fusion = previous
+        assert nodes_traced >= 30
+        assert report["6:fuse"] >= 1  # regions exist, and were not re-inferred
+        assert not graph.has_unknown_dims
+        # One inference per traced node; the slack covers the Const
+        # nodes that folding adds.
+        assert calls[0] <= 1.25 * nodes_traced, (calls[0], nodes_traced)
+
+    def test_static_refine_is_sweep_free_symbolic_is_not(self, monkeypatch):
+        pipeline, fn, _ = _trace_symbolic()
+        pipeline.finalize(fn)
+        spec_fn = pipeline.specialize(fn, [TensorSpec([5, 4], repro.float32)])
+        assert spec_fn.output_specs[0].shape.dims == (5, 3)
+        calls = _count_infer_calls(monkeypatch)
+        assert not spec_fn.graph.has_unknown_dims
+        assert refine_shapes(spec_fn) == 0
+        assert calls[0] == 0
+        assert fn.graph.has_unknown_dims
+        refine_shapes(fn)
+        assert calls[0] > 0
+
+    def test_refine_sharpens_signature_trace_through_fused_region(self):
+        from repro.graph import fusion
+        from repro.runtime.context import context
+
+        previous = context.graph_fusion
+        context.graph_fusion = True
+        try:
+
+            @repro.function(input_signature=[TensorSpec([None, 4], repro.float32)])
+            def f(x):
+                return repro.tanh(x * 2.0 + 1.0) * x
+
+            concrete = f.get_concrete_function(
+                repro.constant(np.ones((3, 4), np.float32))
+            )
+        finally:
+            context.graph_fusion = previous
+        gf = concrete.graph_function
+        assert fusion.has_fused_nodes(gf)
+        assert gf.output_specs[0].shape.dims == (None, 4)
+        gf.inputs[0].spec = TensorSpec([8, 4], repro.float32)
+        assert refine_shapes(gf) >= 1
+        assert gf.output_specs[0].shape.dims == (8, 4)
+
+
+class TestStageTimes:
+    def test_finalize_and_execution_stats_report_stage_ms(self):
+        @repro.function
+        def f(x):
+            return repro.tanh(x * 2.0 + 1.0)
+
+        f(repro.constant([0.0, 1.0]))
+        (trace,) = f.execution_stats()["traces"]
+        stage_ms = trace["stage_ms"]
+        for key in ("trace_ms", "0:prune_ms", "4:cse_ms", "infer_ms", "plan_ms"):
+            assert stage_ms[key] >= 0.0, key
+        assert stage_ms["trace_ms"] > 0.0
+        pipeline, fn, _ = _trace_symbolic()
+        report = pipeline.finalize(fn)
+        assert report["infer_ms"] >= 0.0 and "1:fold_ms" in report
+        # Counts stay separable from times.
+        assert all(isinstance(v, int) for k, v in report.items() if not k.endswith("_ms"))

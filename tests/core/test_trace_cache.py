@@ -9,6 +9,7 @@ state-creation contract under concurrency).
 
 from __future__ import annotations
 
+import re
 import threading
 import warnings
 
@@ -341,9 +342,12 @@ class TestRetraceWarning:
         def f(x):
             return x + 1.0
 
-        with pytest.warns(RetraceWarning, match="argument leaf #0"):
+        with pytest.warns(RetraceWarning, match="argument leaf #0") as caught:
             for b in range(1, 10):
                 f(_batch(b))
+        # ... and quotes what the retrace it warns about costs.
+        (message,) = [str(w.message) for w in caught if w.category is RetraceWarning]
+        assert re.search(r"the last trace took \d+\.\d ms", message)
 
     def test_rate_limited(self):
         @repro.function(experimental_relax_shapes=False)

@@ -9,6 +9,8 @@ harness's fused axis; here the graphs are small enough to assert on
 structure.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ import repro
 from repro.graph import fusion, optimize
 from repro.graph.function import GraphFunction, placeholder
 from repro.graph.graph import Graph
+from repro.ops import nn_ops
 from repro.runtime.context import context
 
 
@@ -388,3 +391,169 @@ class TestFusedErrorAttribution:
         with pytest.raises(ValueError, match="boom kernel exploded") as ei:
             fn.run([repro.constant([1.0, 2.0])])
         assert getattr(ei.value, "_repro_async_op", None) == "TestBoomElem"
+
+
+class TestRegionCodeCache:
+    """Generated region code is cached by wiring alone; everything a
+    region computes *with* — kernels, attrs, in-place kernels — is bound
+    per region, so sharing a code object can never share state."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = functools.lru_cache(maxsize=4)(fusion._code_for.__wrapped__)
+        monkeypatch.setattr(fusion, "_code_for", fresh)
+        return fresh.cache_info
+
+    @staticmethod
+    def _region_of(build, **kwargs):
+        fn = _fn(build, **kwargs)
+        assert fusion.fuse_function(fn) == 1
+        (fused,) = _fused_nodes(fn)
+        return fn, fused.attrs["region"]
+
+    def test_equal_wiring_shares_code_not_state(self, cache):
+        # Same wiring (x, c1 -> Mul; +c2 -> Add; unary in place):
+        # different constants and a different kernel ...
+        fn_a, a = self._region_of(lambda x: repro.tanh(x * 2.0 + 1.0))
+        fn_b, b = self._region_of(lambda x: repro.exp(x * -3.0 + 0.5))
+        # ... and (LeakyRelu has no in-place kernel, so this is a second
+        # wiring) the same kernels with different member attrs.
+        fn_c, c = self._region_of(
+            lambda x: nn_ops.leaky_relu(x * -3.0 + 0.5, alpha=0.25)
+        )
+        fn_d, d = self._region_of(
+            lambda x: nn_ops.leaky_relu(x * -3.0 + 0.5, alpha=0.75)
+        )
+        assert a._compiled.__code__ is b._compiled.__code__
+        assert c._compiled.__code__ is d._compiled.__code__
+        assert a._compiled.__code__ is not c._compiled.__code__
+        assert (cache().hits, cache().misses) == (2, 2)
+        assert [r.code_cache_hit for r in (a, b, c, d)] == [False, True, False, True]
+        assert a._compiled.__globals__ is not b._compiled.__globals__
+        x = np.float32([-1.0, 2.0])
+        feed = [repro.constant(x)]
+        np.testing.assert_allclose(
+            fn_a.run(feed)[0].numpy(), np.tanh(x * 2.0 + 1.0), rtol=1e-6
+        )
+        pre = x * -3.0 + 0.5
+        np.testing.assert_allclose(fn_b.run(feed)[0].numpy(), np.exp(pre), rtol=1e-6)
+        for fn, alpha in ((fn_c, 0.25), (fn_d, 0.75)):
+            np.testing.assert_allclose(
+                fn.run(feed)[0].numpy(),
+                np.where(pre > 0, pre, alpha * pre),
+                rtol=1e-6,
+            )
+        assert fn_a._fusion_stats["code_cache"] == {"hits": 0, "misses": 1}
+        assert fn_b._fusion_stats["code_cache"] == {"hits": 1, "misses": 0}
+
+    def test_failing_member_in_cache_hit_region_names_the_member(
+        self, cache, monkeypatch
+    ):
+        TestFusedErrorAttribution._ensure_boom_op()
+        monkeypatch.setattr(
+            fusion, "FUSABLE_OPS", fusion.FUSABLE_OPS | {"TestBoomElem"}
+        )
+        from repro.runtime.executor import execute
+
+        # LeakyRelu, like the failing op, has no in-place kernel.
+        _, healthy = self._region_of(lambda x: nn_ops.leaky_relu(x * 2.0) + 1.0)
+        fn, broken = self._region_of(
+            lambda x: execute("TestBoomElem", [x * 2.0], {}) + 1.0
+        )
+        assert broken.code_cache_hit
+        assert broken._compiled.__code__ is healthy._compiled.__code__
+        with pytest.raises(ValueError, match="boom kernel exploded") as ei:
+            fn.run([repro.constant([1.0, 2.0])])
+        assert getattr(ei.value, "_repro_async_op", None) == "TestBoomElem"
+
+    def test_cache_is_bounded_and_eviction_is_harmless(self, cache):
+        x = np.float32([0.25, -0.5])
+        for depth in range(2, 9):  # 7 distinct wirings > maxsize 4
+
+            def build(t, depth=depth):
+                for _ in range(depth):
+                    t = repro.tanh(t)
+                return t
+
+            fn, region = self._region_of(build)
+            assert not region.code_cache_hit
+            assert cache().currsize <= cache().maxsize
+            expect = x
+            for _ in range(depth):
+                expect = np.tanh(expect)
+            np.testing.assert_allclose(
+                fn.run([repro.constant(x)])[0].numpy(), expect, rtol=1e-6
+            )
+        assert cache().currsize == cache().maxsize == 4
+        assert cache().misses == 7
+        # The oldest wiring was evicted: building it again recompiles.
+        _, again = self._region_of(lambda t: repro.tanh(repro.tanh(t)))
+        assert not again.code_cache_hit
+
+    def test_each_region_binds_its_own_backend(self, cache):
+        from repro.backend.tracked import TRACKED_BACKEND
+
+        def build(x):
+            return repro.tanh(x * 2.0 + 1.0)
+
+        x = np.float32([0.5, -1.5])
+        fn_np, on_numpy = self._region_of(build)
+        context.kernel_backend = "tracked"
+        try:
+            fn_tr, on_tracked = self._region_of(build)
+            assert on_tracked.code_cache_hit
+            assert on_tracked._compiled.__code__ is on_numpy._compiled.__code__
+            assert (on_numpy.backend, on_tracked.backend) == ("numpy", "tracked")
+            kernels = lambda r: [step[1] for step in r.steps]  # noqa: E731
+            assert all(
+                a is not b for a, b in zip(kernels(on_numpy), kernels(on_tracked))
+            )
+            TRACKED_BACKEND.reset_stats()
+            got_tracked = fn_tr.run([repro.constant(x)])[0].numpy()
+            # (Add and Tanh overwrite a donated buffer through the shared
+            # in-place kernels; the allocating first step is the witness.)
+            assert TRACKED_BACKEND.primitive_calls["Mul"] == 1
+        finally:
+            context.kernel_backend = "numpy"
+        TRACKED_BACKEND.reset_stats()
+        got_numpy = fn_np.run([repro.constant(x)])[0].numpy()
+        assert not TRACKED_BACKEND.primitive_calls
+        np.testing.assert_allclose(got_tracked, np.tanh(x * 2.0 + 1.0), rtol=1e-6)
+        np.testing.assert_allclose(got_numpy, got_tracked, rtol=1e-6)
+
+
+class TestCodegenFallbackIsCounted:
+    def test_failure_is_reported_not_swallowed(self, monkeypatch):
+        def broken(num_inputs, wiring, out_refs):
+            raise SyntaxError("generated source is bad")
+
+        broken.cache_info = fusion._code_for.cache_info
+        monkeypatch.setattr(fusion, "_code_for", broken)
+        fn = _fn(lambda x: repro.tanh(x * 2.0 + 1.0))
+        assert fusion.fuse_function(fn) == 1
+        stats = fn._fusion_stats
+        assert stats["codegen_fallbacks"] == 1
+        assert stats["codegen_error"] == "SyntaxError: generated source is bad"
+        assert stats["code_cache"] == {"hits": 0, "misses": 0}
+        # The region still runs, interpreted.
+        (out,) = fn.run([repro.constant([0.0, 1.0])])
+        np.testing.assert_allclose(out.numpy(), np.tanh([1.0, 3.0]), rtol=1e-6)
+
+    def test_execution_stats_surface_the_count(self):
+        previous = context.graph_fusion
+        context.graph_fusion = True
+        try:
+
+            @repro.function
+            def f(x):
+                return repro.tanh(x * 2.0 + 1.0)
+
+            f(repro.constant([0.0, 1.0]))
+            (trace,) = f.execution_stats()["traces"]
+        finally:
+            context.graph_fusion = previous
+        assert trace["fused_regions"] == [3]
+        assert trace["codegen_fallbacks"] == 0
+        assert trace["codegen_error"] is None
+        cache = trace["fusion_code_cache"]
+        assert cache["hits"] + cache["misses"] == 1

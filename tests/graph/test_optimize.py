@@ -247,3 +247,11 @@ class TestPipeline:
         fn = _fn(build)
         report = optimize.optimize_function(fn, passes=["arithmetic"])
         assert list(report) == ["0:arithmetic"]
+
+    def test_rejects_node_list_that_is_not_topological(self):
+        # The passes rewire consumers as they walk; a consumer listed
+        # before its producer would silently keep a stale input.
+        fn = _fn(lambda x: repro.tanh(x * 1.0))
+        fn.graph.nodes.reverse()
+        with pytest.raises(AssertionError, match="topologically ordered"):
+            optimize.optimize_function(fn)

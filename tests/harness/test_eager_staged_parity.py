@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.graph import fusion
 from repro.tensor import AsyncTensor, LazyTensor
 from tests.harness.parity import (
     CORPUS,
@@ -24,6 +25,32 @@ from tests.harness.parity import (
 
 _IDS = [p.name for p in CORPUS]
 _RELAXABLE = [p for p in CORPUS if p.alt_inputs is not None]
+
+
+@pytest.fixture(autouse=True)
+def fused_regions_built(monkeypatch):
+    """Every region any mode of any program builds must run its
+    generated code: a codegen failure demotes the region to the
+    interpreted loop, which still computes the right values, so parity
+    alone would never notice it."""
+    built = []
+    fuse_function = fusion.fuse_function
+
+    def recording(fn):
+        regions = fuse_function(fn)
+        stats = getattr(fn, "_fusion_stats", None)
+        if stats is not None:
+            built.append((fn.name, stats))
+        return regions
+
+    monkeypatch.setattr(fusion, "fuse_function", recording)
+    yield built
+    demoted = [
+        (name, stats["codegen_error"])
+        for name, stats in built
+        if stats["codegen_fallbacks"]
+    ]
+    assert not demoted, f"fused regions fell back to the interpreter: {demoted}"
 
 
 def test_corpus_is_large_enough():
@@ -51,6 +78,15 @@ def test_fused_staging_agrees(program, dtype):
     if dtype not in program.dtypes:
         pytest.skip(f"{program.name} not defined for {dtype}")
     assert_fused_parity(program, dtype)
+
+
+def test_fusion_axis_builds_regions(fused_regions_built):
+    """The zero-fallback check above is only worth something if the
+    corpus does build regions — forward and staged backward."""
+    program = next(p for p in CORPUS if p.name == "chain_long")
+    assert_fused_parity(program, "float32")
+    assert sum(len(stats["regions"]) for _, stats in fused_regions_built) >= 2
+    assert all(stats["codegen_fallbacks"] == 0 for _, stats in fused_regions_built)
 
 
 def test_relaxable_subset_is_large_enough():
