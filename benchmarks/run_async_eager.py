@@ -34,7 +34,7 @@ import os
 import sys
 import time
 
-# Must be set before the first ExecutionStream is created.
+# Read once, when `import repro` constructs the context.
 os.environ.setdefault("REPRO_STREAM_DEPTH", "4096")
 
 sys.path.insert(0, ".")

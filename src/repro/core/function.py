@@ -85,7 +85,7 @@ class SegmentCache:
       ``context.trace_cache_size``; evicted artifacts have ``release()``
       called so their execution plans are dropped.
     * **Relaxed level**: one shape-relaxed artifact per structural key,
-      installed after ``context.relax_retraces`` shape-only misses of
+      installed after :data:`RELAX_RETRACES` shape-only misses of
       the same structure.  Execution plans are shape-polymorphic, so a
       single relaxed artifact (placeholder dims generalized to ``None``)
       serves every concrete shape the structure admits — the
@@ -114,7 +114,7 @@ class SegmentCache:
         ``build_relaxed`` asks the caller to compile the miss with
         relaxed (``None``-dimension) external specs and insert it via
         ``insert(..., relaxed=True)``: the structure has now missed on
-        shapes alone ``context.relax_retraces`` times.
+        shapes alone :data:`RELAX_RETRACES` times.
         """
         with self._lock:
             artifact = self._exact.get((structural_key, shapes))
@@ -129,7 +129,7 @@ class SegmentCache:
             self._stats["misses"] += 1
             seen = self._shape_misses.get(structural_key, 0) + 1
             self._shape_misses[structural_key] = seen
-            return None, seen > context.relax_retraces
+            return None, seen > RELAX_RETRACES
 
     def insert(self, structural_key, shapes, artifact, relaxed: bool = False) -> None:
         """Add a compiled artifact, evicting LRU entries past the bound."""
@@ -178,6 +178,11 @@ class RetraceWarning(UserWarning):
     that differed so the offending argument is identifiable.
     """
 
+
+#: Shape-only misses of one dtype/rank pattern (``Function``) or segment
+#: structure (``SegmentCache``) tolerated before the varying dimensions
+#: generalize to ``None``: the second distinct shape traces symbolically.
+RELAX_RETRACES = 1
 
 #: Sliding window of recent calls inspected for retrace churn.
 _RETRACE_WINDOW = 10
@@ -1102,7 +1107,7 @@ class Function:
             return None
         seen[0] += 1
         seen[1] = [old.most_general(new) for old, new in zip(seen[1], current)]
-        if seen[0] < context.relax_retraces:
+        if seen[0] < RELAX_RETRACES:
             return None
         # K shape-only retraces of this pattern: generalize the varying
         # dimensions to None and trace once, symbolically.
@@ -1307,10 +1312,10 @@ def function(
     executor.
 
     ``experimental_relax_shapes=True`` enables the trace cache's
-    relaxation policy for this function: after
-    ``context.relax_retraces`` shape-only retraces of the same
-    dtype/rank pattern, the varying dimensions are generalized to
-    ``None`` and a single symbolic trace serves all compatible shapes.
+    relaxation policy for this function: after one shape-only retrace
+    of the same dtype/rank pattern, the varying dimensions are
+    generalized to ``None`` and a single symbolic trace serves all
+    compatible shapes.
     ``False`` disables it; the default ``None`` defers to the global
     ``context.relax_shapes`` knob (env ``REPRO_RELAX_SHAPES``).
     """

@@ -12,9 +12,11 @@ The :class:`Context` singleton owns:
 * the thread-local *graph-building stack* used by the tracer (§4.6) —
   when non-empty, operations are staged into the innermost graph
   instead of executed,
-* per-device random number generators with a global seed, and
+* per-device random number generators with a global seed,
 * a resolver hook through which the distribution layer
-  (:mod:`repro.distribute`) exposes remote devices by name.
+  (:mod:`repro.distribute`) exposes remote devices by name, and
+* the process-global configuration knobs, declared once in
+  :data:`KNOBS`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from typing import Callable, Iterable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from repro.runtime.device import Device, DeviceSpec, local_device_spec
 
 __all__ = [
     "Context",
+    "KNOBS",
+    "Knob",
     "context",
     "device",
     "executing_eagerly",
@@ -60,6 +65,269 @@ def _dispatch_core():
     return getattr(mod, "core", None)
 
 
+# -- the knob table ---------------------------------------------------------
+class Knob(NamedTuple):
+    """One process-global setting ``context.<name>``, kept in the plain
+    attribute ``context._<name>`` so hot paths read it with one load."""
+
+    name: str
+    env: tuple  # variables read once, when the Context is constructed
+    kind: str  # "bool", "int", "float", "str" or "mode": see _validated
+    default: object
+    doc: str
+    #: ``on_change(context, old_value)`` runs after a setter changed the
+    #: value; if it raises, the old value is put back.
+    on_change: Optional[Callable] = None
+
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off", "")
+
+
+def _env_bool(env: str) -> bool:
+    """A boolean variable; strict, so a typo cannot silently mean "off"."""
+    raw = os.environ.get(env, "")
+    word = raw.strip().lower()
+    if word not in _TRUE + _FALSE:
+        raise InvalidArgumentError(
+            f"{env} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}"
+        )
+    return word in _TRUE
+
+
+def _number(cast, value, source: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise InvalidArgumentError(f"{source} must be {kind}, got {value!r}") from None
+
+
+def _validated(knob: Knob, value, source: str):
+    """``value`` coerced to the knob's kind; ``source`` names it in errors."""
+    if knob.kind == "bool":
+        return bool(value)
+    if knob.kind == "str":
+        return str(value)
+    if knob.kind == "mode":
+        if value not in ("sync", "async", "lazy"):
+            raise InvalidArgumentError(
+                f'{source} must be "sync", "async", or "lazy", got {value!r}'
+            )
+    elif knob.kind == "int":  # a count: >= 1
+        value = _number(int, value, source)
+        if value < 1:
+            raise InvalidArgumentError(f"{source} must be >= 1, got {value}")
+    elif value is not None:  # "float": a positive duration, None for none
+        value = _number(float, value, source)
+        if value <= 0:
+            raise InvalidArgumentError(f"{source} must be positive or None, got {value}")
+    return value
+
+
+def _from_env(knob: Knob):
+    """The knob's startup value: its environment variable, else its default."""
+    if knob.kind == "mode":
+        # Its variables are booleans selecting lazy and async.  Lazy wins:
+        # it subsumes async pipelining (the flush itself may enqueue on
+        # streams), so setting both means "lazy".
+        for env, mode in zip(knob.env, ("lazy", "async")):
+            if _env_bool(env):
+                return mode
+        return knob.default
+    if not knob.env or knob.env[0] not in os.environ:
+        return knob.default
+    env = knob.env[0]
+    if knob.kind == "bool":
+        return _env_bool(env)
+    raw = os.environ[env]
+    if knob.kind == "str":
+        # Validated on first use: the registry that knows the names
+        # (array backends) imports after the context exists.
+        return raw.strip() or knob.default
+    if knob.kind == "float":  # a non-positive variable means None
+        value = _number(float, raw, env)
+        return value if value > 0 else None
+    return _validated(knob, raw, env)
+
+
+def _sync_on_leaving_deferred_mode(ctx: "Context", old: str) -> None:
+    if old != "sync":
+        ctx.sync()
+
+
+def _clear_kernel_cache(ctx: "Context", old: bool) -> None:
+    core = _dispatch_core()
+    if core is not None:
+        # Cached kernel resolutions embed the placement policy.
+        core.clear_kernel_cache()
+
+
+def _resolve_kernel_backend(ctx: "Context", old: str) -> None:
+    from repro.backend import base
+
+    # Raises on an unregistered name.  No cache clear needed: the
+    # dispatch core's per-signature cache keys include the backend name.
+    ctx._array_backend_obj = base.get_backend(ctx._kernel_backend)
+
+
+def _apply_process_devices(ctx: "Context", old: bool) -> None:
+    from repro.runtime import worker_pool
+
+    worker_pool.apply_process_devices(ctx._process_devices)
+
+
+KNOBS = (
+    Knob(
+        "executor_mode", ("REPRO_LAZY_EAGER", "REPRO_ASYNC_EAGER"), "mode", "sync",
+        """``"sync"``, ``"async"``, or ``"lazy"`` eager execution.
+
+        Selects the submission policy behind ``execute()`` (paper §4.1,
+        §4.4; :mod:`repro.runtime.executor` describes the three): run
+        each op's kernel before returning, enqueue it on the device's
+        execution stream and return a pending tensor, or record it into
+        a lazy trace that runs as one compiled, fused segment when a
+        value is observed.  Process-global, like TF's ``executor``:
+        switch it between training phases, not per-thread.  Leaving a
+        deferred mode first flushes recorded segments and drains
+        in-flight ops (raising any deferred error).
+        """,
+        _sync_on_leaving_deferred_mode,
+    ),
+    Knob(
+        "soft_device_placement", (), "bool", True,
+        "Fall back to CPU kernels for ops without an accelerator kernel.",
+        _clear_kernel_cache,
+    ),
+    Knob(
+        "stream_depth", ("REPRO_STREAM_DEPTH",), "int", 64,
+        """Queue bound of each async execution stream created afterwards.
+
+        Bounds the memory pinned by not-yet-executed ops: a submitter
+        that runs far ahead of a device blocks on ``enqueue`` until the
+        worker catches up (TF's eager async mode does the same).
+        """,
+    ),
+    Knob(
+        "inter_op_parallelism_threads", ("REPRO_INTER_OP_THREADS",), "int", 8,
+        """Thread-pool size for the parallel graph executor.
+
+        Takes effect for pools created afterwards; call
+        :func:`repro.graph.executor.shutdown_thread_pool` to force the
+        next parallel run to pick up a new value.
+        """,
+    ),
+    Knob(
+        "rpc_deadline_ms", ("REPRO_RPC_DEADLINE_MS",), "float", 30000.0,
+        """Default per-request deadline for remote-worker operations.
+
+        ``None`` disables deadlines: remote requests wait forever, the
+        pre-fault-tolerance behaviour.  Individual requests can override
+        it via the ``deadline_ms`` argument of ``WorkerServer.run_op``.
+        """,
+    ),
+    Knob(
+        "relax_shapes", ("REPRO_RELAX_SHAPES",), "bool", False,
+        """Process-wide default for trace-cache shape relaxation (§4.6).
+
+        When on, a ``Function`` that retraces on a shape-only signature
+        change generalizes the varying dimensions to ``None`` and traces
+        one symbolic graph instead (see :mod:`repro.core.function`).
+        Per-function ``experimental_relax_shapes`` overrides it.
+        """,
+    ),
+    Knob(
+        "trace_cache_size", ("REPRO_TRACE_CACHE_SIZE",), "int", 256,
+        """Per-``Function`` LRU bound on cached exact-signature traces.
+
+        Keeps shape-diverse serving traffic from growing the cache (and
+        the compiled artifacts hanging off each trace) without limit.
+        Applies to new caches and to existing ones on their next insert.
+        """,
+    ),
+    Knob(
+        "graph_fusion", ("REPRO_GRAPH_FUSION",), "bool", True,
+        """Whether the default graph pipeline fuses elementwise regions.
+
+        When on, the optimizer's ``fuse`` pass collapses elementwise
+        chains/DAGs into single-dispatch ``FusedElementwise`` nodes and
+        the executor's static memory plan donates dying input buffers
+        in place.  Applies to traces and execution plans built
+        afterwards; planned functions keep the plan they were built with.
+        """,
+    ),
+    Knob(
+        "autograph", ("REPRO_AUTOGRAPH",), "bool", True,
+        """Whether ``function`` rewrites Python control flow at trace time.
+
+        When on, ``repro.function`` passes its Python function through
+        :func:`repro.autograph.convert` before tracing, lowering
+        tensor-dependent
+        ``if``/``while``/``for``/``break``/``continue``/early-``return``
+        onto ``cond``/``while_loop``.  Per-function ``autograph=``
+        overrides it.  Applies to traces started afterwards; converted
+        functions keep their conversion.
+        """,
+    ),
+    Knob(
+        "recompute", ("REPRO_RECOMPUTE",), "bool", True,
+        """Whether ``recompute_grad`` wrappers actually checkpoint.
+
+        When off every wrapper is an identity, so one flip A/Bs the
+        memory/compute trade on an unmodified model.  Applies to calls
+        made afterwards; a staged trace keeps what it was traced with.
+        """,
+    ),
+    Knob(
+        "kernel_backend", ("REPRO_KERNEL_BACKEND",), "str", "numpy",
+        """The active array backend for kernel resolution.
+
+        Kernels are registered per ``(op, device type, backend)``
+        (:mod:`repro.backend`); the active backend's win and anything it
+        doesn't implement falls back to the NumPy kernels.  Applies to
+        ops dispatched afterwards; fused regions and execution plans
+        built earlier keep the kernels they bound.
+        """,
+        _resolve_kernel_backend,
+    ),
+    Knob(
+        "process_devices", ("REPRO_PROCESS_DEVICES",), "bool", False,
+        """Whether simulated GPU devices run kernels in worker processes.
+
+        When on, each local GPU's kernels run in a forked worker
+        (:mod:`repro.runtime.worker_pool`): tensors cross over shared
+        memory and the Python thread blocks on IPC with the GIL
+        released, so the parallel graph scheduler and async streams
+        overlap real compute on multi-core hosts.  Turning it off shuts
+        the workers down.
+        """,
+        _apply_process_devices,
+    ),
+)
+
+
+def _knob_property(knob: Knob) -> property:
+    attr = "_" + knob.name
+
+    def setter(self: "Context", value) -> None:
+        value = _validated(knob, value, knob.name)
+        old = getattr(self, attr)
+        if value == old:
+            return
+        setattr(self, attr, value)
+        if knob.on_change is not None:
+            try:
+                knob.on_change(self, old)
+            except BaseException:
+                setattr(self, attr, old)
+                raise
+
+    origin = " / ".join(f"``{env}``" for env in knob.env)
+    doc = f"{knob.doc.rstrip()}\n\n        Default {knob.default!r}"
+    doc += f", initialised from {origin}." if origin else "."
+    return property(attrgetter(attr), setter, doc=doc)
+
+
 class Context:
     """Process-global runtime state.  Use the :data:`context` singleton."""
 
@@ -72,235 +340,16 @@ class Context:
         self._remote_resolver: Optional[Callable[[str], Optional[Device]]] = None
         self._uid_lock = threading.Lock()
         self._uid = 0
-        self._soft_device_placement = True
-        self._inter_op_threads = self._threads_from_env()
-        self._rpc_deadline_ms = self._rpc_deadline_from_env()
-        self._executor_mode = self._executor_mode_from_env()
-        self._relax_shapes = self._relax_shapes_from_env()
-        self._relax_retraces = self._relax_retraces_from_env()
-        self._trace_cache_size = self._trace_cache_size_from_env()
-        self._graph_fusion = self._graph_fusion_from_env()
-        self._autograph = self._autograph_from_env()
-        self._recompute = self._recompute_from_env()
-        self._serving_max_batch = self._serving_max_batch_from_env()
-        self._serving_queue_depth = self._serving_queue_depth_from_env()
-        self._serving_timeout_ms = self._serving_timeout_from_env()
-        self._kernel_backend = self._kernel_backend_from_env()
+        for knob in KNOBS:
+            setattr(self, "_" + knob.name, _from_env(knob))
         self._array_backend_obj = None  # resolved lazily (import order)
-        self._process_devices = self._process_devices_from_env()
         self._initialize_local_devices(num_gpus=num_gpus, num_tpus=num_tpus)
 
-    @staticmethod
-    def _threads_from_env() -> int:
-        raw = os.environ.get("REPRO_INTER_OP_THREADS", "8")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_INTER_OP_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidArgumentError(
-                f"REPRO_INTER_OP_THREADS must be >= 1, got {value}"
-            )
-        return value
-
-    @staticmethod
-    def _rpc_deadline_from_env() -> Optional[float]:
-        raw = os.environ.get("REPRO_RPC_DEADLINE_MS", "30000")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_RPC_DEADLINE_MS must be a number, got {raw!r}"
-            ) from None
-        return value if value > 0 else None
-
-    @staticmethod
-    def _async_from_env() -> bool:
-        raw = os.environ.get("REPRO_ASYNC_EAGER", "0").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _lazy_from_env() -> bool:
-        raw = os.environ.get("REPRO_LAZY_EAGER", "0").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _executor_mode_from_env() -> str:
-        """Submission policy selected by the environment.
-
-        ``REPRO_LAZY_EAGER`` wins over ``REPRO_ASYNC_EAGER`` — lazy mode
-        subsumes async pipelining (the flush itself may enqueue on
-        streams) so setting both means "lazy".
-        """
-        if Context._lazy_from_env():
-            return "lazy"
-        if Context._async_from_env():
-            return "async"
-        return "sync"
-
-    @staticmethod
-    def _relax_shapes_from_env() -> bool:
-        raw = os.environ.get("REPRO_RELAX_SHAPES", "0").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _relax_retraces_from_env() -> int:
-        raw = os.environ.get("REPRO_RELAX_RETRACES", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_RELAX_RETRACES must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidArgumentError(
-                f"REPRO_RELAX_RETRACES must be >= 1, got {value}"
-            )
-        return value
-
-    @staticmethod
-    def _graph_fusion_from_env() -> bool:
-        # Default ON since the fusion pass graduated from the gated
-        # tier1-fusion lane; REPRO_GRAPH_FUSION=0 is the opt-out.
-        raw = os.environ.get("REPRO_GRAPH_FUSION", "1").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _autograph_from_env() -> bool:
-        # Default ON: every `function` lowers tensor-dependent Python
-        # control flow at trace time; REPRO_AUTOGRAPH=0 is the opt-out.
-        raw = os.environ.get("REPRO_AUTOGRAPH", "1").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _recompute_from_env() -> bool:
-        # Default ON: `recompute_grad` honors its wrapping.  Flipping
-        # REPRO_RECOMPUTE=0 turns every wrapper into a no-op, the cheap
-        # A/B switch for the memory/compute trade.
-        raw = os.environ.get("REPRO_RECOMPUTE", "1").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _trace_cache_size_from_env() -> int:
-        raw = os.environ.get("REPRO_TRACE_CACHE_SIZE", "256")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_TRACE_CACHE_SIZE must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidArgumentError(
-                f"REPRO_TRACE_CACHE_SIZE must be >= 1, got {value}"
-            )
-        return value
-
-    @staticmethod
-    def _serving_max_batch_from_env() -> int:
-        raw = os.environ.get("REPRO_SERVING_MAX_BATCH", "32")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_SERVING_MAX_BATCH must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidArgumentError(
-                f"REPRO_SERVING_MAX_BATCH must be >= 1, got {value}"
-            )
-        return value
-
-    @staticmethod
-    def _serving_queue_depth_from_env() -> int:
-        raw = os.environ.get("REPRO_SERVING_QUEUE_DEPTH", "128")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_SERVING_QUEUE_DEPTH must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidArgumentError(
-                f"REPRO_SERVING_QUEUE_DEPTH must be >= 1, got {value}"
-            )
-        return value
-
-    @staticmethod
-    def _serving_timeout_from_env() -> Optional[float]:
-        raw = os.environ.get("REPRO_SERVING_TIMEOUT_MS", "1000")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"REPRO_SERVING_TIMEOUT_MS must be a number, got {raw!r}"
-            ) from None
-        return value if value > 0 else None
-
-    @staticmethod
-    def _kernel_backend_from_env() -> str:
-        # Validated lazily (against the backend registry) on first use:
-        # the registry package imports after the context exists.
-        return os.environ.get("REPRO_KERNEL_BACKEND", "numpy").strip() or "numpy"
-
-    @staticmethod
-    def _process_devices_from_env() -> bool:
-        raw = os.environ.get("REPRO_PROCESS_DEVICES", "0").strip().lower()
-        return raw in ("1", "true", "yes", "on")
-
-    # -- placement / execution knobs --------------------------------------
-    @property
-    def async_eager(self) -> bool:
-        """Whether eager ops enqueue on execution streams (read-only view)."""
-        return self._executor_mode == "async"
-
-    @property
-    def lazy_eager(self) -> bool:
-        """Whether eager ops are recorded into a pending lazy trace."""
-        return self._executor_mode == "lazy"
-
-    @property
-    def executor_mode(self) -> str:
-        """``"sync"``, ``"async"``, or ``"lazy"`` eager execution.
-
-        The three submission policies behind ``execute()`` (paper §4.1,
-        §4.4 plus the LazyTensor-style implicit staging mode):
-
-        * ``"sync"`` — dispatch each op's kernel before returning.
-        * ``"async"`` — enqueue on the device's
-          :class:`~repro.runtime.stream.ExecutionStream` and return a
-          pending :class:`~repro.tensor.AsyncTensor` immediately; the
-          Python thread only waits when a value is observed.
-        * ``"lazy"`` — *record* each op into a pending
-          :class:`~repro.runtime.lazy.LazyTrace` and return pending
-          :class:`~repro.tensor.LazyTensor` outputs; observing a value
-          flushes the recorded segment through the compilation
-          pipeline (optimize → fuse → plan → execute) with a
-          trace-hash cache, so steady-state loops run compiled
-          artifacts.
-
-        Initialised from ``REPRO_LAZY_EAGER`` / ``REPRO_ASYNC_EAGER``
-        (default ``"sync"``).  The mode is process-global, like TF's
-        ``executor``: switch it between training phases, not per-thread.
-        """
-        return self._executor_mode
-
-    @executor_mode.setter
-    def executor_mode(self, mode: str) -> None:
-        if mode not in ("sync", "async", "lazy"):
-            raise InvalidArgumentError(
-                f'executor_mode must be "sync", "async", or "lazy", got {mode!r}'
-            )
-        if mode == self._executor_mode:
-            return
-        if self._executor_mode != "sync":
-            # Leaving a deferred mode is itself a synchronization point:
-            # flush recorded segments / drain in-flight ops (raising any
-            # deferred error) so the new mode starts from a quiescent
-            # runtime.
-            self.sync()
-        self._executor_mode = mode
+    def reset_knobs(self) -> None:
+        """Set every knob back to its startup value (environment, else
+        default) through its setter, so ``on_change`` effects apply."""
+        for knob in KNOBS:
+            setattr(self, knob.name, _from_env(knob))
 
     def sync(self) -> None:
         """Block until all deferred-submitted ops have finished.
@@ -317,159 +366,6 @@ class Context:
             return  # nothing was ever executed asynchronously
         stream_mod.sync_all_streams()
 
-    @property
-    def relax_shapes(self) -> bool:
-        """Process-wide default for trace-cache shape relaxation (§4.6).
-
-        When on, a ``Function`` that keeps retracing on shape-only
-        signature changes generalizes the varying dimensions to ``None``
-        and traces one symbolic graph instead (see
-        :mod:`repro.core.function`).  Initialised from
-        ``REPRO_RELAX_SHAPES`` (default off); per-function
-        ``experimental_relax_shapes`` overrides it either way.
-        """
-        return self._relax_shapes
-
-    @relax_shapes.setter
-    def relax_shapes(self, value: bool) -> None:
-        self._relax_shapes = bool(value)
-
-    @property
-    def relax_retraces(self) -> int:
-        """How many shape-only retraces trigger relaxation (default 1).
-
-        With the default, the *second* distinct shape of the same
-        rank/dtype pattern already traces symbolically.  Initialised
-        from ``REPRO_RELAX_RETRACES``.
-        """
-        return self._relax_retraces
-
-    @relax_retraces.setter
-    def relax_retraces(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise InvalidArgumentError(
-                f"relax_retraces must be >= 1, got {value}"
-            )
-        self._relax_retraces = value
-
-    @property
-    def graph_fusion(self) -> bool:
-        """Whether the default graph pipeline fuses elementwise regions.
-
-        When on, the optimizer's ``fuse`` pass collapses chains/DAGs of
-        elementwise ops into single ``FusedElementwise`` nodes evaluated
-        by one precompiled kernel dispatch, and the graph executor's
-        static memory plan additionally enables in-place buffer donation
-        (an op may write into a dying input buffer).  Initialised from
-        ``REPRO_GRAPH_FUSION`` (default **on**; set ``0`` to opt out).
-        Applies to traces and
-        execution plans built afterwards; already-planned functions keep
-        the plan they were built with.
-        """
-        return self._graph_fusion
-
-    @graph_fusion.setter
-    def graph_fusion(self, value: bool) -> None:
-        self._graph_fusion = bool(value)
-
-    @property
-    def autograph(self) -> bool:
-        """Whether ``function`` rewrites Python control flow at trace time.
-
-        When on, the Python function handed to ``repro.function`` is
-        passed through :func:`repro.autograph.convert` before tracing:
-        tensor-dependent ``if``/``while``/``for``/``break``/``continue``
-        /early-``return`` lower onto the staged ``cond``/``while_loop``
-        ops, and everything else keeps ordinary Python semantics.
-        Initialised from ``REPRO_AUTOGRAPH`` (default **on**; set ``0``
-        to opt out).  Per-function ``autograph=`` overrides it either
-        way.  Applies to traces started afterwards; already-converted
-        functions keep their conversion.
-        """
-        return self._autograph
-
-    @autograph.setter
-    def autograph(self, value: bool) -> None:
-        self._autograph = bool(value)
-
-    @property
-    def recompute(self) -> bool:
-        """Whether ``recompute_grad`` wrappers actually checkpoint.
-
-        When on (the default), a wrapped segment saves only its
-        boundary for the backward pass and rematerializes its
-        intermediates.  Initialised from ``REPRO_RECOMPUTE`` (default
-        **on**; set ``0`` to opt out) — with it off every wrapper is an
-        identity, so one env flip A/Bs the memory/compute trade on an
-        unmodified model.  Applies to calls made afterwards; a staged
-        trace keeps whatever the knob said when it was traced.
-        """
-        return self._recompute
-
-    @recompute.setter
-    def recompute(self, value: bool) -> None:
-        self._recompute = bool(value)
-
-    @property
-    def trace_cache_size(self) -> int:
-        """Per-``Function`` bound on cached exact-signature traces.
-
-        The trace cache is LRU-bounded so shape-diverse serving traffic
-        cannot grow it (and the compiled artifacts hanging off each
-        trace) without limit.  Initialised from
-        ``REPRO_TRACE_CACHE_SIZE`` (default 256).  Applies to caches
-        created afterwards and to existing caches on their next insert.
-        """
-        return self._trace_cache_size
-
-    @trace_cache_size.setter
-    def trace_cache_size(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise InvalidArgumentError(
-                f"trace_cache_size must be >= 1, got {value}"
-            )
-        self._trace_cache_size = value
-
-    @property
-    def soft_device_placement(self) -> bool:
-        """Fall back to CPU kernels for ops without an accelerator kernel."""
-        return self._soft_device_placement
-
-    @soft_device_placement.setter
-    def soft_device_placement(self, value: bool) -> None:
-        value = bool(value)
-        if value != self._soft_device_placement:
-            self._soft_device_placement = value
-            core = _dispatch_core()
-            if core is not None:
-                # Cached kernel resolutions embed the placement policy.
-                core.clear_kernel_cache()
-
-    @property
-    def kernel_backend(self) -> str:
-        """The active array backend for kernel resolution.
-
-        Kernels are registered per ``(op, device type, backend)``
-        (:mod:`repro.backend`); the active backend's kernels win and
-        anything it doesn't implement falls back to the NumPy kernels.
-        Initialised from ``REPRO_KERNEL_BACKEND`` (default ``"numpy"``).
-        Applies to ops dispatched afterwards; fused regions and
-        execution plans built earlier keep the kernels they bound.
-        """
-        return self._kernel_backend
-
-    @kernel_backend.setter
-    def kernel_backend(self, name: str) -> None:
-        from repro.backend import base
-
-        backend = base.get_backend(str(name))  # validates the name
-        self._kernel_backend = backend.name
-        self._array_backend_obj = backend
-        # No cache clear needed: the dispatch core's per-signature cache
-        # keys include the backend name.
-
     def array_backend(self):
         """The active :class:`~repro.backend.ArrayBackend` object."""
         obj = self._array_backend_obj
@@ -478,129 +374,6 @@ class Context:
 
             obj = self._array_backend_obj = base.get_backend(self._kernel_backend)
         return obj
-
-    @property
-    def process_devices(self) -> bool:
-        """Whether simulated GPU devices run kernels in worker processes.
-
-        When on, each local GPU device's kernel loop runs in a forked
-        worker process (:mod:`repro.runtime.worker_pool`): tensors are
-        marshalled over shared memory, the Python thread blocks on IPC
-        with the GIL released, and the parallel graph scheduler / async
-        eager streams overlap real compute on multi-core hosts.
-        Initialised from ``REPRO_PROCESS_DEVICES`` (default off).
-        Turning it off shuts the workers down.
-        """
-        return self._process_devices
-
-    @process_devices.setter
-    def process_devices(self, value: bool) -> None:
-        value = bool(value)
-        if value == self._process_devices:
-            return
-        self._process_devices = value
-        mod = sys.modules.get("repro.runtime.worker_pool")
-        if mod is None and value:
-            from repro.runtime import worker_pool as mod
-        if mod is not None:
-            mod.apply_process_devices(value)
-
-    @property
-    def inter_op_parallelism_threads(self) -> int:
-        """Thread-pool size for the parallel graph executor.
-
-        Initialised from ``REPRO_INTER_OP_THREADS`` (default 8).  Takes
-        effect for pools created afterwards; call
-        :func:`repro.graph.executor.shutdown_thread_pool` to force the
-        next parallel run to pick up a new value.
-        """
-        return self._inter_op_threads
-
-    @inter_op_parallelism_threads.setter
-    def inter_op_parallelism_threads(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise InvalidArgumentError(
-                f"inter_op_parallelism_threads must be >= 1, got {value}"
-            )
-        self._inter_op_threads = value
-
-    @property
-    def rpc_deadline_ms(self) -> Optional[float]:
-        """Default per-request deadline for remote-worker operations.
-
-        Initialised from ``REPRO_RPC_DEADLINE_MS`` (default 30000).
-        ``None`` disables deadlines: remote requests wait forever, the
-        pre-fault-tolerance behaviour.  Individual requests can override
-        it via the ``deadline_ms`` argument of ``WorkerServer.run_op``.
-        """
-        return self._rpc_deadline_ms
-
-    @rpc_deadline_ms.setter
-    def rpc_deadline_ms(self, value: Optional[float]) -> None:
-        if value is not None:
-            value = float(value)
-            if value <= 0:
-                raise InvalidArgumentError(
-                    f"rpc_deadline_ms must be positive or None, got {value}"
-                )
-        self._rpc_deadline_ms = value
-
-    @property
-    def serving_max_batch(self) -> int:
-        """Largest coalesced batch a serving worker assembles per call.
-
-        Initialised from ``REPRO_SERVING_MAX_BATCH`` (default 32).
-        """
-        return self._serving_max_batch
-
-    @serving_max_batch.setter
-    def serving_max_batch(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise InvalidArgumentError(
-                f"serving_max_batch must be >= 1, got {value}"
-            )
-        self._serving_max_batch = value
-
-    @property
-    def serving_queue_depth(self) -> int:
-        """Bound on each served model's pending-request queue.
-
-        Initialised from ``REPRO_SERVING_QUEUE_DEPTH`` (default 128).
-        Submissions past the bound are rejected with
-        :class:`~repro.framework.errors.ResourceExhaustedError` —
-        admission control rather than unbounded memory growth.
-        """
-        return self._serving_queue_depth
-
-    @serving_queue_depth.setter
-    def serving_queue_depth(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise InvalidArgumentError(
-                f"serving_queue_depth must be >= 1, got {value}"
-            )
-        self._serving_queue_depth = value
-
-    @property
-    def serving_timeout_ms(self) -> Optional[float]:
-        """Per-request serving deadline, queue wait included.
-
-        Initialised from ``REPRO_SERVING_TIMEOUT_MS`` (default 1000).
-        ``None`` (or a non-positive env value) disables deadlines.
-        """
-        return self._serving_timeout_ms
-
-    @serving_timeout_ms.setter
-    def serving_timeout_ms(self, value: Optional[float]) -> None:
-        if value is not None:
-            value = float(value)
-            if value <= 0:
-                raise InvalidArgumentError(
-                    f"serving_timeout_ms must be positive or None, got {value}"
-                )
-        self._serving_timeout_ms = value
 
     # -- devices -----------------------------------------------------------
     def _initialize_local_devices(self, num_gpus: int, num_tpus: int) -> None:
@@ -704,10 +477,6 @@ class Context:
     def exit_init_scope(self) -> None:
         self._local.init_scope_marks.pop()
 
-    @property
-    def in_init_scope(self) -> bool:
-        return bool(self._local.init_scope_marks)
-
     # -- randomness -------------------------------------------------------
     def set_random_seed(self, seed: Optional[int]) -> None:
         """Set the global seed; resets every device's generator."""
@@ -736,6 +505,9 @@ class Context:
             self._uid += 1
             return self._uid
 
+
+for _knob in KNOBS:
+    setattr(Context, _knob.name, _knob_property(_knob))
 
 context = Context()
 
@@ -812,10 +584,6 @@ class execution_mode:
     """
 
     def __init__(self, mode: str) -> None:
-        if mode not in ("sync", "async", "lazy"):
-            raise InvalidArgumentError(
-                f'execution_mode must be "sync", "async", or "lazy", got {mode!r}'
-            )
         self._mode = mode
         self._previous: Optional[str] = None
 

@@ -270,8 +270,7 @@ class Device:
         output tensors`` (or ``None`` to delegate back to the shared
         kernel path).  Remote devices ship ops to their worker this way,
         and the XLA bridge installs the compiled-op runner on every
-        compilation-only device — replacing the old process-global
-        ``set_compiled_op_runner`` hook.
+        compilation-only device.
         """
         self._op_runner = runner
         self._special_dispatch = runner is not None or self.requires_compilation

@@ -259,10 +259,9 @@ class DispatchCore:
         """Install ``runner`` as the op runner of every compilation-only
         device (current and future).  ``None`` uninstalls.
 
-        This is the device-level replacement for the old process-global
-        ``set_compiled_op_runner`` hook: the XLA bridge calls it once,
-        and both executors then reach compiled execution through the
-        uniform :meth:`Device.dispatch` protocol.
+        The XLA bridge calls it once, and both executors then reach
+        compiled execution through the uniform :meth:`Device.dispatch`
+        protocol.
         """
         self._compilation_runner = runner
         for dev in context.devices():

@@ -38,7 +38,7 @@ special cases in this file.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.runtime.context import context
 from repro.runtime.dispatch import core
@@ -50,18 +50,7 @@ __all__ = [
     "SyncPolicy",
     "execute",
     "get_policy",
-    "set_compiled_op_runner",
 ]
-
-
-def set_compiled_op_runner(runner: Optional[Callable]) -> None:
-    """Back-compat shim for the old process-global compiled-op hook.
-
-    The hook is now device-level: this installs ``runner`` on every
-    compilation-only device via
-    :meth:`DispatchCore.install_compilation_runner`.
-    """
-    core.install_compilation_runner(runner)
 
 
 class SubmissionPolicy:

@@ -17,7 +17,7 @@ the whole recorded segment: ``.numpy()`` / ``.item()`` /
 non-recordable op, cross-device copies, ``py_func``, tape gradients,
 ``context.sync()``, and side-effecting ops (which must observe all
 previously recorded work).  A segment also auto-flushes at
-``REPRO_LAZY_MAX_OPS`` recorded ops, bounding the memory pinned by the
+``SEGMENT_LIMIT`` (256) recorded ops, bounding the memory pinned by the
 recording.
 
 **Flush = hash → cache → compile → run.**  The flush hashes the
@@ -44,14 +44,13 @@ path, which assigns precise per-op outcomes.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.framework.errors import InternalError, InvalidArgumentError, NotFoundError
+from repro.framework.errors import InternalError, NotFoundError
 from repro.ops import registry
 from repro.runtime import records
 from repro.runtime.context import context
@@ -62,7 +61,6 @@ from repro.tensor import LazyTensor, PendingTensor, Tensor
 __all__ = [
     "LazyTrace",
     "LazyHandle",
-    "default_segment_limit",
     "flush_all_pending",
     "lazy_stats",
     "reset_lazy_stats",
@@ -73,22 +71,9 @@ __all__ = [
 ]
 
 
-def default_segment_limit() -> int:
-    """Auto-flush bound on recorded ops, from ``REPRO_LAZY_MAX_OPS``.
-
-    Bounding the segment bounds both the memory pinned by recorded
-    external inputs and the cost of a single flush (default 256).
-    """
-    raw = os.environ.get("REPRO_LAZY_MAX_OPS", "256")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"REPRO_LAZY_MAX_OPS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidArgumentError(f"REPRO_LAZY_MAX_OPS must be >= 1, got {value}")
-    return value
+#: Auto-flush bound on recorded ops: bounds both the memory pinned by
+#: recorded external inputs and the cost of a single flush.
+SEGMENT_LIMIT = 256
 
 
 class LazyHandle:
@@ -217,14 +202,13 @@ def _current_trace() -> "LazyTrace":
 class LazyTrace:
     """A pending segment of recorded ops awaiting a flush."""
 
-    __slots__ = ("records", "ext", "ext_ids", "closed", "limit", "lock")
+    __slots__ = ("records", "ext", "ext_ids", "closed", "lock")
 
     def __init__(self) -> None:
         self.records: list[_Record] = []
         self.ext: list[Tensor] = []  # external inputs, strong refs, feed order
         self.ext_ids: dict[int, int] = {}
         self.closed = False
-        self.limit = default_segment_limit()
         self.lock = threading.RLock()
 
     # -- recording ---------------------------------------------------------
@@ -664,7 +648,7 @@ def submit(op_name: str, inputs: Sequence, attrs: dict) -> list:
             if trace.closed:  # lost a race with a cross-thread flush
                 continue
             outputs = trace.record(op_name, attrs, inputs, specs, cpu)
-            must_flush = len(trace.records) >= trace.limit
+            must_flush = len(trace.records) >= SEGMENT_LIMIT
         break
     _stats["recorded_ops"] += 1
     # Tapes are thread-local: recording happens caller-side with the

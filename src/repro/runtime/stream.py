@@ -37,17 +37,13 @@ once; the failed tensors themselves stay failed.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
 from typing import Callable, Optional
 
-from repro.framework.errors import (
-    DeadlineExceededError,
-    InternalError,
-    InvalidArgumentError,
-)
+from repro.framework.errors import DeadlineExceededError, InternalError
+from repro.runtime.context import context
 
 __all__ = [
     "ExecutionStream",
@@ -55,27 +51,7 @@ __all__ = [
     "attach_op_name",
     "drain_all_streams",
     "sync_all_streams",
-    "default_stream_depth",
 ]
-
-
-def default_stream_depth() -> int:
-    """Per-stream queue bound, from ``REPRO_STREAM_DEPTH`` (default 64).
-
-    Bounding the queue bounds the memory pinned by not-yet-executed ops:
-    a submitter that runs far ahead of a device blocks on ``enqueue``
-    until the worker catches up (TF's eager async mode does the same).
-    """
-    raw = os.environ.get("REPRO_STREAM_DEPTH", "64")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"REPRO_STREAM_DEPTH must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidArgumentError(f"REPRO_STREAM_DEPTH must be >= 1, got {value}")
-    return value
 
 
 def _attach_op_name(exc: BaseException, op_name: str) -> BaseException:
@@ -291,13 +267,13 @@ class ExecutionStream:
     """An ordered, single-worker op queue for one device.
 
     Work items run strictly in submission order on a dedicated daemon
-    thread.  A bounded queue (:func:`default_stream_depth`) provides
+    thread.  A bounded queue (``context.stream_depth``) provides
     backpressure; ``drain()``/``sync()`` are the barrier operations.
     """
 
     def __init__(self, name: str, depth: Optional[int] = None) -> None:
         self.name = name
-        self._queue: queue.Queue = queue.Queue(maxsize=depth or default_stream_depth())
+        self._queue: queue.Queue = queue.Queue(maxsize=depth or context.stream_depth)
         self._deferred_lock = threading.Lock()
         self._deferred: Optional[BaseException] = None
         self._thread = threading.Thread(

@@ -38,7 +38,6 @@ from repro.framework.errors import (
 from repro.core.saved_function import LoadedFunction, load
 from repro.distribute.worker import DROP_REQUEST, get_retry_policy
 from repro.runtime import profiler
-from repro.runtime.context import context
 from repro.tensor import TensorBase, convert_to_tensor
 from repro.serving import batching
 
@@ -156,6 +155,14 @@ class ServedModel:
     :class:`~repro.distribute.fault_injection.FaultInjector` injects
     delay/drop/fail/kill faults against a served model unchanged; hook
     rules match on the model name.
+
+    ``max_batch`` is the most request rows the worker coalesces into one
+    staged call (``1`` disables cross-request batching).  ``queue_depth``
+    bounds the pending-request queue: submissions past it are rejected
+    with :class:`~repro.framework.errors.ResourceExhaustedError` —
+    admission control rather than unbounded memory growth.
+    ``timeout_ms`` is the per-request deadline, queue wait included;
+    ``None`` disables deadlines.
     """
 
     def __init__(
@@ -163,20 +170,26 @@ class ServedModel:
         name: str,
         fn: LoadedFunction,
         *,
-        max_batch: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        timeout_ms: Optional[float] = _DEFAULT_RETRY,  # sentinel: context default
+        max_batch: int = 32,
+        queue_depth: int = 128,
+        timeout_ms: Optional[float] = 1000.0,
         batch_window_ms: float = 0.0,
         device: Optional[str] = None,
         retry_policy=_DEFAULT_RETRY,
     ) -> None:
+        if max_batch < 1:
+            raise InvalidArgumentError(f"max_batch must be >= 1, got {max_batch}")
+        if queue_depth < 1:
+            raise InvalidArgumentError(f"queue_depth must be >= 1, got {queue_depth}")
+        if timeout_ms is not None and timeout_ms <= 0:
+            raise InvalidArgumentError(
+                f"timeout_ms must be positive or None, got {timeout_ms}"
+            )
         self.name = name
         self.fn = fn
-        self._max_batch = max_batch or context.serving_max_batch
-        self._queue_depth = queue_depth or context.serving_queue_depth
-        self._timeout_ms = (
-            context.serving_timeout_ms if timeout_ms is _DEFAULT_RETRY else timeout_ms
-        )
+        self._max_batch = max_batch
+        self._queue_depth = queue_depth
+        self._timeout_ms = timeout_ms
         self._batch_window = max(batch_window_ms, 0.0) / 1000.0
         self._device = device
         self._retry_policy = retry_policy
@@ -493,17 +506,16 @@ class ModelServer:
     ``load()`` accepts a saved-artifact path (anything
     :func:`repro.saved_function.load` reads) or an already-loaded
     :class:`LoadedFunction`; per-model keyword overrides win over the
-    server-wide defaults, which in turn win over the context knobs
-    (``REPRO_SERVING_MAX_BATCH`` / ``REPRO_SERVING_QUEUE_DEPTH`` /
-    ``REPRO_SERVING_TIMEOUT_MS``).
+    server-wide defaults given here (see :class:`ServedModel` for their
+    meaning).
     """
 
     def __init__(
         self,
         *,
-        max_batch: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        timeout_ms: Optional[float] = _DEFAULT_RETRY,
+        max_batch: int = 32,
+        queue_depth: int = 128,
+        timeout_ms: Optional[float] = 1000.0,
         batch_window_ms: float = 0.0,
     ) -> None:
         self._defaults = {
@@ -528,14 +540,10 @@ class ModelServer:
                 f"load() takes a saved-artifact path or LoadedFunction, "
                 f"got {source!r}"
             )
-        options = {k: v for k, v in self._defaults.items() if v is not None}
-        if self._defaults["timeout_ms"] is _DEFAULT_RETRY:
-            options.pop("timeout_ms", None)
-        options.update(overrides)
         with self._lock:
             if name in self._models:
                 raise AlreadyExistsError(f"Model {name!r} is already served")
-            model = ServedModel(name, fn, **options)
+            model = ServedModel(name, fn, **{**self._defaults, **overrides})
             self._models[name] = model
         return model
 

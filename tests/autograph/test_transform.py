@@ -311,8 +311,8 @@ def test_functools_wraps_decorated_functions_do_not_share_a_conversion():
     must not hand the second one the first one's body."""
     assert _wrapped_plus_one.__code__ is _wrapped_times_ten.__code__
     ones = repro.constant(np.ones(2, dtype=np.float32))
-    first = repro.function(_wrapped_plus_one)
-    second = repro.function(_wrapped_times_ten)
+    first = repro.function(_wrapped_plus_one, autograph=True)
+    second = repro.function(_wrapped_times_ten, autograph=True)
     np.testing.assert_array_equal(first(ones).numpy(), [2.0, 2.0])
     np.testing.assert_array_equal(second(ones).numpy(), [10.0, 10.0])
     np.testing.assert_array_equal(first(-ones).numpy(), [-1.0, -1.0])
@@ -459,6 +459,10 @@ def test_explicit_opt_in_overrides_context_knob():
         context.autograph = True
 
 
+@pytest.mark.skipif(
+    not context.autograph,
+    reason="the default-on contract; this run opted out (REPRO_AUTOGRAPH=0)",
+)
 def test_default_on_single_trace_serves_both_branches():
     f = repro.function(_tensor_branch)
     assert float(f(repro.constant(2.0))) == 4.0

@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.runtime import dispatch, profiler
-from repro.runtime.context import Context, context
+from repro.runtime.context import context
 
 # Kept importable from here for existing tests; the implementation
 # lives in the harness package now.
@@ -52,17 +52,9 @@ def _reset_context_knobs():
             s.take_deferred()
         with stream_mod._remote_lock:
             stream_mod._remote_handles.clear()
-    # Execution knobs back to their environment-derived defaults.
-    context._executor_mode = Context._executor_mode_from_env()
-    context.soft_device_placement = True
-    context.inter_op_parallelism_threads = Context._threads_from_env()
-    context.rpc_deadline_ms = Context._rpc_deadline_from_env()
-    context._relax_shapes = Context._relax_shapes_from_env()
-    context._relax_retraces = Context._relax_retraces_from_env()
-    context._trace_cache_size = Context._trace_cache_size_from_env()
-    context._graph_fusion = Context._graph_fusion_from_env()
-    context._autograph = Context._autograph_from_env()
-    context._recompute = Context._recompute_from_env()
+    # Every knob back to its environment-derived default; a test that
+    # turned process devices on gets its workers shut down.
+    context.reset_knobs()
     repro.tensor._specialization_warned_sites.clear()
     # RetraceWarning state is rate-limited per Function; a warning
     # consumed (or suppressed) by one test must not change whether the
@@ -70,17 +62,6 @@ def _reset_context_knobs():
     from repro.core.function import reset_retrace_warning_state
 
     reset_retrace_warning_state()
-    context._serving_max_batch = Context._serving_max_batch_from_env()
-    context._serving_queue_depth = Context._serving_queue_depth_from_env()
-    context._serving_timeout_ms = Context._serving_timeout_from_env()
-    # Kernel backend: direct attribute reset — array_backend() re-resolves
-    # lazily by name, so no object to restore.
-    context._kernel_backend = Context._kernel_backend_from_env()
-    # Process devices: use the property setter so a test that turned
-    # workers on has them shut down (idempotent when already off).
-    env_proc = Context._process_devices_from_env()
-    if context._process_devices != env_proc:
-        context.process_devices = env_proc
     # Interceptors registered during the test and never unregistered.
     for it in tuple(dispatch.core._interceptors):
         if it not in interceptors_before:

@@ -8,6 +8,7 @@ from repro.framework.errors import (
     FailedPreconditionError,
     InvalidArgumentError,
 )
+from repro.runtime.context import context
 
 
 class TestBasicStaging:
@@ -372,8 +373,6 @@ class TestTracingSemantics:
             return x
 
         concrete = f.get_concrete_function(repro.constant(1.0))
-        from repro.runtime.context import context
-
         if context.graph_fusion:
             # Unrolling still happened — the five Muls now live inside
             # one fused region.
@@ -395,6 +394,10 @@ class TestTracingSemantics:
         with pytest.raises(FailedPreconditionError):
             leaked["tensor"] + 1.0
 
+    @pytest.mark.skipif(
+        not context.autograph,
+        reason="the default-on contract; this run opted out (REPRO_AUTOGRAPH=0)",
+    )
     def test_data_dependent_python_branch_lowers_by_default(self):
         # Autograph rewrites the tensor-dependent ``if`` onto ``cond``
         # at trace time: one trace serves both branch outcomes.

@@ -103,23 +103,6 @@ class TestRelaxation:
         assert f.trace_count == 3
         assert f.cache_stats()["relaxations"] == 0
 
-    def test_relax_retraces_threshold(self):
-        context.relax_retraces = 3
-
-        @repro.function(experimental_relax_shapes=True)
-        def f(x):
-            return x + 1.0
-
-        for b in (1, 2, 3, 4):
-            f(_batch(b))
-        # Three shape-only misses tolerated before generalizing on the
-        # fourth; all exact.  The next distinct shape relaxes.
-        assert f.trace_count == 4
-        assert f.cache_stats()["relaxations"] == 1
-        f(_batch(5))
-        f(_batch(6))
-        assert f.trace_count == 4
-
     def test_env_knob_enables_globally(self, monkeypatch):
         context.relax_shapes = True
 

@@ -20,7 +20,7 @@ import repro
 from repro.framework.errors import InvalidArgumentError
 from repro.runtime import dispatch
 from repro.runtime.context import context
-from repro.runtime.stream import ExecutionStream, PendingHandle, default_stream_depth
+from repro.runtime.stream import ExecutionStream, PendingHandle
 from repro.tensor import AsyncTensor
 
 # pytest-timeout is installed in CI but optional locally; the no-hang
@@ -50,7 +50,7 @@ class TestExecutionModeKnob:
             "yes",
             "on",
         )
-        assert context.async_eager is expected
+        assert (context.executor_mode == "async") is expected
 
     def test_setter_validates(self):
         with pytest.raises(InvalidArgumentError):
@@ -178,16 +178,6 @@ class TestDeferredErrors:
 
 
 class TestStreams:
-    def test_stream_depth_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_DEPTH", "banana")
-        with pytest.raises(InvalidArgumentError):
-            default_stream_depth()
-        monkeypatch.setenv("REPRO_STREAM_DEPTH", "0")
-        with pytest.raises(InvalidArgumentError):
-            default_stream_depth()
-        monkeypatch.setenv("REPRO_STREAM_DEPTH", "16")
-        assert default_stream_depth() == 16
-
     def test_fifo_order_within_stream(self):
         order = []
         stream = ExecutionStream("test-fifo", depth=4)

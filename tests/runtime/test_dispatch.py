@@ -56,7 +56,7 @@ def eager_dispatch_mode():
     graph executor instead, so tests of those internals run in sync
     mode when the suite-wide default is lazy.
     """
-    mode = "sync" if context.lazy_eager else context.executor_mode
+    mode = "sync" if context.executor_mode == "lazy" else context.executor_mode
     with repro.execution_mode(mode):
         yield
 
@@ -324,17 +324,6 @@ class TestDeviceDispatchProtocol:
         finally:
             tpu_bridge.install()
 
-    def test_set_compiled_op_runner_shim(self):
-        from repro.runtime import executor
-        from repro.xla import tpu as tpu_bridge
-
-        tpu = context.get_device("/tpu:0")
-        try:
-            executor.set_compiled_op_runner(tpu_bridge.run_op_on_tpu)
-            assert tpu.op_runner is tpu_bridge.run_op_on_tpu
-        finally:
-            tpu_bridge.install()
-
     def test_late_added_compilation_device_inherits_runner(self):
         from repro.runtime.device import Device, local_device_spec
         from repro.xla import tpu as tpu_bridge
@@ -373,15 +362,6 @@ class TestThreadPoolConfiguration:
     def test_invalid_pool_size_rejected(self):
         with pytest.raises(repro.ReproError):
             context.inter_op_parallelism_threads = 0
-
-    def test_env_var_parsing(self, monkeypatch):
-        from repro.runtime.context import Context
-
-        monkeypatch.setenv("REPRO_INTER_OP_THREADS", "3")
-        assert Context._threads_from_env() == 3
-        monkeypatch.setenv("REPRO_INTER_OP_THREADS", "zero")
-        with pytest.raises(repro.ReproError):
-            Context._threads_from_env()
 
     def test_shutdown_is_idempotent(self):
         shutdown_thread_pool()

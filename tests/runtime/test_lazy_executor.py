@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.framework.errors import InvalidArgumentError
 from repro.runtime import lazy
-from repro.runtime.context import Context, context
+from repro.runtime.context import context
 from repro.tensor import LazyTensor, PendingTensor
 
 
@@ -36,20 +35,8 @@ def _delta(before, key):
 
 
 class TestExecutionModeKnob:
-    def test_env_selects_lazy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_EAGER", "1")
-        monkeypatch.delenv("REPRO_ASYNC_EAGER", raising=False)
-        assert Context._executor_mode_from_env() == "lazy"
-
-    def test_lazy_env_wins_over_async_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_EAGER", "1")
-        monkeypatch.setenv("REPRO_ASYNC_EAGER", "1")
-        assert Context._executor_mode_from_env() == "lazy"
-
-    def test_setter_and_properties(self, lazy_mode):
+    def test_scoped_mode_sets_the_knob(self, lazy_mode):
         assert context.executor_mode == "lazy"
-        assert context.lazy_eager
-        assert not context.async_eager
 
     def test_leaving_lazy_mode_flushes(self):
         with repro.execution_mode("lazy"):
@@ -59,14 +46,6 @@ class TestExecutionModeKnob:
         # Mode exit is a synchronization point: recorded work ran.
         assert y.is_ready()
         np.testing.assert_allclose(y.numpy(), [2.0, 4.0])
-
-    def test_segment_limit_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_MAX_OPS", "banana")
-        with pytest.raises(InvalidArgumentError):
-            lazy.default_segment_limit()
-        monkeypatch.setenv("REPRO_LAZY_MAX_OPS", "0")
-        with pytest.raises(InvalidArgumentError):
-            lazy.default_segment_limit()
 
 
 class TestRecording:
@@ -95,7 +74,7 @@ class TestRecording:
         assert a.is_ready() and c.is_ready()
 
     def test_auto_flush_at_segment_cap(self, lazy_mode, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_MAX_OPS", "4")
+        monkeypatch.setattr(lazy, "SEGMENT_LIMIT", 4)
         before = _snapshot()
         y = repro.constant([1.0])
         for _ in range(4):

@@ -26,7 +26,6 @@ from repro.framework.errors import (
     ReproError,
     UnavailableError,
 )
-from repro.runtime.context import context
 from repro.serving import ModelServer
 from repro.tensor import TensorSpec
 
@@ -365,24 +364,28 @@ class TestServerApi:
                 model.predict(x_batch(2))
             assert any(name.startswith("serving/m") for name in prof.ops)
 
-    def test_knob_defaults_come_from_context(self, tmp_path):
+    def test_server_defaults_and_per_model_overrides(self, tmp_path):
         path, _ = export_linear(tmp_path)
-        context.serving_max_batch = 5
-        context.serving_queue_depth = 9
-        context.serving_timeout_ms = 1234.0
         with ModelServer() as server:
             model = server.load("m", path)
-            assert model._max_batch == 5
-            assert model._queue_depth == 9
-            assert model._timeout_ms == 1234.0
+            assert (model._max_batch, model._queue_depth, model._timeout_ms) == (32, 128, 1000.0)
+        with ModelServer(max_batch=5, queue_depth=9, timeout_ms=None) as server:
+            model = server.load("m", path)
+            assert (model._max_batch, model._queue_depth, model._timeout_ms) == (5, 9, None)
+            other = server.load("o", path, max_batch=1, timeout_ms=1234.0)
+            assert (other._max_batch, other._queue_depth, other._timeout_ms) == (1, 9, 1234.0)
 
-    def test_knob_setters_validate(self):
-        with pytest.raises(InvalidArgumentError):
-            context.serving_max_batch = 0
-        with pytest.raises(InvalidArgumentError):
-            context.serving_queue_depth = -1
-        with pytest.raises(InvalidArgumentError):
-            context.serving_timeout_ms = 0.0
+    @pytest.mark.parametrize(
+        "bad",
+        [{"max_batch": 0}, {"max_batch": -1}, {"queue_depth": 0}, {"queue_depth": -1},
+         {"timeout_ms": 0.0}, {"timeout_ms": -5.0}],
+    )
+    def test_constructor_arguments_validate(self, tmp_path, bad):
+        path, _ = export_linear(tmp_path)
+        with ModelServer() as server:
+            with pytest.raises(InvalidArgumentError):
+                server.load("m", path, **bad)
+            assert server.models() == []
 
     def test_future_result_from_other_thread(self, tmp_path):
         path, w = export_linear(tmp_path)
