@@ -17,9 +17,9 @@ ResNet and gates them:
 * **lazy** — the same undecorated step under ``REPRO_LAZY_EAGER``;
   the flushed segments' ``max_segment_peak_bytes`` is the oracle.  Same
   two gates.
-* **sync / async** — no memory oracle exists for true per-op eager, so
-  these modes gate on *correctness*: checkpointed gradients must match
-  the unwrapped model's bit-for-bit shape and tight-tolerance values.
+* **sync** — no memory oracle exists for true per-op eager, so this
+  mode gates on *correctness*: checkpointed gradients must match the
+  unwrapped model's bit-for-bit shape and tight-tolerance values.
 * **forward mode** — ``jvp``/``hvp`` swept over the full parity corpus
   (sync eager, float64): forward-over-reverse must match both
   reverse-over-reverse and central differences to harness tolerance.
@@ -188,8 +188,8 @@ def report_mode(label: str, r: dict) -> tuple[float, float]:
     return drop, ratio
 
 
-def eager_parity(mode: str, blocks, width, batch, size) -> float:
-    """Max relative gradient delta: checkpointing on vs off, in ``mode``.
+def eager_parity(blocks, width, batch, size) -> float:
+    """Max relative gradient delta: checkpointing on vs off, sync eager.
 
     One checkpointed model, same variables both times; the
     ``context.recompute`` knob (consulted at call time by the wrapper)
@@ -197,8 +197,8 @@ def eager_parity(mode: str, blocks, width, batch, size) -> float:
     """
     from repro.runtime.context import context
 
-    with repro.execution_mode(mode):
-        model = make_model(True, blocks, width, tag=f"parity_{mode}")
+    with repro.execution_mode("sync"):
+        model = make_model(True, blocks, width, tag="parity_sync")
         x = make_images(batch, size)
         model(x)  # build variables
         grads = {}
@@ -291,12 +291,8 @@ def main() -> int:
     )
 
     print("\neager gradient parity (checkpointed vs unwrapped model)")
-    parity = {}
-    for mode in ("sync", "async"):
-        parity[mode] = eager_parity(
-            mode, blocks, args.width, args.batch, size
-        )
-        print(f"  {mode:<6} max rel gradient delta: {parity[mode]:.2e}")
+    parity = eager_parity(blocks, args.width, args.batch, size)
+    print(f"  sync   max rel gradient delta: {parity:.2e}")
 
     corpus_names = QUICK_CORPUS if args.quick else None
     ran, failed, failures = corpus_sweep(corpus_names)
@@ -312,8 +308,7 @@ def main() -> int:
         bar("staged_time_ratio", staged_ratio, time_bar, op="<="),
         bar("lazy_memory_drop", lazy_drop, MEM_DROP_BAR),
         bar("lazy_time_ratio", lazy_ratio, time_bar, op="<="),
-        bar("sync_gradient_parity", parity["sync"], 1e-5, op="<="),
-        bar("async_gradient_parity", parity["async"], 1e-5, op="<="),
+        bar("sync_gradient_parity", parity, 1e-5, op="<="),
         bar("corpus_jvp_hvp_failures", failed, 0, op="<="),
     ]
     ok = write_report(

@@ -23,9 +23,6 @@ kernel resolution, so two further measurements guard that seam:
   resolver vs. a pinned resolver that skips the backend lookup; their
   difference bounds what the seam adds on a cache hit (gate: <= 5%).
 
-A small branchy graph is also timed under the serial and parallel
-schedulers to keep the scheduler comparison in one place.
-
 Usage:
     PYTHONPATH=src python benchmarks/run_dispatch_overhead.py [--quick]
 
@@ -193,19 +190,6 @@ def main() -> int:
         f"({seam_pct:+.1f}%)"
     )
 
-    # Branchy graph under both schedulers (overlap story lives in
-    # run_parallel_backends.py; this keeps the scheduler comparison
-    # next to the dispatch numbers).
-    branchy_serial_s, branchy_parallel_s = measure_branchy_s(
-        repeats=repeats, quick=args.quick
-    )
-    print(
-        f"branchy graph: serial {branchy_serial_s * 1e3:.2f} ms vs "
-        f"parallel {branchy_parallel_s * 1e3:.2f} ms "
-        f"({branchy_serial_s / branchy_parallel_s:.2f}x; GIL-bound "
-        f"threads — see run_parallel_backends.py for process workers)"
-    )
-
     failed = False
     # The property the unified dispatch core must preserve (Fig. 3's
     # mechanism): staged per-node overhead well under eager per-op cost.
@@ -232,42 +216,10 @@ def main() -> int:
             "numpy_us_per_op": numpy_us,
             "eager_us_per_op": eager_us,
             "graph_us_per_node": graph_us,
-            "branchy_serial_ms": branchy_serial_s * 1e3,
-            "branchy_parallel_ms": branchy_parallel_s * 1e3,
             "backend_us_per_op": backend_us,
         },
     )
     return 1 if failed else 0
-
-
-def measure_branchy_s(repeats: int, quick: bool) -> tuple[float, float]:
-    branches, depth = (3, 4) if quick else (4, 16)
-    g = Graph("dispatch_branchy")
-    x = placeholder(g, repro.float32, [64, 64], name="x")
-    with g.as_default():
-        outs = []
-        for _ in range(branches):
-            out = x
-            for _ in range(depth):
-                out = repro.matmul(out, x)
-            outs.append(out)
-        total = outs[0]
-        for out in outs[1:]:
-            total = total + out
-    runner = GraphRunner(g, [total], include_side_effects=False)
-    feed = [
-        (x, repro.constant(np.eye(64, dtype=np.float32) * 0.5))
-    ]
-    runner.run(feed)
-    times = []
-    for parallel in (False, True):
-        best = float("inf")
-        for _ in range(max(repeats, 2)):
-            start = time.perf_counter()
-            runner.run(feed, parallel=parallel)
-            best = min(best, time.perf_counter() - start)
-        times.append(best)
-    return times[0], times[1]
 
 
 if __name__ == "__main__":

@@ -36,6 +36,11 @@ Acceptance bars (gated on the training-size Adam sweep):
 * lazy step time <= 1.25x the staged step time, and
 * lazy >= 1.5x faster than sync eager.
 
+Both are timing bars, so ``--quick`` (few windows, shared CI runner)
+reports them without gating: a red smoke job means a crash, never a
+slow neighbour.  The full run gates; the repository benchmark's
+``adam_lazy`` workload owns lazy-mode timing.
+
 The script also prints ``Profile.summary()`` for a lazy run — flush
 count, trace-hash cache hit rate, and fused-kernel coverage.
 
@@ -204,13 +209,7 @@ def main() -> int:
     iters = 3 if args.quick else args.iters
     rounds = 5 if args.quick else args.rounds
     sizes = args.sizes[:1] if args.quick else args.sizes
-    # Conservative CI bounds: --quick runs few windows on a noisy
-    # shared box, so gate at 80% of the full bars there (the same
-    # convention as run_fusion.py).
-    sync_bar = SYNC_SPEEDUP_BAR * 0.8 if args.quick else SYNC_SPEEDUP_BAR
-    staged_bar = (
-        LAZY_VS_STAGED_BAR / 0.8 if args.quick else LAZY_VS_STAGED_BAR
-    )
+    gated = not args.quick  # timing bars: report-only in the smoke run
     rng = np.random.default_rng(0)
 
     # The bars gate on the training-size sweep's best operating point:
@@ -274,31 +273,34 @@ def main() -> int:
         print(f"  {line}")
 
     print(
-        f"\nacceptance: lazy {adam_ratio:.2f}x staged "
-        f"(bar <= {staged_bar:.2f}x), {adam_speedup:.2f}x vs sync "
-        f"(bar >= {sync_bar:.2f}x)"
+        f"\nacceptance ({'gated' if gated else 'report-only under --quick'}): "
+        f"lazy {adam_ratio:.2f}x staged (bar <= {LAZY_VS_STAGED_BAR:.2f}x), "
+        f"{adam_speedup:.2f}x vs sync (bar >= {SYNC_SPEEDUP_BAR:.2f}x)"
     )
-    failed = False
-    if adam_ratio > staged_bar:
-        print(f"FAIL: lazy {adam_ratio:.2f}x staged > {staged_bar:.2f}x")
-        failed = True
-    if adam_speedup < sync_bar:
-        print(f"FAIL: lazy only {adam_speedup:.2f}x vs sync < {sync_bar:.2f}x")
-        failed = True
-    write_report(
+    bars = [
+        bar("lazy_vs_sync_speedup", adam_speedup, SYNC_SPEEDUP_BAR, gated=gated),
+        bar(
+            "lazy_vs_staged_ratio", adam_ratio, LAZY_VS_STAGED_BAR,
+            op="<=", gated=gated,
+        ),
+    ]
+    for b in bars:
+        if gated and not b["passed"]:
+            print(
+                f"FAIL: {b['name']} = {b['value']:.2f} "
+                f"(bar {b['op']} {b['threshold']:.2f})"
+            )
+    ok = write_report(
         "lazy_eager",
         speedup=adam_speedup,
-        bars=[
-            bar("lazy_vs_sync_speedup", adam_speedup, sync_bar, op=">="),
-            bar("lazy_vs_staged_ratio", adam_ratio, staged_bar, op="<="),
-        ],
+        bars=bars,
         metrics={
             "trace_hash_hit_rate": hit_rate,
             "small_adam_lazy_vs_sync": small_best["sync"] / small_best["lazy"],
             "mlp_lazy_vs_sync": mlp_best["sync"] / mlp_best["lazy"],
         },
     )
-    return 1 if failed else 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

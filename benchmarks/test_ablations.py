@@ -4,7 +4,7 @@
 * ``abl-opt``     — graph optimization passes on/off (§4.1).
 * ``abl-pyfunc``  — the escape hatch's cost ("disadvantages include a
   potential performance hit", §4.7).
-* ``abl-exec``    — serial vs parallel inter-op executor (§5).
+* ``abl-exec``    — the graph executor on a wide, branchy graph (§5).
 * ``abl-overhead``— per-op eager dispatch cost vs raw NumPy (§6 framing).
 """
 
@@ -167,12 +167,7 @@ class TestExecutorAblation:
     def test_abl_exec_serial(self, benchmark):
         runner, x = self._wide_runner()
         value = repro.constant(np.random.randn(128, 128).astype(np.float32))
-        benchmark(lambda: runner.run([(x, value)], parallel=False))
-
-    def test_abl_exec_parallel(self, benchmark):
-        runner, x = self._wide_runner()
-        value = repro.constant(np.random.randn(128, 128).astype(np.float32))
-        benchmark(lambda: runner.run([(x, value)], parallel=True))
+        benchmark(lambda: runner.run([(x, value)]))
 
 
 class TestJitFusionAblation:

@@ -13,11 +13,11 @@ semantics — evaluation order, short-circuiting, and mutation through
 This split is what makes the transform safe to apply to *every* staged
 function: code whose predicates are plain Python values behaves as if
 it had never been rewritten, and only tensor-dependent control flow
-pays the lowering.  Under the deferred eager modes (async / lazy) the
-Python fallback is also the synchronization seam: forcing the truth
-value of a pending tensor drains its stream or flushes the recorded
-lazy segment, so a lowered-in-source but eagerly-executed loop gets
-its flush boundary exactly at the conditional.
+pays the lowering.  Under lazy eager mode the Python fallback is also
+the synchronization seam: forcing the truth value of a pending tensor
+flushes the recorded lazy segment, so a lowered-in-source but
+eagerly-executed loop gets its flush boundary exactly at the
+conditional.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _should_stage(value) -> bool:
     Concrete tensors stage only while a graph is being built — boolean-
     testing one there would silently specialize the trace to this
     call's value, the exact footgun autograph exists to remove.  In
-    pure eager execution (sync, async, lazy) every predicate falls back
-    to Python.
+    pure eager execution (sync, lazy) every predicate falls back to
+    Python.
     """
     if not isinstance(value, TensorBase):
         return False

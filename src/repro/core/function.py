@@ -378,7 +378,7 @@ class ConcreteFunction:
         try:
             key = tuple(t.shape.as_tuple() for t in full_inputs)
         except Exception:
-            return  # e.g. an async tensor whose shape is unresolved
+            return  # e.g. a pending tensor whose shape is unresolved
         with self._compile_lock:
             if key in self._seen_shapes:
                 self._seen_shapes.move_to_end(key)
@@ -869,7 +869,7 @@ class Function:
     def _fast_call_key(args) -> Optional[tuple]:
         """Cheap exact key for an all-eager-Tensor positional call.
 
-        Anything else — variables, ndarrays, nested structures, async
+        Anything else — variables, ndarrays, nested structures, pending
         tensors (whose shape may not be resolved yet) — returns None and
         takes the full binding-time analysis path.
         """

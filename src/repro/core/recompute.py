@@ -8,7 +8,7 @@ what the gradient rules need, then sweeps it.
 
 Two regimes, matching the library's two stages:
 
-* **Imperative (sync/async/lazy eager):** the forward runs with all
+* **Imperative (sync/lazy eager):** the forward runs with all
   recorders suspended, so the tape holds a single ``RecomputeGrad``
   entry — boundary tensors only.  In lazy mode the dropped
   intermediates lose their last strong reference, so the flush planner

@@ -204,11 +204,10 @@ class GradientTape:
                     "output_gradients must match the structure of target"
                 )
         source_flat = nest.flatten(sources)
-        # Gradient computation is a synchronization point of the async
-        # and lazy eager modes: the forward ops this tape recorded may
-        # still be pending on execution streams or in an unflushed lazy
-        # trace, and a deferred forward error must surface here rather
-        # than mid-backward-sweep.
+        # Gradient computation is a synchronization point of lazy eager
+        # mode: the forward ops this tape recorded may still be pending
+        # in an unflushed lazy trace, and a deferred forward error must
+        # surface here rather than mid-backward-sweep.
         from repro.runtime.context import context as _runtime_context
 
         if _runtime_context.executor_mode != "sync" and _runtime_context.executing_eagerly():

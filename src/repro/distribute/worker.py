@@ -209,63 +209,6 @@ class RemoteDevice(Device):
                 time.sleep(policy.backoff_seconds(attempt))
                 attempt += 1
 
-    def execute_op_async(self, op_name: str, inputs: Sequence[Tensor], attrs: dict):
-        """Ship the op to the worker without waiting for the reply.
-
-        The async eager dispatcher calls this instead of
-        :meth:`execute_op`: remote execution pipelines the same way
-        local streams do, with the worker's reply future wrapped in the
-        shared :class:`~repro.runtime.stream.PendingHandle` type (the
-        paper's §4.5 remote tensors stay on the remote device either
-        way).  Returns ``None`` when pipelining is not possible — the
-        caller then falls back to the synchronous path, which produces
-        the proper error or direct dispatch.
-
-        Deadline and retry semantics match :meth:`execute_op`: the
-        deadline clock starts at submission, and when the reply is an
-        error the handle's recovery callback re-runs idempotent ops
-        synchronously under the module retry policy (reporting each
-        retry through ``dispatch.core.notify_retry``).
-        """
-        from repro.runtime.stream import PendingHandle
-
-        server = self._server
-        if threading.current_thread() is server._thread:
-            # A nested remote call on the single-threaded request loop
-            # must dispatch directly; queueing would deadlock it.
-            return None
-        inputs = list(inputs)
-        try:
-            future = server.submit_op(self, op_name, inputs, attrs)
-        except UnavailableError:
-            return None  # the synchronous path raises the clean error
-
-        def recover(exc: BaseException):
-            policy = _retry_policy
-            if (
-                policy is None
-                or policy.max_attempts <= 1
-                or not _is_idempotent(op_name)
-                or not isinstance(exc, policy.retryable)
-                or not server.is_running
-            ):
-                raise exc
-            attempt = 1
-            while True:
-                dispatch.core.notify_retry(op_name, attrs, inputs, self, attempt, exc)
-                time.sleep(policy.backoff_seconds(attempt))
-                attempt += 1
-                try:
-                    return server.run_op(self, op_name, inputs, attrs)
-                except policy.retryable as retry_exc:
-                    exc = retry_exc
-                    if attempt >= policy.max_attempts or not server.is_running:
-                        raise
-
-        return PendingHandle.from_future(
-            op_name, future, deadline_ms=context.rpc_deadline_ms, recover=recover
-        )
-
 
 # -- worker servers ---------------------------------------------------------
 
@@ -371,25 +314,6 @@ class WorkerServer:
             self._requests.put(request)
         return request.future
 
-    def submit_op(
-        self,
-        device: RemoteDevice,
-        op_name: str,
-        inputs: list[Tensor],
-        attrs: dict,
-    ) -> Future:
-        """Enqueue one operation and return its reply future immediately.
-
-        The non-blocking half of :meth:`run_op`, used directly by the
-        async eager dispatcher (via
-        :meth:`RemoteDevice.execute_op_async`) to pipeline remote ops.
-        Raises :class:`~repro.framework.errors.UnavailableError` when
-        the worker is shut down.
-        """
-        return self._submit(
-            op_name, lambda: self._dispatch(device, op_name, inputs, attrs)
-        )
-
     def run_op(
         self,
         device: RemoteDevice,
@@ -412,7 +336,9 @@ class WorkerServer:
             deadline_ms = context.rpc_deadline_ms
         elif deadline_ms <= 0:
             deadline_ms = None
-        future = self.submit_op(device, op_name, inputs, attrs)
+        future = self._submit(
+            op_name, lambda: self._dispatch(device, op_name, inputs, attrs)
+        )
         timeout = None if deadline_ms is None else deadline_ms / 1000.0
         try:
             return future.result(timeout)

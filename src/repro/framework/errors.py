@@ -21,6 +21,7 @@ __all__ = [
     "DeadlineExceededError",
     "AbortedError",
     "ResourceExhaustedError",
+    "attach_op_name",
 ]
 
 
@@ -92,3 +93,28 @@ class ResourceExhaustedError(ReproError, RuntimeError):
     the caller should shed load or retry after backing off, not simply
     retry immediately.
     """
+
+
+def attach_op_name(exc: BaseException, op_name: str) -> BaseException:
+    """Return ``exc`` labelled with the op that raised it at a deferred point.
+
+    Used wherever an op's failure surfaces away from the call that
+    requested it: a lazy-trace flush, a fused-region replay, a graph
+    node inside a staged call.  The exception *type* is preserved
+    (callers assert on types), the message gains the op name, and the
+    original exception is chained as ``__cause__``.  An exception that
+    already carries a label — an error propagating through dependent
+    ops — passes through unchanged.
+    """
+    if getattr(exc, "_repro_async_op", None) is not None:
+        return exc
+    try:
+        labelled = type(exc)(f"{exc} [raised asynchronously by op {op_name!r}]")
+        labelled.__cause__ = exc
+    except BaseException:
+        labelled = exc  # exotic constructor signature: label in place
+    try:
+        labelled._repro_async_op = op_name  # type: ignore[attr-defined]
+    except BaseException:
+        pass
+    return labelled

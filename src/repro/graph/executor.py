@@ -9,47 +9,36 @@ That is the paper's §4.1 claim made structural: imperative and staged
 computations "use the same APIs and kernels", and staging wins only by
 amortizing per-op Python overhead, not by running different code.
 
-Two execution modes:
+One scheduler: a single pass over the nodes in topological order, on
+the calling thread.  (The paper's runtime "runs kernels in parallel when
+possible", §5; NumPy kernels hold the GIL, so a thread-pool scheduler
+here only added overhead — see DESIGN.md §8.)  The :class:`GraphRunner`
+plan pre-resolves each node's kernel through the dispatch core's
+``(op, device_kind, input_dtypes)`` cache at plan time, so the loop
+invokes cached kernels directly with no per-op registry probing, tape
+probing, or device-stack walks (which is precisely why staged execution
+outruns the imperative path on small ops, reproducing Figures 3–4).
+When any ``"graph"``-mode interceptor is registered — a single emptiness
+check per node — the node takes the instrumented ``core.dispatch`` path
+instead, so cross-cutting hooks observe graph nodes exactly as they
+observe eager ops.  To observe nodes here, register an interceptor with
+``dispatch.core.register_interceptor`` (see the
+:mod:`repro.runtime.dispatch` docstring); do not add inline checks to
+the loop.
 
-* **Serial** (default): one pass over the nodes in topological order.
-  This is the low-overhead fast path the staged benchmarks use: the
-  :class:`GraphRunner` plan pre-resolves each node's kernel through the
-  dispatch core's ``(op, device_kind, input_dtypes)`` cache at plan
-  time, so the loop invokes cached kernels directly with no per-op
-  registry probing, tape probing, or device-stack walks (which is
-  precisely why staged execution outruns the imperative path on small
-  ops, reproducing Figures 3–4).  When any ``"graph"``-mode interceptor
-  is registered — a single emptiness check per node — the node takes
-  the instrumented ``core.dispatch`` path instead, so cross-cutting
-  hooks observe graph nodes exactly as they observe eager ops.  To
-  observe nodes here, register an interceptor with
-  ``dispatch.core.register_interceptor`` (see the
-  :mod:`repro.runtime.dispatch` docstring); do not add inline checks to
-  the loop.
-* **Parallel**: a ready-queue scheduler over a thread pool, modelling
-  the real runtime's inter-op parallelism (paper §5: "runs kernels in
-  parallel when possible").  Stateful operations are serialized in
-  program order through an implicit control edge.  The pool size comes
-  from ``context.inter_op_parallelism_threads`` (env var
-  ``REPRO_INTER_OP_THREADS``, default 8), and the pool is shut down
-  cleanly at interpreter exit.
-
-Both modes free intermediate buffers as soon as their last consumer has
-run (reference counting), mirroring the buffer-reuse benefit the paper
-attributes to graphs (§4.1).
+Intermediate buffers are freed as soon as their last consumer has run
+(a static last-use analysis), mirroring the buffer-reuse benefit the
+paper attributes to graphs (§4.1).
 """
 
 from __future__ import annotations
 
-import atexit
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.framework import dtypes
-from repro.framework.errors import InternalError, InvalidArgumentError
+from repro.framework.errors import InternalError, InvalidArgumentError, attach_op_name
 from repro.ops import registry
 from repro.runtime import dispatch
 from repro.runtime.context import context
@@ -57,7 +46,7 @@ from repro.tensor import Tensor
 from repro.graph.fusion import FUSED_OP, _spec_bytes
 from repro.graph.graph import Graph, Node, SymbolicTensor
 
-__all__ = ["execute_graph", "GraphRunner", "shutdown_thread_pool"]
+__all__ = ["execute_graph", "GraphRunner"]
 
 
 def _callee_peak_bytes(value) -> Optional[tuple[int, bool]]:
@@ -76,37 +65,6 @@ def _callee_peak_bytes(value) -> Optional[tuple[int, bool]]:
     except Exception:
         return None
     return inner.get("peak_live_bytes", 0), bool(inner.get("lower_bound", False))
-
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
-
-
-def _thread_pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=context.inter_op_parallelism_threads,
-                thread_name_prefix="repro-executor",
-            )
-        return _POOL
-
-
-def shutdown_thread_pool(wait: bool = True) -> None:
-    """Shut down the inter-op thread pool (it is rebuilt on demand).
-
-    Called automatically at interpreter exit; call it manually after
-    changing ``context.inter_op_parallelism_threads`` so the next
-    parallel execution picks up the new size.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown(wait=wait)
-
-
-atexit.register(shutdown_thread_pool)
 
 
 def _dispatch_node(node: Node, inputs: Sequence[Tensor]) -> list[Tensor]:
@@ -146,7 +104,7 @@ class GraphRunner:
 
         ``label_errors=True`` (flushed lazy segments) attaches the
         failing node's op name to kernel exceptions via
-        :func:`~repro.runtime.stream._attach_op_name`, preserving the
+        :func:`~repro.framework.errors.attach_op_name`, preserving the
         deferred-error contract: an error surfacing long after the op
         was recorded still names the op that raised it.
         """
@@ -154,7 +112,6 @@ class GraphRunner:
         self.fetches = list(fetches)
         self._include_side_effects = include_side_effects
         self.label_errors = label_errors
-        self._parallel_lock = threading.Lock()
         self._build_schedule()
 
     def _build_schedule(self) -> None:
@@ -284,9 +241,6 @@ class GraphRunner:
         self.plan = [tuple(entry) for entry in self.plan]
         self._build_memory_plan()
         self._hoist_constants()
-        # The parallel task contraction belongs to ``run(parallel=True)``,
-        # which builds it on first use; a rebuilt schedule drops it.
-        self._parallel: Optional[tuple] = None
 
     def _hoist_constants(self) -> None:
         """Materialize Const nodes once, at plan-build time.
@@ -400,7 +354,8 @@ class GraphRunner:
             "num_nodes": len(self.plan),
         }
 
-    # -- serial ----------------------------------------------------------
+    # -- execution -------------------------------------------------------
+    # `parallel` stays only because benchmarks/perf/spans.py forwards it positionally.
     def run(self, feeds, parallel: bool = False) -> list[Tensor]:
         """Execute with the given feeds.
 
@@ -408,6 +363,11 @@ class GraphRunner:
         with hashable keys); placeholders may be the symbolic output or
         the Placeholder node itself.
         """
+        if parallel:
+            raise InvalidArgumentError(
+                "GraphRunner.run(parallel=True): the thread-parallel "
+                "scheduler was removed; graphs run on the calling thread"
+            )
         if self.plan_backend != context._kernel_backend:
             # The active array backend changed after this plan bound its
             # kernels; rebind so cached plans follow the knob.
@@ -419,8 +379,6 @@ class GraphRunner:
             feed_values[id(node)] = value
         if self.feed_specs:
             self._validate_feeds(feed_values)
-        if parallel:
-            return self._run_parallel(feed_values)
         return self._run_serial(feed_values)
 
     def _validate_feeds(self, feed_values: dict[int, Tensor]) -> None:
@@ -448,9 +406,7 @@ class GraphRunner:
             node = state[0]
             if node is None:
                 raise
-            from repro.runtime.stream import _attach_op_name
-
-            labelled = _attach_op_name(exc, node.op_name)
+            labelled = attach_op_name(exc, node.op_name)
             if labelled is exc:
                 raise
             raise labelled
@@ -557,214 +513,15 @@ class GraphRunner:
         except KeyError:
             raise InternalError(f"Fetch {t.name!r} was not computed") from None
 
-    # -- parallel -------------------------------------------------------------
-
-    #: Nodes whose static output-element cost is at or below this bound
-    #: are "tiny": scheduling one as its own parallel task costs more
-    #: than running it.  Sole-consumer chains of tiny nodes collapse
-    #: into one serial-island task.
-    TINY_TASK_ELEMENTS = 1 << 14
-
-    def _task_cost(self, node: Node) -> Optional[int]:
-        """Static per-dispatch cost estimate in output elements."""
-        total = 0
-        for sym in node.outputs:
-            n = sym.spec.shape.num_elements()
-            if n is None:
-                return None
-            total += n
-        if node.op_name == FUSED_OP:
-            # A fused dispatch runs the whole region.
-            total *= node.attrs["region"].size
-        return total
-
-    def _is_tiny(self, node: Node) -> bool:
-        if node.op_name == "Placeholder":
-            return False
-        if node.device is not None or node.control_inputs:
-            return False
-        op_def = node.op_def
-        if op_def.is_stateful or op_def.has_side_effects:
-            return False
-        cost = self._task_cost(node)
-        return cost is not None and cost <= self.TINY_TASK_ELEMENTS
-
-    def _parallel_plan(self) -> tuple:
-        """``(tasks, deps, dependents)``, built by the first parallel run.
-
-        Double-checked like :meth:`GraphFunction.plan`: concurrent
-        first callers agree on one plan, and serial-only runners never
-        pay for the contraction.
-        """
-        plan = self._parallel
-        if plan is None:
-            with self._parallel_lock:
-                plan = self._parallel
-                if plan is None:
-                    plan = self._parallel = self._build_parallel_plan()
-        return plan
-
-    def _build_parallel_plan(self) -> tuple:
-        """Contract the schedule into parallel tasks.
-
-        A fused region is already one task.  Beyond that, a tiny node
-        whose single output is consumed by exactly one (tiny) node melts
-        into that consumer's task — the resulting serial islands are
-        in-trees, so contraction can never create a cycle, and the task
-        graph is emitted in topological index order.  Dependency counts
-        and dependent lists are precomputed; each run copies the counts.
-        """
-        schedule = self.schedule
-        pos_of = {id(n): i for i, n in enumerate(schedule)}
-
-        consumer_positions: dict[int, set[int]] = {}
-        for i, node in enumerate(schedule):
-            for t in node.inputs:
-                p = pos_of.get(id(t.node))
-                if p is not None:
-                    consumer_positions.setdefault(p, set()).add(i)
-        fetched_nodes = {
-            id(t.node) for t in self.fetches if not isinstance(t, Node)
-        }
-
-        # position -> the position of the consumer it melts into.
-        melt: dict[int, int] = {}
-        for i, node in enumerate(schedule):
-            if id(node) in fetched_nodes or not self._is_tiny(node):
-                continue
-            cons = consumer_positions.get(i)
-            if cons is None or len(cons) != 1:
-                continue
-            (j,) = cons
-            if j > i and self._is_tiny(schedule[j]):
-                melt[i] = j
-
-        def island_root(i: int) -> int:
-            while i in melt:
-                i = melt[i]
-            return i
-
-        groups: dict[int, list[int]] = {}
-        for i in range(len(schedule)):
-            groups.setdefault(island_root(i), []).append(i)
-
-        tasks: list[list[Node]] = []
-        task_of: dict[int, int] = {}
-        for root in sorted(groups):
-            members = sorted(groups[root])
-            for i in members:
-                task_of[i] = len(tasks)
-            tasks.append([schedule[i] for i in members])
-
-        deps: list[int] = [0] * len(tasks)
-        dependents: list[list[int]] = [[] for _ in tasks]
-        edges: set[tuple[int, int]] = set()
-
-        def add_edge(src: int, dst: int) -> None:
-            if src != dst and (src, dst) not in edges:
-                edges.add((src, dst))
-                deps[dst] += 1
-                dependents[src].append(dst)
-
-        prev_stateful_task: Optional[int] = None
-        for i, node in enumerate(schedule):
-            ti = task_of[i]
-            for t in node.inputs:
-                p = pos_of.get(id(t.node))
-                if p is not None:
-                    add_edge(task_of[p], ti)
-            if node.op_def.is_stateful:
-                # Stateful operations serialize in program order.
-                if prev_stateful_task is not None:
-                    add_edge(prev_stateful_task, ti)
-                prev_stateful_task = ti
-        return tasks, deps, dependents
-
-    def _run_parallel(self, feed_values: dict[int, Tensor]) -> list[Tensor]:
-        tasks, plan_deps, dependents = self._parallel_plan()
-        deps = list(plan_deps)
-        counts = dict(self.consumers)
-
-        store: dict[int, Tensor] = {}
-        store_lock = threading.Lock()
-        done = threading.Event()
-        errors: list[BaseException] = []
-        pending = len(tasks)
-        pool = _thread_pool()
-
-        def finish_task(index: int) -> None:
-            nonlocal pending
-            ready: list[int] = []
-            with store_lock:
-                pending -= 1
-                if pending == 0:
-                    done.set()
-                for dep in dependents[index]:
-                    deps[dep] -= 1
-                    if deps[dep] == 0:
-                        ready.append(dep)
-            for dep in ready:
-                pool.submit(run_task, dep)
-
-        def run_task(index: int) -> None:
-            if errors:
-                done.set()
-                return
-            try:
-                for node in tasks[index]:
-                    if node.op_name == "Placeholder":
-                        value = feed_values[id(node)]
-                        out_id = id(node.outputs[0])
-                        with store_lock:
-                            if out_id in counts:
-                                store[out_id] = value
-                        continue
-                    with store_lock:
-                        inputs = [store[id(t)] for t in node.inputs]
-                    outputs = _dispatch_node(node, inputs)
-                    with store_lock:
-                        for out_sym, out_val in zip(node.outputs, outputs):
-                            if id(out_sym) in counts:
-                                store[id(out_sym)] = out_val
-                        # Per-run reference counts: free a buffer as its
-                        # last consumer retires (fetches hold an extra
-                        # reference, so they can never hit zero here).
-                        for t in node.inputs:
-                            tid = id(t)
-                            c = counts.get(tid)
-                            if c is None:
-                                continue
-                            if c == 1:
-                                del counts[tid]
-                                store.pop(tid, None)
-                            else:
-                                counts[tid] = c - 1
-            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-                errors.append(exc)
-                done.set()
-                return
-            finish_task(index)
-
-        if not tasks:
-            done.set()
-        roots = [i for i, d in enumerate(deps) if d == 0]
-        for index in roots:
-            pool.submit(run_task, index)
-        done.wait()
-        if errors:
-            raise errors[0]
-        return [self._fetch(store, t) for t in self.fetches]
-
 
 def execute_graph(
     graph: Graph,
     feeds: dict,
     fetches: Sequence[SymbolicTensor],
-    parallel: bool = False,
 ) -> list[Tensor]:
     """One-shot graph execution (builds a fresh GraphRunner).
 
     Long-lived callers (ConcreteFunction, Session) should build a
     :class:`GraphRunner` once and call ``run`` repeatedly.
     """
-    return GraphRunner(graph, fetches).run(feeds, parallel=parallel)
+    return GraphRunner(graph, fetches).run(feeds)

@@ -116,7 +116,7 @@ class GraphFunction:
         """Drop the cached execution plan (rebuilt on next use)."""
         self._runner = None
 
-    def run(self, args: Sequence[Tensor], parallel: bool = False) -> list[Tensor]:
+    def run(self, args: Sequence[Tensor]) -> list[Tensor]:
         """Execute the graph on concrete inputs; returns concrete outputs.
 
         The execution plan (schedule, refcounts) is built once and
@@ -127,7 +127,7 @@ class GraphFunction:
                 f"Graph function {self.name!r} takes {len(self.inputs)} inputs, "
                 f"got {len(args)}"
             )
-        return self.plan().run(list(zip(self.inputs, args)), parallel=parallel)
+        return self.plan().run(list(zip(self.inputs, args)))
 
     def optimize(self, passes: Optional[Sequence[str]] = None) -> dict:
         """Run grappler-style optimization passes in place.

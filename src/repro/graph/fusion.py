@@ -38,8 +38,8 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.framework import dtypes
+from repro.framework.errors import attach_op_name
 from repro.ops import registry
-from repro.runtime.stream import _attach_op_name
 from repro.tensor import TensorSpec
 from repro.graph.graph import Graph, Node, SymbolicTensor
 
@@ -270,7 +270,7 @@ class FusionRegion:
             except BaseException as exc:  # noqa: BLE001 - relabelled
                 # Deferred-error contract: the error names the member
                 # op, not the FusedElementwise region it fused into.
-                raise _attach_op_name(exc, op_name)
+                raise attach_op_name(exc, op_name)
             vals.append(out)
             for d in dies:
                 vals[d] = None

@@ -128,10 +128,10 @@ def py_func(func: Callable, inp: Sequence, Tout, output_shapes=None):
     from repro.runtime.context import context
     from repro.runtime.executor import execute
 
-    # py_func is a synchronization point of the async and lazy eager
-    # modes: the wrapped function runs arbitrary Python (prints, file
-    # writes, reads of external state), so every previously submitted or
-    # recorded op — and any deferred error — must land before it runs.
+    # py_func is a synchronization point of lazy eager mode: the
+    # wrapped function runs arbitrary Python (prints, file writes, reads
+    # of external state), so every previously recorded op — and any
+    # deferred error — must land before it runs.
     # The stateful-op fallback in dispatch would flush too; syncing here
     # keeps the guarantee even when the call is staged into a graph.
     if context.executor_mode != "sync" and context.executing_eagerly():

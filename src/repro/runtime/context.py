@@ -110,9 +110,9 @@ def _validated(knob: Knob, value, source: str):
     if knob.kind == "str":
         return str(value)
     if knob.kind == "mode":
-        if value not in ("sync", "async", "lazy"):
+        if value not in ("sync", "lazy"):
             raise InvalidArgumentError(
-                f'{source} must be "sync", "async", or "lazy", got {value!r}'
+                f'{source} must be "sync" or "lazy", got {value!r}'
             )
     elif knob.kind == "int":  # a count: >= 1
         value = _number(int, value, source)
@@ -127,14 +127,8 @@ def _validated(knob: Knob, value, source: str):
 
 def _from_env(knob: Knob):
     """The knob's startup value: its environment variable, else its default."""
-    if knob.kind == "mode":
-        # Its variables are booleans selecting lazy and async.  Lazy wins:
-        # it subsumes async pipelining (the flush itself may enqueue on
-        # streams), so setting both means "lazy".
-        for env, mode in zip(knob.env, ("lazy", "async")):
-            if _env_bool(env):
-                return mode
-        return knob.default
+    if knob.kind == "mode":  # its variable is a boolean selecting lazy
+        return "lazy" if _env_bool(knob.env[0]) else knob.default
     if not knob.env or knob.env[0] not in os.environ:
         return knob.default
     env = knob.env[0]
@@ -151,8 +145,8 @@ def _from_env(knob: Knob):
     return _validated(knob, raw, env)
 
 
-def _sync_on_leaving_deferred_mode(ctx: "Context", old: str) -> None:
-    if old != "sync":
+def _sync_on_leaving_lazy_mode(ctx: "Context", old: str) -> None:
+    if old == "lazy":
         ctx.sync()
 
 
@@ -179,43 +173,23 @@ def _apply_process_devices(ctx: "Context", old: bool) -> None:
 
 KNOBS = (
     Knob(
-        "executor_mode", ("REPRO_LAZY_EAGER", "REPRO_ASYNC_EAGER"), "mode", "sync",
-        """``"sync"``, ``"async"``, or ``"lazy"`` eager execution.
+        "executor_mode", ("REPRO_LAZY_EAGER",), "mode", "sync",
+        """``"sync"`` or ``"lazy"`` eager execution.
 
-        Selects the submission policy behind ``execute()`` (paper §4.1,
-        §4.4; :mod:`repro.runtime.executor` describes the three): run
-        each op's kernel before returning, enqueue it on the device's
-        execution stream and return a pending tensor, or record it into
-        a lazy trace that runs as one compiled, fused segment when a
-        value is observed.  Process-global, like TF's ``executor``:
-        switch it between training phases, not per-thread.  Leaving a
-        deferred mode first flushes recorded segments and drains
-        in-flight ops (raising any deferred error).
+        Selects the eager policy behind ``execute()`` (paper §4.1;
+        :mod:`repro.runtime.executor` describes the two): run each op's
+        kernel before returning, or record it into a lazy trace that
+        runs as one compiled, fused segment when a value is observed.
+        Process-global, like TF's ``executor``: switch it between
+        training phases, not per-thread.  Leaving lazy mode first
+        flushes recorded segments (raising any deferred error).
         """,
-        _sync_on_leaving_deferred_mode,
+        _sync_on_leaving_lazy_mode,
     ),
     Knob(
         "soft_device_placement", (), "bool", True,
         "Fall back to CPU kernels for ops without an accelerator kernel.",
         _clear_kernel_cache,
-    ),
-    Knob(
-        "stream_depth", ("REPRO_STREAM_DEPTH",), "int", 64,
-        """Queue bound of each async execution stream created afterwards.
-
-        Bounds the memory pinned by not-yet-executed ops: a submitter
-        that runs far ahead of a device blocks on ``enqueue`` until the
-        worker catches up (TF's eager async mode does the same).
-        """,
-    ),
-    Knob(
-        "inter_op_parallelism_threads", ("REPRO_INTER_OP_THREADS",), "int", 8,
-        """Thread-pool size for the parallel graph executor.
-
-        Takes effect for pools created afterwards; call
-        :func:`repro.graph.executor.shutdown_thread_pool` to force the
-        next parallel run to pick up a new value.
-        """,
     ),
     Knob(
         "rpc_deadline_ms", ("REPRO_RPC_DEADLINE_MS",), "float", 30000.0,
@@ -296,10 +270,10 @@ KNOBS = (
 
         When on, each local GPU's kernels run in a forked worker
         (:mod:`repro.runtime.worker_pool`): tensors cross over shared
-        memory and the Python thread blocks on IPC with the GIL
-        released, so the parallel graph scheduler and async streams
-        overlap real compute on multi-core hosts.  Turning it off shuts
-        the workers down.
+        memory and the dispatching Python thread blocks on IPC with the
+        GIL released, so user threads pinned to different GPUs (one
+        thread per device, paper §4.5) overlap real compute on
+        multi-core hosts.  Turning it off shuts the workers down.
         """,
         _apply_process_devices,
     ),
@@ -352,19 +326,15 @@ class Context:
             setattr(self, knob.name, _from_env(knob))
 
     def sync(self) -> None:
-        """Block until all deferred-submitted ops have finished.
+        """Run every op recorded in lazy mode to completion.
 
-        Flushes any pending lazy traces, then waits for every execution
-        stream; re-raises the first undelivered deferred error, with the
-        op name attached.  A no-op in sync mode with nothing in flight.
+        Flushes the pending lazy traces of all threads and re-raises the
+        first undelivered deferred error, with the op name attached.  A
+        no-op when nothing was ever recorded.
         """
         lazy_mod = sys.modules.get("repro.runtime.lazy")
         if lazy_mod is not None:
             lazy_mod.sync_lazy()
-        stream_mod = sys.modules.get("repro.runtime.stream")
-        if stream_mod is None:
-            return  # nothing was ever executed asynchronously
-        stream_mod.sync_all_streams()
 
     def array_backend(self):
         """The active :class:`~repro.backend.ArrayBackend` object."""
@@ -557,26 +527,24 @@ def set_random_seed(seed: Optional[int]) -> None:
 
 
 def sync() -> None:
-    """Wait for all asynchronously dispatched operations to finish.
+    """Run every op recorded in lazy eager mode to completion.
 
-    The explicit synchronization point of async eager mode: blocks
-    until every per-device execution stream (and every in-flight remote
-    op) has completed, re-raising the first deferred kernel error.
+    The explicit synchronization point of lazy mode: flushes the
+    recorded segments of all threads and re-raises the first deferred
+    kernel error nobody observed.  A no-op in sync mode.
     """
     context.sync()
 
 
 class execution_mode:
-    """Context manager running a block under one of the eager policies.
+    """Context manager running a block under ``"sync"`` or ``"lazy"``.
 
     ::
 
-        with execution_mode("async"):
-            y = model(x)          # ops overlap with Python dispatch
         with execution_mode("lazy"):
             y = model(x)          # ops are recorded; flushed when observed
-        # exiting restores the previous mode (flushing/draining if
-        # leaving a deferred mode)
+        # exiting restores the previous mode (flushing first when
+        # leaving lazy mode)
 
     The underlying knob is process-global (see
     :attr:`Context.executor_mode`); use this from the coordinating
@@ -595,13 +563,12 @@ class execution_mode:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             context.executor_mode = self._previous
-            if self._mode != "sync" and self._previous == self._mode:
-                # Restoring an identical deferred mode makes the setter
-                # a no-op, but leaving the block is still a
-                # synchronization point: flush/drain here too.
+            if self._mode == "lazy" and self._previous == "lazy":
+                # Restoring lazy over lazy makes the setter a no-op, but
+                # leaving the block is still a synchronization point.
                 context.sync()
         except BaseException:
             if exc_type is None:
                 raise
             # An error is already propagating out of the block; the
-            # drain-on-exit deferred error must not mask it.
+            # flush-on-exit deferred error must not mask it.

@@ -229,12 +229,6 @@ class Device:
         # single flag the dispatch core checks per op.
         self._op_runner: Optional[Callable] = None
         self._special_dispatch: bool = self.requires_compilation
-        # True while this device's kernel loop runs in a separate worker
-        # process (repro.runtime.worker_pool).  Async dispatch streams
-        # such ops: the stream worker blocks on IPC, not the GIL.
-        self._process_backed: bool = False
-        # Lazily created execution stream for async eager mode.
-        self._stream = None
 
     # -- identity --------------------------------------------------------
     @property
@@ -292,23 +286,6 @@ class Device:
                 "no compiler is loaded (import repro.xla)"
             )
         return None
-
-    def execution_stream(self):
-        """This device's :class:`~repro.runtime.stream.ExecutionStream`.
-
-        Created on first use (devices in sync-only processes never start
-        a worker thread).  One stream per device serializes that
-        device's async ops in submission order.
-        """
-        stream = self._stream
-        if stream is None:
-            with self._lock:
-                stream = self._stream
-                if stream is None:
-                    from repro.runtime.stream import ExecutionStream
-
-                    stream = self._stream = ExecutionStream(self._name)
-        return stream
 
     # -- memory ------------------------------------------------------------
     @property

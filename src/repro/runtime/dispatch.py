@@ -66,22 +66,9 @@ from repro.framework.errors import (
 from repro.ops import registry
 from repro.runtime.context import context
 from repro.runtime.device import Device
-from repro.runtime.stream import PendingHandle, sync_all_streams
-from repro.tensor import AsyncTensor, PendingTensor, Tensor, TensorBase
+from repro.tensor import Tensor, TensorBase
 
 __all__ = ["DispatchCore", "OpInterceptor", "core", "wrap_outputs"]
-
-_records_module = None
-
-
-def _records():
-    """:mod:`repro.runtime.records`, imported lazily (it imports us back)."""
-    global _records_module
-    if _records_module is None:
-        from repro.runtime import records
-
-        _records_module = records
-    return _records_module
 
 EAGER = "eager"
 GRAPH = "graph"
@@ -281,8 +268,8 @@ class DispatchCore:
         """Execute one primitive op; returns its outputs as a list.
 
         The only kernel-dispatch implementation in the system: eager
-        ops, graph nodes (serial and parallel), remote placements, and
-        compiled accelerators all come through here.
+        ops, graph nodes, remote placements, and compiled accelerators
+        all come through here.
         """
         if mode == EAGER:
             in_dtypes = self._validate_eager_inputs(op_name, inputs)
@@ -295,25 +282,6 @@ class DispatchCore:
             in_dtypes = None
             interceptors = self.graph_interceptors
 
-        return self._run_intercepted(
-            op_name, inputs, attrs, device, in_dtypes, interceptors
-        )
-
-    def _run_intercepted(
-        self,
-        op_name: str,
-        inputs: Sequence,
-        attrs: dict,
-        device: Device,
-        in_dtypes: Optional[tuple],
-        interceptors: tuple,
-    ) -> list:
-        """Run one op through ``_dispatch_on`` inside an interceptor stack.
-
-        In async mode this executes on a stream worker thread with the
-        interceptor tuple captured at submission, so profiler hooks see
-        real kernel timings regardless of which thread runs the op.
-        """
         if not interceptors:  # the hot path: one emptiness check
             return self._dispatch_on(op_name, inputs, attrs, device, in_dtypes)
 
@@ -327,122 +295,6 @@ class DispatchCore:
         for it, token in zip(reversed(interceptors), reversed(tokens)):
             it.on_complete(op_name, attrs, list(inputs), outputs, device, token)
         return outputs
-
-    # -- asynchronous (streamed) dispatch ----------------------------------
-    def dispatch_async(self, op_name: str, inputs: Sequence, attrs: dict) -> list:
-        """Submit one eager op for asynchronous execution.
-
-        The op is enqueued on the resolved device's
-        :class:`~repro.runtime.stream.ExecutionStream` (or, for remote
-        devices, submitted to the worker without waiting for the reply)
-        and pending :class:`~repro.tensor.AsyncTensor` outputs — dtype
-        and shape from the op's registered inference function — return
-        immediately (paper §4.1: the runtime "executes operations
-        asynchronously, only forcing the Python thread to wait when a
-        value is observed").
-
-        Ops that cannot pipeline run synchronously on the calling
-        thread instead (program order must stay observable): stateful
-        ops (variable reads/writes, random ops, ``py_func``), ops
-        without shape inference, and compilation-only devices.
-        Side-effecting ops additionally flush all streams first, so
-        their effects happen after every previously submitted op.
-        """
-        in_dtypes = self._validate_eager_inputs(op_name, inputs)
-        device = self.resolve_device(context.current_device_name(), inputs)
-        try:
-            op_def = registry.get_op_def(op_name)
-        except NotFoundError:
-            op_def = None
-        if (
-            op_def is None
-            or op_def.infer_fn is None
-            or op_def.is_stateful
-            or op_def.has_side_effects
-        ):
-            flush = op_def is None or op_def.has_side_effects
-            return self._dispatch_sync_fallback(
-                op_name, inputs, attrs, device, in_dtypes, flush
-            )
-        submit_remote = getattr(device, "execute_op_async", None)
-        if (
-            device._special_dispatch
-            and submit_remote is None
-            and not device._process_backed
-        ):
-            # Compiled-only devices (TPU) have no stream equivalent.
-            # Process-backed devices DO pipeline: their stream worker
-            # blocks on worker IPC (releasing the GIL) while the child
-            # process computes, which is exactly the overlap async eager
-            # wants.
-            return self._dispatch_sync_fallback(
-                op_name, inputs, attrs, device, in_dtypes, False
-            )
-        # Cross-device copies are synchronization points (§4.4): a
-        # pending input produced on another device is materialized here,
-        # which also keeps stream workers from ever blocking on each
-        # other (the cross-stream dependency graph stays acyclic).
-        for t in inputs:
-            if isinstance(t, PendingTensor) and t._device is not device:
-                t._materialize()
-        try:
-            specs = op_def.infer(list(inputs), attrs)
-        except BaseException:
-            # No inferred metadata to build pending outputs from; the
-            # synchronous path will produce the real (or a better) error.
-            return self._dispatch_sync_fallback(
-                op_name, inputs, attrs, device, in_dtypes, False
-            )
-        inputs = list(inputs)  # snapshot: the closure outlives the call
-        if submit_remote is not None:
-            handle = submit_remote(op_name, inputs, attrs)
-            if handle is None:  # worker cannot pipeline right now
-                return self._dispatch_sync_fallback(
-                    op_name, inputs, attrs, device, in_dtypes, False
-                )
-        else:
-            # Interceptors are captured at submission and run on the
-            # stream worker, so profiler hooks time the actual kernel.
-            interceptors = self.eager_interceptors
-            handle = PendingHandle(op_name)
-
-            def run():
-                return self._run_intercepted(
-                    op_name, inputs, attrs, device, in_dtypes, interceptors
-                )
-
-            device.execution_stream().enqueue(op_name, run, handle)
-        outputs = [
-            AsyncTensor._pending(handle, i, spec, device)
-            for i, spec in enumerate(specs)
-        ]
-        # Tapes are thread-local, so recording happens caller-side at
-        # submission (with the pending outputs); the records interceptor
-        # firing later on the worker thread sees no recorders and is a
-        # no-op — ops are never recorded twice.
-        _records().record_operation(op_name, attrs, inputs, outputs)
-        return outputs
-
-    def _dispatch_sync_fallback(
-        self,
-        op_name: str,
-        inputs: Sequence,
-        attrs: dict,
-        device: Device,
-        in_dtypes: tuple,
-        flush: bool,
-    ) -> list:
-        """Execute on the calling thread from within async mode.
-
-        ``flush`` drains every stream first (side-effecting ops must
-        observe all previously submitted work — and this makes them
-        deferred-error delivery points).
-        """
-        if flush:
-            sync_all_streams()
-        return self._run_intercepted(
-            op_name, inputs, attrs, device, in_dtypes, self.eager_interceptors
-        )
 
     def _dispatch_on(
         self,

@@ -1,10 +1,9 @@
 """LazyTensor-mode eager execution: record now, compile and run at sync points.
 
-The third submission policy behind :func:`repro.runtime.executor.execute`
+The deferred eager policy behind :func:`repro.runtime.executor.execute`
 (``context.executor_mode = "lazy"`` / ``REPRO_LAZY_EAGER``).  Where sync
-mode dispatches each op's kernel immediately and async mode enqueues it
-on a per-device stream, lazy mode *records* the op into a pending
-:class:`LazyTrace` and returns pending
+mode dispatches each op's kernel immediately, lazy mode *records* the
+op into a pending :class:`LazyTrace` and returns pending
 :class:`~repro.tensor.LazyTensor` outputs built from the op's shape
 inference — no kernel runs at all.  This is the LazyTensor recipe
 (arXiv 2102.13267) grafted onto the paper's multi-stage machinery:
@@ -32,14 +31,14 @@ compiled, fused, memory-planned artifact on every step.  Only *live*
 outputs (Python references still exist — user variables, tape entries)
 are fetched; dead intermediates are fused away or freed by the plan.
 
-**Deferred errors.**  Matching async mode: a kernel error during a
-flush is attached to the originating op's name with the original
-exception type preserved, settles the failed op's handle (and, via
-poison propagation, its dependents'), and is delivered exactly once —
-at the observation that forced the flush, or at the next
-synchronization point for flushes nobody observed.  On an artifact
-failure the segment is replayed op-by-op through the sync dispatch
-path, which assigns precise per-op outcomes.
+**Deferred errors.**  A kernel error during a flush is attached to the
+originating op's name with the original exception type preserved
+(:func:`~repro.framework.errors.attach_op_name`), settles the failed
+op's handle (and, via poison propagation, its dependents'), and is
+delivered exactly once — at the observation that forced the flush, or
+at the next synchronization point for flushes nobody observed.  On an
+artifact failure the segment is replayed op-by-op through the sync
+dispatch path, which assigns precise per-op outcomes.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.framework.errors import InternalError, NotFoundError
+from repro.framework.errors import InternalError, NotFoundError, attach_op_name
 from repro.ops import registry
 from repro.runtime import records
 from repro.runtime.context import context
 from repro.runtime.dispatch import core
-from repro.runtime.stream import _attach_op_name, sync_all_streams
 from repro.tensor import LazyTensor, PendingTensor, Tensor
 
 __all__ = [
@@ -79,11 +77,11 @@ SEGMENT_LIMIT = 256
 class LazyHandle:
     """Completion state of one recorded op.
 
-    Implements the :class:`~repro.runtime.stream.PendingHandle`
-    observation protocol (``done``/``result``/``output``/settle) without
-    its cross-thread synchronization: records settle under their trace's
-    lock, on whichever thread runs the flush, so plain attributes
-    ordered by the GIL suffice — recording stays cheap per op.
+    The observation protocol :class:`~repro.tensor.PendingTensor` forces
+    through (``done``/``result``/``output``/settle).  Records settle
+    under their trace's lock, on whichever thread runs the flush, so
+    plain attributes ordered by the GIL suffice — recording stays cheap
+    per op.
     """
 
     __slots__ = ("op_name", "record_index", "_outputs", "_error", "_settled")
@@ -107,7 +105,7 @@ class LazyHandle:
     def _settle_error(self, exc: BaseException) -> None:
         if self._settled:
             return
-        self._error = _attach_op_name(exc, self.op_name)
+        self._error = attach_op_name(exc, self.op_name)
         self._settled = True
 
     def result(self) -> list:
@@ -158,9 +156,8 @@ class _Record:
 _traces_lock = threading.Lock()
 _traces: dict[int, "LazyTrace"] = {}
 
-# The first undelivered deferred error across all flushes (mirrors the
-# ExecutionStream deferred slot; later errors in the window are dropped
-# once one surfaces, like TF's async executor).
+# The first undelivered deferred error across all flushes (later errors
+# in the window are dropped once one surfaces, as TF's eager executor does).
 _deferred_lock = threading.Lock()
 _deferred: Optional[BaseException] = None
 
@@ -173,7 +170,7 @@ def _note_deferred(exc: BaseException) -> None:
 
 
 def take_deferred() -> Optional[BaseException]:
-    """Pop the undelivered deferred error, if any (see stream module)."""
+    """Pop the deferred error, unless an observation already delivered it."""
     global _deferred
     with _deferred_lock:
         deferred, _deferred = _deferred, None
@@ -383,8 +380,7 @@ class LazyTrace:
         The error path (and the fallback for uncacheable/unlowerable
         segments): every record settles with its real outputs or with
         the labelled error of the op that raised (dependents inherit the
-        originating op's label via poison propagation, exactly like a
-        failed value flowing through an async stream).  Tape recording
+        originating op's label via poison propagation).  Tape recording
         is suppressed — these ops were already offered to the tapes at
         record time.
         """
@@ -412,7 +408,7 @@ class LazyTrace:
                 try:
                     outs = core.dispatch(rec.op_name, ins, rec.attrs, device=cpu)
                 except BaseException as exc:  # noqa: BLE001 - deferred
-                    labelled = _attach_op_name(exc, rec.op_name)
+                    labelled = attach_op_name(exc, rec.op_name)
                     rec.handle._settle_error(labelled)
                     errs[k] = labelled
                     _note_deferred(labelled)
@@ -591,10 +587,9 @@ _INFER_CACHE_CAP = 4096
 def submit(op_name: str, inputs: Sequence, attrs: dict) -> list:
     """Record one eager op (or fall back to synchronous dispatch).
 
-    The gating mirrors ``dispatch_async``: stateful ops, ops without
-    shape inference, explicit device placements, and non-CPU inputs run
-    synchronously on the calling thread (side-effecting ops flush all
-    recorded work first — program order must stay observable, and this
+    Stateful ops, ops without shape inference, explicit device
+    placements, and non-CPU inputs run synchronously on the calling
+    thread (side-effecting ops flush all recorded work first — program order must stay observable, and this
     makes them deferred-error delivery points).  Everything else is
     appended to the calling thread's pending trace.
     """
@@ -652,7 +647,7 @@ def submit(op_name: str, inputs: Sequence, attrs: dict) -> list:
         break
     _stats["recorded_ops"] += 1
     # Tapes are thread-local: recording happens caller-side with the
-    # pending outputs (as in async mode).  The flush later executes via
+    # pending outputs.  The flush later executes via
     # the graph dispatch path, which the records interceptor does not
     # observe — ops are never recorded twice.
     records.record_operation(op_name, attrs, inputs, outputs)
@@ -665,7 +660,6 @@ def _fallback(op_name: str, inputs: Sequence, attrs: dict, op_def) -> list:
     _stats["fallback_ops"] += 1
     if op_def is None or op_def.has_side_effects:
         sync_lazy()
-        sync_all_streams()
     return core.dispatch(op_name, inputs, attrs)
 
 

@@ -150,8 +150,8 @@ class Profile:
         self.lazy_cache_hits = 0
         self.lazy_recorded_ops = 0
         self._entered = 0.0
-        # Async eager mode runs on_complete on stream worker threads, so
-        # several threads can add samples concurrently.
+        # on_complete runs on whichever thread dispatched the op (replica
+        # threads, serving workers), so several can add samples at once.
         self._stats_lock = threading.Lock()
 
     # -- context manager --------------------------------------------------
@@ -167,18 +167,15 @@ class Profile:
 
     def __exit__(self, *exc_info) -> None:
         global active
-        # Wait for asynchronously submitted ops before closing the books
-        # so their kernel timings land in this profile.  This only
-        # drains; deferred errors stay queued for the next sync point
-        # rather than erupting out of the `with` block.
+        # Run recorded lazy ops before closing the books so their
+        # kernel timings land in this profile.  This only flushes;
+        # deferred errors stay queued for the next sync point rather
+        # than erupting out of the `with` block.
         import sys
-
-        from repro.runtime.stream import drain_all_streams
 
         lazy_mod = sys.modules.get("repro.runtime.lazy")
         if lazy_mod is not None:
             lazy_mod.flush_all_pending()
-        drain_all_streams()
         self.wall_seconds = time.perf_counter() - self._entered
         dispatch.core.unregister_interceptor(_interceptor)
         with _lock:

@@ -2,12 +2,14 @@
 
 The paper's eager runtime overlaps kernels because its C++ executor
 runs them off the Python thread; a NumPy reproduction cannot — every
-kernel holds the GIL, so the parallel graph scheduler and async eager
-streams serialize.  This module gives each simulated GPU device a
-*worker process* running its kernel loop: the dispatching thread blocks
-on pipe IPC (GIL released) while the child computes, so inter-op
-parallelism across devices buys real wall-clock time on multi-core
-hosts.
+kernel holds the GIL, so threads inside one process serialize (which is
+why eager ops and graph nodes both run on the calling thread; DESIGN.md
+§8).  This module gives each simulated GPU device a *worker process*
+running its kernel loop: the dispatching thread blocks on pipe IPC (GIL
+released) while the child computes.  The overlap comes from the paper's
+own §4.5 recipe — one Python thread per device, as
+``DataParallelStrategy`` runs its replicas — so two user threads pinned
+to two GPU devices buy real wall-clock time on multi-core hosts.
 
 Mechanics
 ---------
@@ -27,12 +29,11 @@ Mechanics
   ``None`` from the runner and falls back to the in-parent kernel path
   — the ``Device.dispatch`` protocol's existing delegation.  Stateful
   ordering is therefore preserved for free: shipped ops complete
-  synchronously within their dispatch, and per-device streams / control
+  synchronously within their dispatch, and program order / control
   edges already order the parent-side stateful ops around them.
 * Errors are marshalled as ``(module, qualname, message)`` and
-  re-raised in the parent at the dispatch site, so async eager's
-  deferred-error machinery (op-name attribution, delivery at sync
-  points) works unchanged.
+  re-raised in the parent at the dispatch site with their original
+  type.
 * Teardown follows the distribute/worker lifecycle pattern: a
   lifecycle lock, idempotent shutdown, explicit join timeout surfacing
   :class:`InternalError`, and ``terminate()`` as the last resort so an
@@ -288,8 +289,8 @@ def _worker_main(conn, device_name: str) -> None:
             conn.close()
         except OSError:
             pass
-        # Skip atexit handlers: they belong to the parent (thread pools,
-        # stream drains, this module's own shutdown hook).
+        # Skip atexit handlers: they belong to the parent (this
+        # module's own shutdown hook, worker servers).
         os._exit(0)
 
 
@@ -478,7 +479,7 @@ def _shippable(op_name: str, inputs, attrs: dict) -> bool:
         return False
     in_dtypes = []
     for t in inputs:
-        # Pending (async) tensors pass: reading `_array` later forces
+        # Pending (lazy) tensors pass: reading `_array` later forces
         # them, exactly as the in-parent kernel path would.
         if not isinstance(t, Tensor):
             return False
@@ -542,14 +543,12 @@ def maybe_install_runner(device) -> bool:
     ):
         return False
     device.set_op_runner(_process_runner)
-    device._process_backed = True
     return True
 
 
 def _uninstall_runner(device) -> None:
     if device.op_runner is _process_runner:
         device.set_op_runner(None)
-    device._process_backed = False
 
 
 def apply_process_devices(enable: bool) -> None:

@@ -29,7 +29,6 @@ from repro.runtime.context import context
 from repro.runtime.device import Device
 
 __all__ = [
-    "AsyncTensor",
     "LazyTensor",
     "PendingTensor",
     "Tensor",
@@ -425,10 +424,9 @@ class Tensor(TensorBase):
 class PendingTensor(Tensor):
     """Shared pending-value protocol for tensors not yet computed.
 
-    Both deferred eager policies — async streams and lazy trace
-    recording — return tensors whose dtype and (inferred) shape are
-    known immediately while the buffer materializes later.  This base
-    class overrides the ``_array`` storage slot with a *forcing
+    Lazy eager mode returns tensors whose dtype and (inferred) shape
+    are known immediately while the buffer materializes later.  This
+    base class overrides the ``_array`` storage slot with a *forcing
     property*, so every existing code path that touches a tensor's
     buffer — ``.numpy()``, ``.item()``, ``bool()/float()/int()``,
     kernels consuming the tensor, cross-device copies — is
@@ -437,23 +435,11 @@ class PendingTensor(Tensor):
     (op name attached, original type preserved) re-raises here.
 
     Subclasses hook :meth:`_resolve_output` to say *how* forcing
-    happens: async tensors block on their stream handle, lazy tensors
-    first flush the recorded trace that will settle the handle.
+    happens: lazy tensors first flush the recorded trace that will
+    settle the handle.
     """
 
     __slots__ = ("_handle", "_index", "_pending_shape", "_value")
-
-    @classmethod
-    def _pending(cls, handle, index: int, spec: "TensorSpec", device: Device):
-        """A tensor for output ``index`` of the op behind ``handle``."""
-        t = cls.__new__(cls)
-        t._value = None
-        t._handle = handle
-        t._index = index
-        t._dtype = spec.dtype
-        t._pending_shape = spec.shape  # TensorSpec.shape is a TensorShape
-        t._device = device
-        return t
 
     def _resolve_output(self, handle) -> "Tensor":
         """Produce the settled output (blocking / flushing as needed)."""
@@ -493,20 +479,6 @@ class PendingTensor(Tensor):
         return TensorShape(self._array.shape)
 
 
-class AsyncTensor(PendingTensor):
-    """A tensor whose value is still being computed on an execution stream.
-
-    Async eager mode (§4.1: the runtime "executes operations
-    asynchronously, only forcing the Python thread to wait when a value
-    is observed") returns these from ``execute()``: the buffer
-    materializes in the background on the producing device's
-    :class:`~repro.runtime.stream.ExecutionStream`, and touching it
-    blocks the Python thread until the stream settles the handle.
-    """
-
-    __slots__ = ()
-
-
 class LazyTensor(PendingTensor):
     """A tensor recorded — not yet executed — in a pending lazy trace.
 
@@ -523,7 +495,7 @@ class LazyTensor(PendingTensor):
     def _pending_in_trace(
         cls, handle, index: int, spec: "TensorSpec", device: Device, trace
     ) -> "LazyTensor":
-        # PendingTensor._pending inlined: one of these is built per
+        # Plain slot stores, no helper call: one of these is built per
         # recorded-op output, and lazy mode only pays off while
         # recording stays cheaper than kernel dispatch.
         t = cls.__new__(cls)

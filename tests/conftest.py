@@ -42,16 +42,6 @@ def _reset_context_knobs():
     if lazy_mod is not None:
         lazy_mod.flush_all_pending()
         lazy_mod.take_deferred()
-    # Async streams: wait for stragglers, then likewise discard.
-    stream_mod = sys.modules.get("repro.runtime.stream")
-    if stream_mod is not None:
-        stream_mod.drain_all_streams()
-        with stream_mod._streams_lock:
-            streams = list(stream_mod._streams)
-        for s in streams:
-            s.take_deferred()
-        with stream_mod._remote_lock:
-            stream_mod._remote_handles.clear()
     # Every knob back to its environment-derived default; a test that
     # turned process devices on gets its workers shut down.
     context.reset_knobs()

@@ -104,7 +104,7 @@ class TestJvpFunction:
 
     def test_jvp_all_modes_agree(self):
         ref = None
-        for mode in ("sync", "async", "lazy"):
+        for mode in ("sync", "lazy"):
             with repro.execution_mode(mode):
                 x = repro.constant([0.2, 0.4, 0.8], dtype=repro.float64)
                 v = repro.constant([1.0, -1.0, 0.5], dtype=repro.float64)

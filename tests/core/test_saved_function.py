@@ -139,7 +139,7 @@ class TestProfiler:
             for _ in range(4):
                 y = repro.matmul(y, x)
             z = repro.tanh(x)
-            repro.sync()  # async/lazy modes: run the kernels in-profile
+            repro.sync()  # lazy mode: run the kernels in-profile
         del y, z
         assert prof.ops["MatMul"].count == 4
         assert prof.ops["Tanh"].count == 1
@@ -182,7 +182,7 @@ class TestProfiler:
         with repro.profiler.Profile() as prof:
             big = repro.matmul(x, x)
             tiny = repro.add(small, small)
-            repro.sync()  # async/lazy modes: run the kernels in-profile
+            repro.sync()  # lazy mode: run the kernels in-profile
         del big, tiny
         names = [name for name, _ in prof.top(2)]
         assert names[0] == "MatMul"

@@ -128,7 +128,6 @@ class TestRetries:
             with pytest.raises(AbortedError, match="Injected fault"):
                 with repro.device("/job:ft/task:0/device:CPU:0"):
                     repro.add(repro.constant(1.0), repro.constant(1.0))
-                repro.sync()  # async mode defers the error to a sync point
 
     def test_stateful_ops_never_retried(self, cluster):
         with repro.device("/job:ft/task:1/device:CPU:0"):
@@ -196,7 +195,6 @@ class TestKilledWorkers:
             with pytest.raises(UnavailableError):
                 with repro.device("/job:ft/task:0/device:CPU:0"):
                     repro.multiply(repro.constant(2.0), repro.constant(3.0))
-                repro.sync()  # async mode defers the error to a sync point
         assert not cluster[0].is_running
 
     def test_dispatch_after_cluster_shutdown_is_clear(self):

@@ -1,4 +1,4 @@
-"""Graph executor: serial/parallel equivalence, pruning, buffer freeing."""
+"""Graph executor: scheduling order, pruning, buffer freeing."""
 
 import numpy as np
 import pytest
@@ -81,27 +81,6 @@ class TestSerialExecution:
         runner.run([(x, repro.constant(1.0))])
         assert float(v.read_value()) == 1.0
 
-
-class TestParallelExecution:
-    def test_matches_serial(self):
-        g, x, (a, b, c) = _build_diamond()
-        feed = [(x, repro.constant([1.0, 2.0, 3.0, 4.0]))]
-        serial = GraphRunner(g, [a, b, c]).run(feed)
-        parallel = GraphRunner(g, [a, b, c]).run(feed, parallel=True)
-        for s, p in zip(serial, parallel):
-            np.testing.assert_allclose(s.numpy(), p.numpy())
-
-    def test_wide_fanout(self):
-        g = Graph("wide")
-        x = placeholder(g, repro.float32, [8], name="x")
-        with g.as_default():
-            branches = [x * float(i) for i in range(20)]
-            total = repro.add_n(branches)
-        feed = [(x, repro.constant(np.ones(8, np.float32)))]
-        (serial,) = GraphRunner(g, [total]).run(feed)
-        (parallel,) = GraphRunner(g, [total]).run(feed, parallel=True)
-        np.testing.assert_allclose(parallel.numpy(), serial.numpy())
-
     def test_stateful_order_preserved(self):
         v = repro.Variable(1.0)
         g = Graph("state")
@@ -110,7 +89,7 @@ class TestParallelExecution:
             v.assign(v.read_value() * 2.0)
             v.assign_add(1.0)
             out = x * 1.0
-        GraphRunner(g, [out]).run([(x, repro.constant(0.0))], parallel=True)
+        GraphRunner(g, [out]).run([(x, repro.constant(0.0))])
         assert float(v.read_value()) == 3.0  # (1*2)+1, in program order
 
     def test_error_propagates(self):
@@ -123,7 +102,7 @@ class TestParallelExecution:
                 Tout=repro.float32,
             )
         with pytest.raises(RuntimeError, match="boom"):
-            GraphRunner(g, [bad]).run([(x, repro.constant([1.0, 2.0]))], parallel=True)
+            GraphRunner(g, [bad]).run([(x, repro.constant([1.0, 2.0]))])
 
 
 class TestGraphFunction:

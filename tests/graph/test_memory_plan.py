@@ -13,7 +13,7 @@ would fail loudly if it regressed.
 import numpy as np
 
 import repro
-from repro.graph import fusion, optimize
+from repro.graph import optimize
 from repro.graph.function import GraphFunction, placeholder
 from repro.graph.graph import Graph
 from repro.runtime.context import context
@@ -210,120 +210,3 @@ class TestConstantHoisting:
         fn = _fn(build)
         c_out, _ = fn.run([repro.constant(np.zeros(8, np.float32))])
         np.testing.assert_array_equal(c_out.numpy(), np.float32([7.0] * 8))
-
-
-class TestParallelScheduler:
-    def _wide_fn(self):
-        def build(x):
-            branches = []
-            for i in range(6):
-                b = repro.tanh(x * float(i + 1) + 0.5)
-                branches.append(repro.exp(-repro.square(b)))
-            total = branches[0]
-            for b in branches[1:]:
-                total = total + b
-            return total, repro.reduce_sum(total)
-
-        return _fn(build, in_specs=((repro.float32, [64]),))
-
-    def test_parallel_matches_serial_with_fusion(self):
-        with _with_fusion(True):
-            fn = self._wide_fn()
-            optimize.optimize_function(fn)
-            assert fusion.has_fused_nodes(fn)
-            x = repro.constant(
-                np.random.default_rng(0).normal(size=64).astype(np.float32)
-            )
-            ref_out, ref_sum = fn.run([x], parallel=False)
-            # Repeated parallel runs shake out frees racing with reads:
-            # a use-after-free surfaces as wrong values, not a hang.
-            for _ in range(10):
-                out, total = fn.run([x], parallel=True)
-                np.testing.assert_array_equal(out.numpy(), ref_out.numpy())
-                np.testing.assert_array_equal(total.numpy(), ref_sum.numpy())
-
-    def test_parallel_matches_serial_with_donation_no_regions(self):
-        """Donation entries (no fused nodes) under the thread pool."""
-
-        def build(x):
-            a = repro.exp(x)
-            b = repro.matmul(repro.reshape(a, (8, 8)), repro.reshape(a, (8, 8)))
-            return repro.reduce_sum(b) + repro.reduce_sum(-a)
-
-        with _with_fusion(True):
-            fn = _fn(build, in_specs=((repro.float32, [64]),))
-            x = repro.constant(
-                np.random.default_rng(1).normal(size=64).astype(np.float32)
-            )
-            (ref,) = fn.run([x], parallel=False)
-            for _ in range(10):
-                (out,) = fn.run([x], parallel=True)
-                np.testing.assert_array_equal(out.numpy(), ref.numpy())
-
-    def test_serial_only_runner_never_builds_the_parallel_plan(self):
-        with _with_fusion(True):
-            fn = self._wide_fn()
-            optimize.optimize_function(fn)
-            runner = fn.plan()
-            x = repro.constant(np.ones(64, np.float32))
-            for _ in range(3):
-                fn.run([x])
-            assert runner._parallel is None
-            fn.run([x], parallel=True)
-            assert runner._parallel is not None
-
-    def test_racing_first_parallel_runs_build_one_plan(self, monkeypatch):
-        import sys
-        import threading
-
-        from repro.graph.executor import GraphRunner
-
-        builds = []
-        original = GraphRunner._build_parallel_plan
-
-        def counting(self):
-            builds.append(threading.get_ident())
-            return original(self)
-
-        monkeypatch.setattr(GraphRunner, "_build_parallel_plan", counting)
-        with _with_fusion(True):
-            fn = self._wide_fn()
-            optimize.optimize_function(fn)
-            runner = fn.plan()
-            x = repro.constant(
-                np.random.default_rng(2).normal(size=64).astype(np.float32)
-            )
-            ref_out, ref_sum = fn.run([x])
-            assert runner._parallel is None
-
-            n_threads = 8
-            barrier = threading.Barrier(n_threads)
-            results: list = [None] * n_threads
-            failures: list = []
-
-            def worker(i):
-                try:
-                    barrier.wait(timeout=30)
-                    results[i] = fn.run([x], parallel=True)
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    failures.append(exc)
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                threads = [
-                    threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-            finally:
-                sys.setswitchinterval(interval)
-        assert not failures
-        assert len(builds) == 1
-        assert fn.plan() is runner
-        for out, total in results:
-            np.testing.assert_array_equal(out.numpy(), ref_out.numpy())
-            np.testing.assert_array_equal(total.numpy(), ref_sum.numpy())

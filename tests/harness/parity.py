@@ -1,14 +1,13 @@
 """Differential testing of execution modes.
 
-One program, four runtimes: the same Python function is executed
-sync-eager, async-eager (per-device streams, §4.1/§4.4), lazy-eager
-(LazyTensor-style recording flushed through the staged pipeline), and
-staged through ``repro.function`` (§3.1).  The paper's central claim is
-that staging is a *semantics-preserving* performance knob; asynchronous
-and lazy execution make the same promise for eager dispatch.  Each
-:class:`Program` in :data:`CORPUS` is therefore run in all four modes
-and both its outputs and its tape gradients must agree to tight
-tolerances.
+One program, three runtimes: the same Python function is executed
+sync-eager, lazy-eager (LazyTensor-style recording flushed through the
+staged pipeline), and staged through ``repro.function`` (§3.1).  The
+paper's central claim is that staging is a *semantics-preserving*
+performance knob; lazy execution makes the same promise for eager
+dispatch.  Each :class:`Program` in :data:`CORPUS` is therefore run in
+all three modes and both its outputs and its tape gradients must agree
+to tight tolerances.
 
 The corpus is deliberately small programs — elementwise chains, dense
 layers, softmax losses, convolutions, data-dependent control flow, an
@@ -38,7 +37,7 @@ __all__ = [
     "run_program_relaxed",
 ]
 
-MODES = ("sync", "async", "lazy", "staged")
+MODES = ("sync", "lazy", "staged")
 
 # Per-dtype comparison tolerances.  Mode changes may legally reorder
 # float reductions, so exact bit equality is not required; disagreement
@@ -81,10 +80,9 @@ def run_program(program: Program, mode: str, dtype: str):
     """Run ``program`` under ``mode``; return (output, gradients) as ndarrays.
 
     The gradient is of ``reduce_sum(fn(*inputs))`` with respect to every
-    input, so each mode exercises its backward path too (for the async
-    and lazy modes the tape records pending tensors at submission and
-    synchronizes at ``gradient()`` — both ends of the pending-value
-    contract).
+    input, so each mode exercises its backward path too (in lazy mode
+    the tape records pending tensors at submission and synchronizes at
+    ``gradient()`` — both ends of the pending-value contract).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -113,10 +111,10 @@ def run_program(program: Program, mode: str, dtype: str):
 
 
 def assert_parity(program: Program, dtype: str) -> None:
-    """Assert outputs and gradients agree across all four modes."""
+    """Assert outputs and gradients agree across all three modes."""
     tol = _TOLERANCES[dtype]
     ref_out, ref_grads = run_program(program, "sync", dtype)
-    for mode in ("async", "lazy", "staged"):
+    for mode in MODES[1:]:
         out, grads = run_program(program, mode, dtype)
         np.testing.assert_allclose(
             out,
@@ -412,7 +410,7 @@ def _while_accumulate(x):
 # The same corpus discipline, but written as *plain Python* control
 # flow over tensor values.  Eagerly these run as ordinary Python (the
 # truth value of a concrete tensor exists); staged, autograph rewrites
-# them onto Cond / While at trace time.  Parity across all four modes
+# them onto Cond / While at trace time.  Parity across all three modes
 # pins the transform end to end: outputs AND gradients.
 
 

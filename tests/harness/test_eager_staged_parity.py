@@ -1,8 +1,8 @@
-"""Eager/async/lazy/staged differential tests over the parity corpus.
+"""Eager/lazy/staged differential tests over the parity corpus.
 
-Every program in :data:`tests.harness.parity.CORPUS` runs four times —
-sync eager, async eager, lazy eager (recorded and flushed through the
-staged pipeline), ``repro.function``-staged — and must produce
+Every program in :data:`tests.harness.parity.CORPUS` runs three times —
+sync eager, lazy eager (recorded and flushed through the staged
+pipeline), ``repro.function``-staged — and must produce
 identical outputs *and* identical input gradients.  A failure here
 localizes immediately: the program is tiny and the diverging mode is in
 the test id.
@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.graph import fusion
-from repro.tensor import AsyncTensor, LazyTensor
+from repro.tensor import LazyTensor
 from tests.harness.parity import (
     CORPUS,
     MODES,
@@ -105,16 +105,6 @@ def test_relaxed_trace_agrees(program, dtype):
     assert_relaxed_parity(program, dtype)
 
 
-def test_async_mode_actually_defers():
-    """The harness must genuinely exercise the async runtime: a plain
-    elementwise program yields pending tensors under ``async`` mode."""
-    with repro.execution_mode("async"):
-        x = repro.constant([1.0, 2.0, 3.0])
-        y = x * 2.0 + 1.0
-        assert isinstance(y, AsyncTensor)
-        np.testing.assert_allclose(y.numpy(), [3.0, 5.0, 7.0])
-
-
 def test_lazy_mode_actually_records():
     """The harness must genuinely exercise the lazy runtime: a plain
     elementwise program yields recorded pending tensors under ``lazy``
@@ -134,4 +124,4 @@ def test_run_program_rejects_unknown_mode():
 
 
 def test_modes_tuple_is_the_public_contract():
-    assert MODES == ("sync", "async", "lazy", "staged")
+    assert MODES == ("sync", "lazy", "staged")

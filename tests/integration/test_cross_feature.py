@@ -127,7 +127,7 @@ class TestProfilerGuidedStaging:
 
         with repro.profiler.Profile() as prof:
             observed = hot_block(x)
-            repro.sync()  # async/lazy modes: run the kernels in-profile
+            repro.sync()  # lazy mode: run the kernels in-profile
         del observed
         # The analysis sees per-op costs; in lazy mode the elementwise
         # chain dispatches as fused regions, so count covered ops too.

@@ -221,7 +221,7 @@ class TestSorting:
     def test_top_k_too_large(self):
         with pytest.raises(InvalidArgumentError):
             values, _ = sort_ops.top_k(t64([1.0, 2.0]), k=5)
-            values.numpy()  # async/lazy modes defer the kernel error
+            values.numpy()  # lazy mode defers the kernel error
 
     def test_top_k_gradient_scatters(self):
         x = t64([5.0, 1.0, 9.0, 3.0])

@@ -2,10 +2,9 @@
 
 Regression suite for the serving work: a server records/submits work on
 one thread and a client blocks on the value in another, so the deferred
-error protocol (async streams and lazy traces alike) must deliver the
-failure at whichever thread hits the sync point — exactly once, with
-the op name attached — and never hang, drop the error, or return an
-unmaterialized value.
+error protocol of lazy traces must deliver the failure at whichever
+thread hits the sync point — exactly once, with the op name attached —
+and never hang, drop the error, or return an unmaterialized value.
 """
 
 import importlib.util
@@ -22,12 +21,6 @@ else:
 
     def timeout_marker(cls):
         return cls
-
-
-@pytest.fixture
-def async_mode():
-    with repro.execution_mode("async"):
-        yield
 
 
 @pytest.fixture
@@ -63,49 +56,26 @@ def on_thread(fn):
 
 
 @timeout_marker
-class TestAsyncCrossThread:
-    def test_error_delivered_at_other_threads_numpy(self, async_mode):
+class TestLazyCrossThread:
+    def test_error_delivered_at_other_threads_numpy(self, lazy_mode):
         bad = bad_tensor()
         with pytest.raises(IndexError, match="Gather") as ei:
             on_thread(bad.numpy)
         assert getattr(ei.value, "_repro_async_op", None) == "Gather"
 
-    def test_sync_on_other_thread_delivers_once(self, async_mode):
+    def test_sync_on_other_thread_delivers_once(self, lazy_mode):
         bad = bad_tensor()  # noqa: F841 -- kept live, never observed
         with pytest.raises(IndexError):
             on_thread(repro.sync)
         repro.sync()  # already delivered; main thread sees nothing
 
-    def test_value_produced_on_worker_read_on_main(self, async_mode):
-        # The submitting thread exits before the value is observed.
-        out = {}
-
-        def submit():
-            x = repro.constant(np.arange(8, dtype=np.float32))
-            out["y"] = x * 2.0 + 1.0
-
-        t = threading.Thread(target=submit)
-        t.start()
-        t.join(timeout=30.0)
-        np.testing.assert_allclose(
-            out["y"].numpy(), np.arange(8, dtype=np.float32) * 2.0 + 1.0
-        )
-
-    def test_failed_tensor_raises_on_every_thread(self, async_mode):
+    def test_failed_tensor_raises_on_every_thread(self, lazy_mode):
         bad = bad_tensor()
         for _ in range(2):
             with pytest.raises(IndexError):
                 on_thread(bad.numpy)
         with pytest.raises(IndexError):
             bad.numpy()
-
-
-@timeout_marker
-class TestLazyCrossThread:
-    def test_error_delivered_at_other_threads_numpy(self, lazy_mode):
-        bad = bad_tensor()
-        with pytest.raises(IndexError, match="Gather"):
-            on_thread(bad.numpy)
 
     def test_recorded_on_worker_resolved_on_main(self, lazy_mode):
         out = {}

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.framework.errors import AlreadyExistsError, NotFoundError
-from repro.graph.executor import GraphRunner, shutdown_thread_pool
+from repro.graph.executor import GraphRunner
 from repro.graph.function import placeholder
 from repro.graph.graph import Graph
 from repro.ops import registry
@@ -49,15 +49,14 @@ def registered(request):
 
 @pytest.fixture
 def eager_dispatch_mode():
-    """Pin a mode whose ops reach the eager dispatch core.
+    """Pin sync mode, whose ops reach the eager dispatch core.
 
-    The kernel cache and the eager interceptor stack belong to the
-    sync/async submission paths; lazy mode routes pure ops through the
-    graph executor instead, so tests of those internals run in sync
-    mode when the suite-wide default is lazy.
+    The kernel cache and the eager interceptor stack belong to the sync
+    path; lazy mode routes pure ops through the graph executor instead,
+    so tests of those internals pin sync when the suite-wide default is
+    lazy.
     """
-    mode = "sync" if context.executor_mode == "lazy" else context.executor_mode
-    with repro.execution_mode(mode):
+    with repro.execution_mode("sync"):
         yield
 
 
@@ -113,7 +112,6 @@ class TestKernelCache:
         dispatch.core.clear_kernel_cache()
         x = repro.constant(1.0)
         repro.add(x, x)
-        repro.sync()  # async mode resolves the kernel on the stream worker
         key = ("Add", "CPU", (repro.float32, repro.float32), "numpy")
         assert key in dispatch.core._kernel_cache
         assert dispatch.core._kernel_cache[key] is registry.get_kernel("Add", "CPU")
@@ -159,7 +157,7 @@ class TestInterceptors:
         registered(_Tracing("a", events), _Tracing("b", events))
         x = repro.constant(1.0)
         y = repro.add(x, x)
-        repro.sync()  # async: hooks run on the worker; lazy: at the flush
+        repro.sync()  # lazy mode: hooks run at the flush
         del y
         assert events == [
             ("a", "start", "Add"),
@@ -254,7 +252,6 @@ class TestInterceptorErrorPaths:
         dispatch.core.clear_kernel_cache()
         x = repro.constant(1.0)
         repro.add(x, x)  # warm the cache
-        repro.sync()  # async mode: the worker populates the cache
         size_before = dispatch.core.kernel_cache_size()
 
         boom = _RaisingInterceptor()
@@ -262,7 +259,6 @@ class TestInterceptorErrorPaths:
         try:
             with pytest.raises(RuntimeError, match="interceptor exploded"):
                 repro.add(x, x)
-                repro.sync()  # async mode defers the error to the sync point
         finally:
             dispatch.core.unregister_interceptor(boom)
 
@@ -284,7 +280,7 @@ class TestInterceptorErrorPaths:
             with pytest.raises(ValueError):
                 repro.matmul(x, x)
             y = repro.add(repro.constant(1.0), repro.constant(1.0))
-            repro.sync()  # async/lazy modes: run the kernel in-profile
+            repro.sync()  # lazy mode: run the kernel in-profile
         del y
         assert prof.ops["Add"].count == 1
         assert dispatch.core.interceptor_names() == []
@@ -336,33 +332,3 @@ class TestDeviceDispatchProtocol:
             assert dev.op_runner is tpu_bridge.run_op_on_tpu
         finally:
             del context._devices[dev.name]
-
-
-class TestThreadPoolConfiguration:
-    def test_pool_size_follows_context(self):
-        from repro.graph import executor as graph_executor
-
-        saved = context.inter_op_parallelism_threads
-        shutdown_thread_pool()
-        context.inter_op_parallelism_threads = 2
-        try:
-            g = Graph("par")
-            a = placeholder(g, repro.float32, [2], name="a")
-            with g.as_default():
-                c = a + a
-            (out,) = GraphRunner(g, [c]).run(
-                [(a, repro.constant([1.0, 2.0]))], parallel=True
-            )
-            np.testing.assert_allclose(out.numpy(), [2.0, 4.0])
-            assert graph_executor._POOL._max_workers == 2
-        finally:
-            context.inter_op_parallelism_threads = saved
-            shutdown_thread_pool()
-
-    def test_invalid_pool_size_rejected(self):
-        with pytest.raises(repro.ReproError):
-            context.inter_op_parallelism_threads = 0
-
-    def test_shutdown_is_idempotent(self):
-        shutdown_thread_pool()
-        shutdown_thread_pool()

@@ -16,6 +16,9 @@ import pytest
 
 import repro
 from repro.framework.errors import InvalidArgumentError, NotFoundError
+from repro.graph.executor import GraphRunner
+from repro.graph.function import placeholder
+from repro.graph.graph import Graph
 from repro.runtime import dispatch, worker_pool
 from repro.runtime.context import KNOBS, Context, context
 from repro.tensor import LazyTensor
@@ -32,7 +35,7 @@ def other_value(knob, current):
     if knob.kind == "bool":
         return not current
     if knob.kind == "mode":
-        return "async" if current == "sync" else "sync"
+        return "lazy" if current == "sync" else "sync"
     if knob.kind == "str":
         return "tracked" if current == "numpy" else "numpy"
     return 5 if current is None else current + 1
@@ -59,25 +62,13 @@ ENV_SAMPLES = {
     "int": [("3", 3), (" 17 ", 17)],
     "float": [("1500", 1500.0), ("2.5", 2.5), ("0", None), ("-1", None)],
     "str": [("tracked", "tracked"), (" tracked ", "tracked"), ("", "numpy")],
+    # its variable is a boolean selecting lazy
+    "mode": [("1", "lazy"), ("yes", "lazy"), ("0", "sync"), ("", "sync")],
 }
 
 
 @knobs
 def test_env_override_parses(knob, monkeypatch):
-    if knob.kind == "mode":
-        lazy_env, async_env = knob.env
-        for lazy, asyn, expected in [
-            ("1", None, "lazy"), (None, "1", "async"), ("1", "1", "lazy"),
-            ("0", "yes", "async"), ("0", "0", "sync"), (None, None, "sync"),
-        ]:
-            clear_env(monkeypatch)
-            if lazy is not None:
-                monkeypatch.setenv(lazy_env, lazy)
-            if asyn is not None:
-                monkeypatch.setenv(async_env, asyn)
-            context.reset_knobs()
-            assert context.executor_mode == expected, (lazy, asyn)
-        return
     for env in knob.env:
         for raw, expected in ENV_SAMPLES[knob.kind]:
             clear_env(monkeypatch)
@@ -88,7 +79,7 @@ def test_env_override_parses(knob, monkeypatch):
 
 ENV_GARBAGE = {
     "bool": ["ture", "banana", "2", "yes please"],
-    "mode": ["ture", "banana", "lazy"],  # its variables are booleans
+    "mode": ["ture", "banana", "lazy"],  # its variable is a boolean
     "int": ["banana", "", "0", "-3", "2.5"],
     "float": ["banana", ""],
     "str": [],
@@ -109,7 +100,7 @@ def test_env_garbage_raises_naming_the_variable(knob, monkeypatch):
 
 SETTER_REJECTS = {
     "bool": [],  # coerced with bool()
-    "mode": ["turbo", "", None, 1],
+    "mode": ["turbo", "async", "", None, 1],
     "int": [0, -1, "zero", None],
     "float": [0, 0.0, -1.5, "soon"],
     "str": [],  # names are checked by the knob's on_change
@@ -226,9 +217,31 @@ def test_benchmark_knob_discovery_contract():
 
 def test_retired_knobs_are_gone():
     for name in ("relax_retraces", "serving_max_batch", "serving_queue_depth",
-                 "serving_timeout_ms", "async_eager", "lazy_eager"):
+                 "serving_timeout_ms", "async_eager", "lazy_eager",
+                 "stream_depth", "inter_op_parallelism_threads"):
         assert not hasattr(context, name), name
     assert not [name for name in dir(Context) if name.endswith("_from_env")]
+
+
+def test_retired_modes_raise_naming_what_is_left():
+    """Async eager mode and the thread-parallel graph scheduler are gone;
+    asking for either fails loudly instead of silently running serial."""
+    with pytest.raises(InvalidArgumentError, match='"sync" or "lazy"'):
+        context.executor_mode = "async"
+    with pytest.raises(InvalidArgumentError, match='"sync" or "lazy"'):
+        with repro.execution_mode("async"):
+            pass
+    assert context.executor_mode == STARTUP["executor_mode"]
+
+    g = Graph("p")
+    x = placeholder(g, repro.float32, [2], name="x")
+    with g.as_default():
+        y = x + x
+    feed = [(x, repro.constant([1.0, 2.0]))]
+    with pytest.raises(InvalidArgumentError, match="parallel"):
+        GraphRunner(g, [y]).run(feed, parallel=True)
+    (out,) = GraphRunner(g, [y]).run(feed, False)  # how the benchmark's spans call it
+    assert out.numpy().tolist() == [2.0, 4.0]
 
 
 def knob_rows() -> list[str]:

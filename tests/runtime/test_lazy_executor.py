@@ -7,9 +7,11 @@ flushes the whole recorded segment through the staged compilation
 pipeline (optimize → fuse → plan → run); repeated segments hit a
 trace-hash cache; dead recorded work is elided; kernel errors surface
 with the originating op's name attached, original type preserved,
-delivered exactly once — the same deferred-error protocol as async
-mode.
+delivered exactly once — also when many threads record and observe at
+once.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -37,6 +39,15 @@ def _delta(before, key):
 class TestExecutionModeKnob:
     def test_scoped_mode_sets_the_knob(self, lazy_mode):
         assert context.executor_mode == "lazy"
+
+    def test_scoped_mode_restores(self):
+        before = context.executor_mode
+        with repro.execution_mode("lazy"):
+            assert context.executor_mode == "lazy"
+            with repro.execution_mode("sync"):
+                assert context.executor_mode == "sync"
+            assert context.executor_mode == "lazy"
+        assert context.executor_mode == before
 
     def test_leaving_lazy_mode_flushes(self):
         with repro.execution_mode("lazy"):
@@ -82,6 +93,12 @@ class TestRecording:
         assert _delta(before, "flushes") == 1
         assert y.is_ready()
         np.testing.assert_allclose(y.numpy(), [16.0])
+
+    def test_context_sync_is_a_barrier(self, lazy_mode):
+        x = repro.constant(np.ones(4, dtype=np.float32))
+        ys = [x * float(i) for i in range(8)]
+        repro.sync()
+        assert all(y.is_ready() for y in ys)
 
     def test_stateful_ops_fall_back_to_sync_dispatch(self, lazy_mode):
         before = _snapshot()
@@ -200,6 +217,13 @@ class TestDeferredErrors:
         repro.sync()  # delivered exactly once
         del bad
 
+    def test_observation_then_sync_does_not_double_deliver(self, lazy_mode):
+        x = repro.constant([1.0, 2.0])
+        bad = repro.gather(x, repro.constant([7], dtype=repro.int32))
+        with pytest.raises(IndexError):
+            bad.numpy()
+        repro.sync()  # already delivered through the tensor
+
     def test_dependent_op_inherits_producer_error(self, lazy_mode):
         x = repro.constant([1.0, 2.0])
         bad = repro.gather(x, repro.constant([7], dtype=repro.int32))
@@ -233,3 +257,92 @@ class TestDeferredErrors:
         with pytest.raises(IndexError):
             repro.gather(x, repro.constant([7], dtype=repro.int32)).numpy()
         np.testing.assert_allclose((x + x).numpy(), [2.0, 4.0])
+
+
+def _run_threads(threads) -> None:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=45.0)
+    assert not any(t.is_alive() for t in threads), "a worker thread hung"
+
+
+class TestConcurrentSubmission:
+    def test_many_threads_shared_input(self, lazy_mode):
+        """Threads race op recording against a shared tensor; every
+        result must be exact — no torn reads, no cross-thread mixups."""
+        base = repro.constant(np.arange(16, dtype=np.float64))
+        results: dict[int, np.ndarray] = {}
+        errors: list[BaseException] = []
+
+        def worker(k: int) -> None:
+            try:
+                y = base * float(k) + float(k)
+                for _ in range(5):
+                    y = y + base
+                results[k] = y.numpy()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        _run_threads(threads)
+        assert not errors
+        expected_base = np.arange(16, dtype=np.float64)
+        for k, got in results.items():
+            np.testing.assert_allclose(
+                got, expected_base * k + k + 5 * expected_base
+            )
+
+    def test_threads_with_private_chains_and_gradients(self, lazy_mode):
+        errors: list[BaseException] = []
+
+        def worker(seed: int) -> None:
+            try:
+                rng = np.random.default_rng(seed)
+                x = repro.constant(rng.normal(size=(4, 4)), dtype=repro.float64)
+                with repro.GradientTape() as tape:
+                    tape.watch(x)
+                    y = repro.reduce_sum(repro.tanh(repro.matmul(x, x)))
+                g = tape.gradient(y, x)
+                assert g is not None and g.numpy().shape == (4, 4)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        _run_threads(threads)
+        assert not errors
+
+    def test_concurrent_failures_stay_attributed(self, lazy_mode):
+        """Each thread's failed op raises in *that* thread's observation,
+        with the failing op's name attached."""
+        x = repro.constant([1.0, 2.0])
+        outcomes: list[str] = []
+        lock = threading.Lock()
+
+        def worker(k: int) -> None:
+            if k % 2 == 0:
+                bad = repro.gather(x, repro.constant([5 + k], dtype=repro.int32))
+                try:
+                    bad.numpy()
+                    with lock:
+                        outcomes.append("no-raise")
+                except IndexError as exc:
+                    with lock:
+                        outcomes.append(
+                            "labelled" if "Gather" in str(exc) else "unlabelled"
+                        )
+            else:
+                np.testing.assert_allclose((x * 2.0).numpy(), [2.0, 4.0])
+                with lock:
+                    outcomes.append("healthy")
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        _run_threads(threads)
+        assert sorted(outcomes) == ["healthy"] * 4 + ["labelled"] * 4
+        # Drain whatever deferred state is left so it cannot leak.
+        for _ in range(4):
+            try:
+                repro.sync()
+                break
+            except IndexError:
+                continue

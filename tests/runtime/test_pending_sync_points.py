@@ -1,13 +1,12 @@
-"""The shared sync-point matrix for the pending-value execution modes.
+"""The sync-point matrix of lazy eager mode's pending values.
 
-Async and lazy eager both return :class:`~repro.tensor.PendingTensor`
-subclasses from ``execute`` and promise the same observation contract:
-every way Python can look at a value — ``numpy()``, ``item()``,
-``bool()``, ``len()``, a cross-device copy, ``py_func`` — is a
-synchronization point that (a) produces exactly the value sync mode
-would, and (b) delivers a deferred kernel error with the originating
-op's name attached, original type preserved, exactly once.  This file
-drives that matrix identically through both modes.
+Lazy eager returns :class:`~repro.tensor.PendingTensor` subclasses from
+``execute`` and promises an observation contract: every way Python can
+look at a value — ``numpy()``, ``item()``, ``bool()``, ``len()``, a
+cross-device copy, ``py_func`` — is a synchronization point that (a)
+produces exactly the value sync mode would, and (b) delivers a deferred
+kernel error with the originating op's name attached, original type
+preserved, exactly once.
 """
 
 import numpy as np
@@ -18,14 +17,14 @@ from repro.ops.script_ops import py_func
 from repro.tensor import PendingTensor
 
 
-@pytest.fixture(params=["async", "lazy"])
-def pending_mode(request):
-    with repro.execution_mode(request.param):
-        yield request.param
+@pytest.fixture
+def pending_mode():
+    with repro.execution_mode("lazy"):
+        yield
 
 
 def _pending_vec():
-    """A pending [3, 5, 7] produced by recorded/enqueued pure ops."""
+    """A pending [3, 5, 7] produced by recorded pure ops."""
     x = repro.constant([1.0, 2.0, 3.0])
     y = x * 2.0 + 1.0
     assert isinstance(y, PendingTensor)

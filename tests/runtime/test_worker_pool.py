@@ -7,6 +7,7 @@ conftest knob-reset fixture to shut workers down afterwards.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ import repro
 from repro.framework.errors import InternalError, UnavailableError
 from repro.runtime import worker_pool
 from repro.runtime.context import context
+from repro.runtime.device import Device, local_device_spec
 
 GPU0 = "/job:localhost/replica:0/task:0/device:GPU:0"
 
@@ -44,10 +46,48 @@ class TestExecution:
         assert stats["last_exec_pid"] is not None
         assert stats["last_exec_pid"] != os.getpid()
 
-    def test_device_marked_process_backed(self, process_devices):
-        assert _gpu_device()._process_backed
+    def test_two_threads_two_devices_two_children(self, process_devices):
+        """The overlap route process devices exist for (paper §4.5): one
+        Python thread per device, each blocked on its own child."""
+        gpu1 = Device(local_device_spec("GPU", 1))
+        context.add_device(gpu1)  # picks up the process runner
+        a_np = np.random.rand(96, 96).astype(np.float32)
+        outs: dict = {}
+
+        def chain(device_name: str) -> None:
+            with repro.device(device_name):
+                out = a = repro.constant(a_np)
+                for _ in range(4):
+                    out = repro.matmul(out, a) * 0.01
+                outs[device_name] = out.numpy()
+
+        threads = [
+            threading.Thread(target=chain, args=(name,))
+            for name in ("/gpu:0", "/gpu:1")
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            stats = worker_pool.worker_stats()
+            assert stats[GPU0]["ops_shipped"] > 0
+            assert stats[gpu1.name]["ops_shipped"] > 0
+            pids = {stats[GPU0]["last_exec_pid"], stats[gpu1.name]["last_exec_pid"]}
+            assert len(pids) == 2 and os.getpid() not in pids
+        finally:
+            context.process_devices = False  # stops both children
+            del context._devices[gpu1.name]
+        # The same chain with the kernels in this process.
+        chain("/cpu:0")
+        for name in ("/gpu:0", "/gpu:1"):
+            np.testing.assert_allclose(outs[name], outs["/cpu:0"], rtol=1e-4)
+
+    def test_knob_installs_and_removes_the_runner(self, process_devices):
+        assert _gpu_device().op_runner is worker_pool._process_runner
         context.process_devices = False
-        assert not _gpu_device()._process_backed
+        assert _gpu_device().op_runner is None
 
     def test_zero_dim_shapes_preserved(self, process_devices):
         w = worker_pool._worker_for(_gpu_device())
@@ -145,7 +185,7 @@ class TestLifecycle:
         cpu = context.get_device(
             "/job:localhost/replica:0/task:0/device:CPU:0"
         )
-        assert not cpu._process_backed
+        assert cpu.op_runner is None
 
 
 class TestShippability:
