@@ -197,14 +197,15 @@ class TestJitFusionAblation:
     def test_abl_fusion_compiled(self, benchmark):
         staged, x = self._chain(jit=True)
         benchmark(lambda: staged(x))
-        exe = staged.get_concrete_function(x)._compiled
+        exe = staged.get_concrete_function(x).graph_function.executables[None]
         benchmark.extra_info["launch_instructions"] = exe.num_launch_instructions
 
     def test_fusion_collapses_the_chain(self):
         staged, x = self._chain(jit=True)
-        exe = staged.get_concrete_function(x)._compiled
+        exe = staged.get_concrete_function(x).graph_function.executables[None]
         plain, _ = self._chain(jit=False)
-        graph_nodes = plain.get_concrete_function(x).num_nodes
+        (trace,) = plain.execution_stats()["traces"]
+        graph_nodes = trace["nodes_before_fusion"]
         assert exe.num_launch_instructions * 5 < graph_nodes
 
 

@@ -269,13 +269,7 @@ class ConcreteFunction:
         self.num_explicit_inputs = num_explicit_inputs
         self.jit_compile = jit_compile
         self.pipeline = pipeline if pipeline is not None else CompilationPipeline()
-        # XLA executables per concrete input-shape tuple.  A fully static
-        # trace has exactly one entry (key None); a symbolic (relaxed)
-        # trace lazily specializes one executable per shape it actually
-        # sees, all under this single trace.  ``False`` marks
-        # uncompilable (e.g. py_func inside; fall back to the plan).
-        self._compiled_cache: dict = {}
-        self._compile_lock = threading.Lock()
+        self._shapes_lock = threading.Lock()
         self._forward_backward = None
         self._fb_lock = threading.Lock()
         # Concrete input-shape tuples this trace has actually run with,
@@ -313,58 +307,22 @@ class ConcreteFunction:
 
     def _call_plain(self, full_inputs: list) -> list:
         if self.jit_compile:
-            compiled = self._get_compiled(full_inputs)
-            if compiled is not None:
-                return self._call_compiled(compiled, full_inputs)
+            from repro.framework.errors import UnimplementedError
+            from repro.xla.compiler import executable_for
+
+            try:
+                exe = executable_for(self.graph_function, full_inputs)
+            except UnimplementedError:
+                pass  # e.g. py_func inside: remembered; run the plan
+            else:
+                explicit = context.current_device_name()
+                return exe.run(
+                    full_inputs,
+                    context.get_device(explicit) if explicit else context.cpu_device(),
+                )
         from repro.ops.functional_ops import call_graph_function
 
         return list(call_graph_function(self.graph_function, full_inputs))
-
-    @property
-    def _compiled(self):
-        """The executable of a fully static trace (compat accessor).
-
-        Symbolic traces hold one executable per concrete shape in
-        ``_compiled_cache``; this view exposes the single static-shape
-        entry the way the pre-pipeline attribute did (None = not yet
-        compiled, False = uncompilable).
-        """
-        return self._compiled_cache.get(None)
-
-    def _compile_key(self, full_inputs: list):
-        """Per-shape cache key: None when this trace is fully static."""
-        if all(spec.is_fully_defined for spec in self.graph_function.input_specs):
-            return None
-        return tuple(t.shape.as_tuple() for t in full_inputs)
-
-    def _get_compiled(self, full_inputs: list):
-        """The XLA-sim executable for these inputs (None if uncompilable).
-
-        XLA needs static shapes (its cost model and fusion heuristics
-        consume byte counts), so a symbolic trace is specialized to the
-        concrete input shapes via the pipeline before compiling; the
-        resulting executable is cached per shape tuple.
-        """
-        key = self._compile_key(full_inputs)
-        with self._compile_lock:
-            compiled = self._compiled_cache.get(key)
-            if compiled is None:
-                from repro.framework.errors import UnimplementedError
-
-                try:
-                    if key is None:
-                        compiled = self.pipeline.compile(self.graph_function)
-                    else:
-                        compiled = self.pipeline.compile(
-                            self.graph_function,
-                            input_specs=[
-                                TensorSpec(t.shape, t.dtype) for t in full_inputs
-                            ],
-                        )
-                except UnimplementedError:
-                    compiled = False  # e.g. py_func inside; fall back
-                self._compiled_cache[key] = compiled
-        return compiled or None
 
     def _note_shapes(self, full_inputs: list) -> None:
         """Remember the concrete shapes a symbolic trace runs with."""
@@ -379,7 +337,7 @@ class ConcreteFunction:
             key = tuple(t.shape.as_tuple() for t in full_inputs)
         except Exception:
             return  # e.g. a pending tensor whose shape is unresolved
-        with self._compile_lock:
+        with self._shapes_lock:
             if key in self._seen_shapes:
                 self._seen_shapes.move_to_end(key)
                 return
@@ -396,7 +354,7 @@ class ConcreteFunction:
         plan's memory report, cached per shape tuple.  Returns None when
         specialization fails (e.g. the shapes are incompatible).
         """
-        with self._compile_lock:
+        with self._shapes_lock:
             plan = self._specialized_plans.get(shapes)
         if plan is not None:
             return plan
@@ -412,20 +370,20 @@ class ConcreteFunction:
             plan = dict(specialized.plan().memory_plan or {})
         except Exception:
             return None
-        with self._compile_lock:
+        with self._shapes_lock:
             self._specialized_plans[shapes] = plan
         return plan
 
     def release(self) -> None:
         """Drop derived artifacts so an evicted trace frees its memory.
 
-        Clears the per-shape compiled executables, the forward/backward
-        gradient graphs, the rematerializing backward, and the execution
-        plan.  All are rebuilt lazily if the trace is ever called again,
-        so releasing is safe even while callers hold a reference.
+        Clears the forward/backward gradient graphs, the rematerializing
+        backward, and the execution plan together with the executables
+        compiled from it (``graph_function.executables``).  All are
+        rebuilt lazily if the trace is ever called again, so releasing
+        is safe even while callers hold a reference.
         """
-        with self._compile_lock:
-            self._compiled_cache.clear()
+        with self._shapes_lock:
             self._specialized_plans.clear()
         with self._fb_lock:
             if not isinstance(self._forward_backward, Exception):
@@ -434,29 +392,6 @@ class ConcreteFunction:
         gf.release_plan()
         if hasattr(gf, "_remat_backward"):
             del gf._remat_backward
-
-    def _call_compiled(self, compiled, full_inputs: list) -> list:
-        import numpy as np
-
-        from repro.framework import dtypes as _dtypes
-
-        explicit = context.current_device_name()
-        device = (
-            context.get_device(explicit) if explicit else context.cpu_device()
-        )
-        arrays = [t._array for t in full_inputs]
-        results = compiled.execute(arrays, device)
-        outputs = []
-        for arr, spec in zip(results, self.graph_function.output_specs):
-            if not isinstance(arr, np.ndarray):
-                arr = np.asarray(arr)
-            if spec.dtype in (_dtypes.resource, _dtypes.variant):
-                outputs.append(Tensor._from_buffer(arr, spec.dtype, device))
-            else:
-                outputs.append(
-                    Tensor._from_buffer(device.wrap_output(arr), spec.dtype, device)
-                )
-        return outputs
 
     def _call_with_tape(self, full_inputs: list) -> list:
         """Run the forward variant and record a staged backward (§4.2)."""
@@ -713,10 +648,8 @@ class Function:
         Returns a dict with one entry per trace (exact and relaxed
         cache levels), each reporting the fusion outcome (node counts
         before/after the ``fuse`` pass, fused-region sizes from largest
-        to smallest, how many regions reused a cached code object, and
-        ``codegen_fallbacks`` — regions demoted to the interpreted loop
-        because codegen failed, with the first error), the wall-clock
-        cost of each compilation stage (``stage_ms``: ``trace_ms``, one
+        to smallest, how many regions reused a cached code object), the
+        wall-clock cost of each compilation stage (``stage_ms``: ``trace_ms``, one
         ``<i>:<pass>_ms`` per optimize pass including ``fuse``,
         ``infer_ms``, ``plan_ms``), and the executor's static memory plan (peak
         planned live bytes, in-place donation count, plus the byte size
@@ -762,8 +695,6 @@ class Function:
                 "fusion_code_cache": (
                     dict(fstats["code_cache"]) if fstats else {"hits": 0, "misses": 0}
                 ),
-                "codegen_fallbacks": fstats["codegen_fallbacks"] if fstats else 0,
-                "codegen_error": fstats["codegen_error"] if fstats else None,
                 "stage_ms": dict(gf.stage_ms),
                 "peak_live_bytes": plan.get("peak_live_bytes", 0),
                 "peak_is_lower_bound": plan.get("lower_bound", False),
@@ -785,7 +716,7 @@ class Function:
         for concrete in concretes:
             trace = describe("forward", concrete.graph_function)
             trace["trace"] = concrete.name
-            with concrete._compile_lock:
+            with concrete._shapes_lock:
                 seen_shapes = list(concrete._seen_shapes)
             if seen_shapes:
                 # Symbolic trace: the plan above is a lower bound over

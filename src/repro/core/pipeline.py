@@ -22,13 +22,13 @@ makes those stages explicit, ordered, and reusable:
   schedule.  Plans are shape-polymorphic: kernels compute output shapes
   from the actual buffers, so one symbolic trace needs only one plan.
 * **compile** — the XLA-sim executable.  Compilation *does* require
-  static shapes (the roofline cost model and fusion heuristics consume
-  byte counts), so a symbolic trace is **specialized** per concrete
-  shape first: :func:`CompilationPipeline.specialize` replays the traced
-  graph under concrete input specs — re-running shape inference and
-  constant propagation, *without* re-executing any Python — and the
-  caller keeps a per-shape executable cache under the one symbolic
-  trace.
+  static shapes (the roofline cost model consumes byte counts), so a
+  symbolic trace is **specialized** per concrete shape first:
+  :func:`CompilationPipeline.specialize` replays the traced graph under
+  concrete input specs — re-running shape inference and constant
+  propagation, *without* re-executing any Python — and
+  :func:`repro.xla.compiler.executable_for` keeps the per-shape
+  executables on the one symbolic trace's graph function.
 
 This is the binding-time structure LazyTensor-style systems converge
 on: bind Python early (one trace), bind shapes late (per-shape
@@ -237,14 +237,13 @@ class CompilationPipeline:
         self,
         fn,
         input_specs: Optional[Sequence[TensorSpec]] = None,
-        fuse: bool = True,
     ):
         """Compile ``fn`` to an XLA-sim executable.
 
         When ``input_specs`` is given and the function's own signature
         is not fully static, the function is specialized to those
-        concrete shapes first.  Callers cache the result per shape
-        tuple; see :class:`repro.core.function.ConcreteFunction`.
+        concrete shapes first.  Uncached; callers that run the result
+        go through :func:`repro.xla.compiler.executable_for`.
         """
         from repro.xla.compiler import compile_function
 
@@ -253,4 +252,4 @@ class CompilationPipeline:
             spec.is_fully_defined for spec in fn.input_specs
         ):
             target = self.specialize(fn, input_specs)
-        return compile_function(target, fuse=fuse)
+        return compile_function(target)

@@ -46,7 +46,7 @@ from repro.tensor import Tensor
 from repro.graph.fusion import FUSED_OP, _spec_bytes
 from repro.graph.graph import Graph, Node, SymbolicTensor
 
-__all__ = ["execute_graph", "GraphRunner"]
+__all__ = ["GraphRunner"]
 
 
 def _callee_peak_bytes(value) -> Optional[tuple[int, bool]]:
@@ -512,16 +512,3 @@ class GraphRunner:
             return store[id(t)]
         except KeyError:
             raise InternalError(f"Fetch {t.name!r} was not computed") from None
-
-
-def execute_graph(
-    graph: Graph,
-    feeds: dict,
-    fetches: Sequence[SymbolicTensor],
-) -> list[Tensor]:
-    """One-shot graph execution (builds a fresh GraphRunner).
-
-    Long-lived callers (ConcreteFunction, Session) should build a
-    :class:`GraphRunner` once and call ``run`` repeatedly.
-    """
-    return GraphRunner(graph, fetches).run(feeds)

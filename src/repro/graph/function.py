@@ -72,7 +72,13 @@ class GraphFunction:
         self.input_specs = [TensorSpec(t.shape, t.dtype) for t in self.inputs]
         self.output_specs = [TensorSpec(t.shape, t.dtype) for t in self.outputs]
         self._runner = None
-        self._plan_lock = threading.Lock()
+        # XLA-sim executables compiled from this function, by concrete
+        # input-shape tuple (``None`` under a static signature); a string
+        # says why it cannot be compiled.  The only place executables
+        # are kept: :func:`repro.xla.compiler.executable_for` fills it.
+        self.executables: dict = {}
+        # Held while building the plan or an executable.
+        self._build_lock = threading.Lock()
         # Wall-clock milliseconds each compilation stage last spent on
         # this function: ``trace_ms``, ``<i>:<pass>_ms`` per optimize
         # pass, ``infer_ms``, ``plan_ms``.  Written by the stage that
@@ -104,7 +110,7 @@ class GraphFunction:
             # Double-checked: concurrent first callers (serving worker
             # threads sharing one LoadedFunction) must agree on a single
             # plan rather than racing two half-built ones.
-            with self._plan_lock:
+            with self._build_lock:
                 runner = self._runner
                 if runner is None:
                     start = time.perf_counter()
@@ -113,8 +119,10 @@ class GraphFunction:
         return runner
 
     def release_plan(self) -> None:
-        """Drop the cached execution plan (rebuilt on next use)."""
+        """Drop the cached execution plan and the executables compiled
+        from this graph (both rebuilt on next use)."""
         self._runner = None
+        self.executables.clear()
 
     def run(self, args: Sequence[Tensor]) -> list[Tensor]:
         """Execute the graph on concrete inputs; returns concrete outputs.

@@ -8,15 +8,17 @@ and every intermediate is materialized as a full tensor.
 
 The ``fuse`` pass collapses maximal DAG-shaped regions of elementwise
 operations into single ``FusedElementwise`` nodes.  Each fused node
-carries a :class:`FusionRegion`: a precompiled closure that runs the
-member kernels back-to-back over a local value stack, dropping dead
+carries a :class:`FusionRegion`: a generated Python function that runs
+the member kernels back-to-back over local variables, dropping dead
 intermediates eagerly and writing into dying buffers in place (via the
-registry's in-place kernel variants) when shapes are static.  The
-executor dispatches the whole region as one operation.
+registry's in-place kernel variants) when shapes are static.  The graph
+executor dispatches the whole region as one operation, and XLA-sim
+lowers it to one ``Fusion`` instruction (:func:`repro.xla.hlo.lower`) —
+this pass is the only fusion clusterer in the system.
 
 Fusion is a *pure scheduling* rewrite: the region replays back into its
 member primitives for anything that needs per-op structure —
-differentiation, per-shape specialization, XLA lowering, serialization
+differentiation, per-shape specialization, serialization
 (:func:`defuse_function`).  Forward and backward graph functions each
 run their own optimization pipeline, so both re-fuse independently.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import types
 from collections import deque
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.framework import dtypes
 from repro.framework.errors import attach_op_name
@@ -53,7 +55,7 @@ __all__ = [
 
 FUSED_OP = "FusedElementwise"
 
-#: Candidate member set — shared with the XLA-sim fusion heuristics.
+#: Candidate member set.
 FUSABLE_OPS = registry.ELEMENTWISE_OPS
 
 #: Don't emit a fused node for fewer than this many members (a region
@@ -129,8 +131,7 @@ def _code_for(num_inputs: int, wiring: tuple, out_refs: tuple) -> types.CodeType
             lines.append(f"        {out} = K{k}({args}, A{k}, device)")
         else:
             lines.append(f"    {out} = K{k}({args}, A{k}, device)")
-        # Match the interpreter's free list: drop dead internals so
-        # the planned internal peak holds for compiled runs too.
+        # Drop dead internals so the planned internal peak holds.
         for d in dies:
             lines.append(f"    v{d} = None")
     outs = [f"v{r}" for r in out_refs]
@@ -166,7 +167,6 @@ class FusionRegion:
         "donated_steps",
         "backend",
         "code_cache_hit",
-        "codegen_error",
         "_compiled",
     )
 
@@ -191,108 +191,61 @@ class FusionRegion:
         self.peak_is_lower_bound = peak_is_lower_bound
         self.donated_steps = donated_steps
         self.backend = backend
-        self.code_cache_hit = False
-        self.codegen_error: Optional[str] = None
-        try:
-            self._compiled = self._compile()
-        except Exception as exc:
-            # The region still runs (interpreted loop in ``__call__``),
-            # but the demotion is reported: ``fuse_function`` counts it
-            # into the trace's fusion stats as ``codegen_fallbacks``.
-            self._compiled = None
-            self.codegen_error = f"{type(exc).__name__}: {exc}"
+        # Generated code is the only executor a region has, so a codegen
+        # failure propagates out of ``fuse_function``.
+        hits = _code_for.cache_info().hits
+        code = _code_for(
+            num_inputs, tuple([(s[4], s[5], s[6]) for s in self.steps]), self.out_refs
+        )
+        # Observability only: exact unless another thread is fusing too.
+        self.code_cache_hit = _code_for.cache_info().hits > hits
+        # The code object depends on the wiring alone; this region's
+        # kernels and attrs are bound as the globals of its own function.
+        env = {}
+        for k, step in enumerate(self.steps):
+            env[f"K{k}"] = step[1]
+            env[f"A{k}"] = step[3]
+            if step[5] >= 0:
+                env[f"P{k}"] = step[2]
+        self._compiled = types.FunctionType(code, env)
 
     @property
     def size(self) -> int:
         """Number of primitive operations the region covers."""
         return len(self.steps)
 
-    def _compile(self):
-        """Specialize the step loop into one generated Python function.
-
-        The region's structure is static, so the slot indirection, the
-        per-step tuple unpacking, and the free-list walk can all be
-        resolved at build time: each slot becomes a local, each step a
-        single kernel call with its arguments named inline.  Semantics
-        are identical to the interpreted loop in :meth:`__call__`
-        (which replays a failed run to attribute the error), including
-        the in-place donation fallback for polymorphic callers.
-
-        The code object comes from :func:`_code_for` (memoized on the
-        wiring alone); this region's kernels and attrs are bound as the
-        globals of its own function object.
-        """
-        steps = self.steps
-        hits = _code_for.cache_info().hits
-        code = _code_for(
-            self.num_inputs,
-            tuple([(s[4], s[5], s[6]) for s in steps]),
-            self.out_refs,
-        )
-        # Observability only: exact unless another thread is fusing too.
-        self.code_cache_hit = _code_for.cache_info().hits > hits
-        env = {}
-        for k, step in enumerate(steps):
-            env[f"K{k}"] = step[1]
-            env[f"A{k}"] = step[3]
-            if step[5] >= 0:
-                env[f"P{k}"] = step[2]
-        return types.FunctionType(code, env)
-
     def __call__(self, inputs, device):
         """Run the region's kernels over concrete arrays."""
-        run = self._compiled
-        if run is not None:
-            try:
-                return run(inputs, device)
-            except BaseException:  # noqa: BLE001 - diagnosed by the replay
-                # Fall through to the interpreter, which attributes the
-                # error to the member op that raised it rather than to
-                # the fused region.  External input buffers are never
-                # donated, so the replay from them is deterministic;
-                # internal buffers half-written by the failed compiled
-                # run are simply recomputed.
-                pass
-        vals = list(inputs)
-        for op_name, kernel, inplace, attrs, in_refs, donate, dies in self.steps:
-            args = [vals[r] for r in in_refs]
-            try:
-                if donate >= 0:
-                    # Static shape/dtype checks made this safe at build
-                    # time; a ufunc still raises if a polymorphic caller
-                    # fed mismatched buffers — fall back to allocating.
-                    try:
-                        out = inplace(args, attrs, device, vals[donate])
-                    except (ValueError, TypeError):
-                        out = kernel(args, attrs, device)
-                else:
-                    out = kernel(args, attrs, device)
-            except BaseException as exc:  # noqa: BLE001 - relabelled
-                # Deferred-error contract: the error names the member
-                # op, not the FusedElementwise region it fused into.
-                raise attach_op_name(exc, op_name)
-            vals.append(out)
-            for d in dies:
-                vals[d] = None
-        out_refs = self.out_refs
-        if len(out_refs) == 1:
-            return vals[out_refs[0]]
-        return tuple(vals[r] for r in out_refs)
+        try:
+            return self._compiled(inputs, device)
+        except BaseException:
+            # Deferred-error contract: the error names the member op,
+            # not the FusedElementwise region it fused into.  External
+            # input buffers are never donated, so stepping through the
+            # members from them reproduces the failure.
+            run_steps(self, inputs, device)
+            raise
 
-    def infer(self, inputs, attrs=None):
-        """Re-run member shape inference; one spec per region output."""
+    def slot_specs(self, inputs) -> list:
+        """Member shape inference over ``inputs``: one shape/dtype view
+        per slot (external inputs, then one per step)."""
         specs = [_SpecView(t.shape, t.dtype) for t in inputs]
         for op_name, _k, _ik, step_attrs, in_refs, _d, _dies in self.steps:
             op_def = registry.get_op_def(op_name)
             out = op_def.infer([specs[r] for r in in_refs], step_attrs)
             specs.append(_SpecView(out[0].shape, out[0].dtype))
+        return specs
+
+    def infer(self, inputs, attrs=None):
+        """Re-run member shape inference; one spec per region output."""
+        specs = self.slot_specs(inputs)
         return [TensorSpec(specs[r].shape, specs[r].dtype) for r in self.out_refs]
 
     def replay(self, inputs):
         """Re-stage the member primitives (symbolic expansion).
 
         Used wherever per-op structure matters again: differentiation,
-        specialization, XLA lowering, serialization.  Must run inside a
+        specialization, serialization.  Must run inside a
         graph-building context; returns one symbolic tensor per region
         output.
         """
@@ -308,6 +261,38 @@ class FusionRegion:
             f"<FusionRegion {'+'.join(self.op_names)}: {self.num_inputs} inputs "
             f"-> {len(self.out_refs)} outputs, {self.donated_steps} in-place>"
         )
+
+
+def run_steps(region: FusionRegion, inputs, device):
+    """Run ``region`` one member at a time, naming the member that raises.
+
+    Computes what the generated code computes (the tests hold the two
+    bit-for-bit equal); :meth:`FusionRegion.__call__` calls it only after
+    a failed run, to attach the failing member's op name to the error.
+    """
+    vals = list(inputs)
+    for op_name, kernel, inplace, attrs, in_refs, donate, dies in region.steps:
+        args = [vals[r] for r in in_refs]
+        try:
+            if donate >= 0:
+                # Static shape/dtype checks made this safe at build
+                # time; a ufunc still raises if a polymorphic caller
+                # fed mismatched buffers — fall back to allocating.
+                try:
+                    out = inplace(args, attrs, device, vals[donate])
+                except (ValueError, TypeError):
+                    out = kernel(args, attrs, device)
+            else:
+                out = kernel(args, attrs, device)
+        except BaseException as exc:  # noqa: BLE001 - relabelled
+            raise attach_op_name(exc, op_name)
+        vals.append(out)
+        for d in dies:
+            vals[d] = None
+    out_refs = region.out_refs
+    if len(out_refs) == 1:
+        return vals[out_refs[0]]
+    return tuple(vals[r] for r in out_refs)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +670,9 @@ def fuse_function(fn) -> int:
     """Fuse elementwise regions of ``fn``'s graph in place.
 
     Returns the number of fused nodes created, and records
-    ``fn._fusion_stats``: node counts before/after, region sizes, how
-    many regions reused a cached code object, and how many fell back to
-    the interpreted loop because codegen failed (with the first error).
+    ``fn._fusion_stats``: node counts before/after, region sizes, and
+    how many regions reused a cached code object.  Code generation for
+    a region is part of building it, so a codegen error raises here.
     """
     graph: Graph = fn.graph
     nodes = graph.nodes
@@ -776,16 +761,13 @@ def fuse_function(fn) -> int:
 
 def _fusion_stats(before: int, after: int, regions: list) -> dict:
     sizes = [r.size for r in regions]
-    errors = [r.codegen_error for r in regions if r.codegen_error is not None]
     hits = sum(1 for r in regions if r.code_cache_hit)
     return {
         "nodes_before": before,
         "nodes_after": after,
         "regions": sorted(sizes, reverse=True),
         "fused_ops": sum(sizes),
-        "code_cache": {"hits": hits, "misses": len(regions) - len(errors) - hits},
-        "codegen_fallbacks": len(errors),
-        "codegen_error": errors[0] if errors else None,
+        "code_cache": {"hits": hits, "misses": len(regions) - hits},
     }
 
 

@@ -53,9 +53,8 @@ __all__ = [
 
 # Operations that compute one output element per input element position
 # (with NumPy broadcasting): ~1 FLOP per element, no reductions, no data
-# movement.  This is the shared candidate set for elementwise fusion —
-# both the graph-level ``fuse`` pass (:mod:`repro.graph.fusion`) and the
-# XLA-sim fusion heuristics (:mod:`repro.xla.fusion`) consume it.
+# movement.  This is the candidate set of the ``fuse`` pass
+# (:mod:`repro.graph.fusion`).
 ELEMENTWISE_OPS = frozenset(
     {
         "Add", "Sub", "Mul", "RealDiv", "FloorDiv", "Mod", "Pow", "Neg",

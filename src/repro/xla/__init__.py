@@ -9,14 +9,17 @@ XLA to compile the graph and produce a TPU-compatible executable"
 This package rebuilds that pipeline over the simulated TPU device:
 
 * :mod:`repro.xla.hlo` — a small HLO-like IR with per-instruction
-  FLOP/byte cost estimates, lowered from graph functions.
-* :mod:`repro.xla.fusion` — elementwise operation fusion ("compiling
-  staged computations through XLA provides us more opportunities for
-  optimization, including ... operation fusion").
+  FLOP/byte cost estimates, lowered from graph functions.  Operation
+  fusion ("compiling staged computations through XLA provides us more
+  opportunities for optimization, including ... operation fusion") is
+  the graph clusterer's (:mod:`repro.graph.fusion`): each
+  ``FusedElementwise`` node lowers to one ``Fusion`` instruction that
+  is charged no memory traffic for its internal values.
 * :mod:`repro.xla.compiler` — produces :class:`CompiledExecutable`
   objects that run the program (values computed with NumPy on the
   host) while charging the TPU's *simulated clock* one launch overhead
-  per program plus modelled compute time.
+  per program plus modelled compute time; :func:`executable_for` is
+  the one cache of them, kept on the graph function itself.
 * :mod:`repro.xla.tpu` — wires the TPU device into the runtime: single
   operations compile to one-op programs (each execution pays a launch
   — why "training the model in a per-operation fashion is slow", §6),
@@ -27,10 +30,9 @@ Importing this package installs the TPU hook.
 """
 
 from repro.xla import hlo
-from repro.xla import fusion
-from repro.xla.compiler import CompiledExecutable, compile_function
+from repro.xla.compiler import CompiledExecutable, compile_function, executable_for
 from repro.xla import tpu
 
 tpu.install()
 
-__all__ = ["hlo", "fusion", "CompiledExecutable", "compile_function", "tpu"]
+__all__ = ["hlo", "CompiledExecutable", "compile_function", "executable_for", "tpu"]

@@ -1,5 +1,11 @@
 """Compilation of graph functions to executable accelerator programs.
 
+There is one road from a staged function to a program, whoever asks —
+``function(jit_compile=True)`` or a ``PartitionedCall`` placed on a
+compilation-only device: :func:`executable_for` looks the executable up
+in the cache the :class:`~repro.graph.function.GraphFunction` itself
+owns, and compiles on a miss.
+
 A :class:`CompiledExecutable` is the analogue of an XLA executable: a
 flat schedule of (fused) instructions with all graph analysis done at
 compile time.  Executing one:
@@ -26,12 +32,14 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import UnimplementedError
 from repro.runtime.device import Device
-from repro.tensor import Tensor
+from repro.tensor import Tensor, TensorSpec
+from repro.graph import fusion as graph_fusion
 from repro.graph.function import GraphFunction
-from repro.xla import fusion as fusion_pass
 from repro.xla import hlo
 
-__all__ = ["CompiledExecutable", "compile_function"]
+__all__ = ["CompiledExecutable", "compile_function", "executable_for"]
+
+_HANDLE_DTYPES = (dtypes.resource, dtypes.variant)
 
 
 class CompiledExecutable:
@@ -49,6 +57,10 @@ class CompiledExecutable:
             if i.opcode == "Parameter"
         }
         self.num_launch_instructions = len(self._schedule)
+        self._root_dtypes = [
+            computation.instructions[i].output_specs[slot].dtype
+            for i, slot in computation.roots
+        ]
 
         # Last-use analysis: free each intermediate buffer right after
         # its final consumer (the buffer-reuse benefit of §4.1, same as
@@ -101,6 +113,24 @@ class CompiledExecutable:
         device.count_kernel_launch()
         return [env[root] for root in self.computation.roots]
 
+    def run(self, inputs: Sequence[Tensor], device: Device) -> list[Tensor]:
+        """:meth:`execute` over tensors: inputs held elsewhere are copied
+        to ``device`` (handles pass by reference), outputs live on it."""
+        arrays = [
+            t._array
+            if t._device is device or t._dtype in _HANDLE_DTYPES
+            else device.allocate(t._array)
+            for t in inputs
+        ]
+        return [
+            Tensor._from_buffer(
+                arr if dtype in _HANDLE_DTYPES else device.wrap_output(arr),
+                dtype,
+                device,
+            )
+            for arr, dtype in zip(self.execute(arrays, device), self._root_dtypes)
+        ]
+
     def __repr__(self) -> str:
         return (
             f"<CompiledExecutable {self.name!r}: "
@@ -109,20 +139,21 @@ class CompiledExecutable:
         )
 
 
-def compile_function(
-    fn: GraphFunction,
-    fuse: bool = True,
-    name: Optional[str] = None,
-) -> CompiledExecutable:
+def compile_function(fn: GraphFunction, name: Optional[str] = None) -> CompiledExecutable:
     """Compile a graph function into an accelerator executable.
 
-    Compilation is *shape-monomorphic*: the roofline cost model and the
-    fusion heuristics consume per-instruction flop/byte counts, which
-    require every dimension to be known.  A symbolic (relaxed) trace
-    must be specialized to concrete input shapes first —
-    :meth:`repro.core.pipeline.CompilationPipeline.compile` does this
-    and callers keep a per-shape executable cache under the one
-    symbolic trace.
+    Operation fusion (paper §4.4) is the graph clusterer's: the fused
+    regions ``fn`` already has are lowered as they are, and a function
+    that has none (``context.graph_fusion`` off, or built by hand) is
+    fused on a private clone, so ``fn`` and its plan are never touched.
+
+    Compilation is *shape-monomorphic*: the roofline cost model consumes
+    per-instruction flop/byte counts, which require every dimension to
+    be known.  A symbolic (relaxed) trace must be specialized to
+    concrete input shapes first —
+    :meth:`repro.core.pipeline.CompilationPipeline.compile` does this,
+    and :func:`executable_for` keeps one executable per shape under the
+    one symbolic trace.
     """
     for spec in fn.input_specs:
         if not spec.is_fully_defined:
@@ -133,8 +164,43 @@ def compile_function(
                 "CompilationPipeline.compile(fn, input_specs=...))."
             )
     start = time.perf_counter()
+    if not graph_fusion.has_fused_nodes(fn):
+        fn = graph_fusion.defuse_function(fn)  # a replay clone
+        graph_fusion.fuse_function(fn)
     computation = hlo.lower(fn, name=name)
-    if fuse:
-        computation = fusion_pass.fuse_elementwise(computation)
     compile_time_us = (time.perf_counter() - start) * 1e6
     return CompiledExecutable(computation, compile_time_us=compile_time_us)
+
+
+def executable_for(fn: GraphFunction, inputs: Sequence[Tensor]) -> CompiledExecutable:
+    """The executable that runs ``fn`` on ``inputs``, compiled on first use.
+
+    Executables live in ``fn.executables`` and nowhere else, so they die
+    with the function and go when its plan is released.  A static
+    signature has one entry (key ``None``); a symbolic one is
+    specialized per concrete input-shape tuple it is called with.  A
+    function XLA-sim cannot compile (e.g. a ``py_func`` inside) stores
+    the reason instead, raised as ``UnimplementedError`` on every
+    request without compiling again.
+    """
+    key = None
+    if not all(spec.is_fully_defined for spec in fn.input_specs):
+        key = tuple(t.shape.as_tuple() for t in inputs)
+    exe = fn.executables.get(key)
+    if exe is None:
+        from repro.core.pipeline import CompilationPipeline
+
+        with fn._build_lock:
+            exe = fn.executables.get(key)
+            if exe is None:
+                try:
+                    exe = CompilationPipeline().compile(
+                        fn,
+                        input_specs=[TensorSpec(t.shape, t.dtype) for t in inputs],
+                    )
+                except UnimplementedError as exc:
+                    exe = str(exc)
+                fn.executables[key] = exe
+    if isinstance(exe, str):
+        raise UnimplementedError(exe)
+    return exe

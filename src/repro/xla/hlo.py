@@ -7,7 +7,11 @@ an :class:`HloComputation` — a flat, topologically-ordered list of
 * a kernel closure (the same NumPy kernel the interpreter would run),
 * output specs, and
 * a cost estimate (FLOPs and bytes accessed) used by the simulated TPU
-  clock and by the fusion heuristics.
+  clock.
+
+Fusion is not decided here: a ``FusedElementwise`` node, clustered by
+:mod:`repro.graph.fusion`, lowers to one ``Fusion`` instruction whose
+kernel is the node's :class:`~repro.graph.fusion.FusionRegion`.
 
 Multi-output operations are modelled directly (one instruction, several
 outputs) rather than through tuples + GetTupleElement; the difference
@@ -27,14 +31,10 @@ from repro.framework.tensor_shape import TensorShape
 from repro.ops import registry
 from repro.tensor import TensorSpec
 from repro.graph.function import GraphFunction
+from repro.graph.fusion import FUSED_OP
 from repro.graph.graph import Node, SymbolicTensor
 
 __all__ = ["HloInstruction", "HloComputation", "lower"]
-
-# Opcodes whose cost is ~1 FLOP per output element and which are
-# candidates for elementwise fusion.  The set is shared with the
-# graph-level fusion pass; the registry hosts the single definition.
-ELEMENTWISE_OPCODES = registry.ELEMENTWISE_OPS
 
 # Ops the TPU backend refuses to compile (host-only semantics).
 UNCOMPILABLE = frozenset({"EagerPyFunc"})
@@ -52,12 +52,6 @@ class HloInstruction:
     kernel: Optional[Callable] = None
     flops: float = 0.0
     bytes_accessed: float = 0.0
-    # For Fusion instructions: the fused sub-instructions, in order.
-    fused: Optional[list["HloInstruction"]] = None
-
-    @property
-    def is_elementwise(self) -> bool:
-        return self.opcode in ELEMENTWISE_OPCODES
 
     def __repr__(self) -> str:
         ops = ", ".join(f"%{i}.{s}" for i, s in self.operands)
@@ -131,13 +125,6 @@ def estimate_cost(node_op: str, input_specs: Sequence[TensorSpec],
 
 def lower(fn: GraphFunction, name: Optional[str] = None) -> HloComputation:
     """Lower a graph function into an HLO computation."""
-    from repro.graph import fusion as graph_fusion
-
-    if graph_fusion.has_fused_nodes(fn):
-        # Interpreter-level fused regions are opaque closures; expand
-        # them back to primitives so the XLA-sim's own fusion pass (and
-        # its cost model) can see the real ops.
-        fn = graph_fusion.defuse_function(fn)
     instructions: list[HloInstruction] = []
     slot_of: dict[int, tuple[int, int]] = {}  # id(symbolic tensor) -> (instr, slot)
 
@@ -170,10 +157,24 @@ def lower(fn: GraphFunction, name: Optional[str] = None) -> HloComputation:
         operands = [slot_of[id(t)] for t in node.inputs]
         in_specs = [TensorSpec(t.shape, t.dtype) for t in node.inputs]
         out_specs = [TensorSpec(t.shape, t.dtype) for t in node.outputs]
-        if node.op_name == "PartitionedCall":
-            kernel = _call_kernel(node.attrs["f"])
-            inner = lower(node.attrs["f"], name=f"{node.attrs['f'].name}_inner")
+        opcode, attrs = node.op_name, node.attrs
+        if opcode == "PartitionedCall":
+            kernel = _call_kernel(attrs["f"])
+            inner = lower(attrs["f"], name=f"{attrs['f'].name}_inner")
             flops, bytes_accessed = inner.total_flops, inner.total_bytes
+        elif opcode == FUSED_OP:
+            # One launch running every member's flops, with memory
+            # traffic only for what enters and leaves the region.
+            region = attrs["region"]
+            opcode, kernel, attrs = "Fusion", region, {"ops": region.op_names}
+            slots = region.slot_specs(node.inputs)
+            flops = 0.0
+            for out, step in enumerate(region.steps, region.num_inputs):
+                op_name, _k, _ik, step_attrs, in_refs, _d, _dies = step
+                flops += estimate_cost(
+                    op_name, [slots[r] for r in in_refs], [slots[out]], step_attrs
+                )[0]
+            bytes_accessed = float(sum(map(_spec_bytes, in_specs + out_specs)))
         else:
             kernel = _node_kernel(node)
             flops, bytes_accessed = estimate_cost(
@@ -181,9 +182,9 @@ def lower(fn: GraphFunction, name: Optional[str] = None) -> HloComputation:
             )
         instr = HloInstruction(
             index=len(instructions),
-            opcode=node.op_name,
+            opcode=opcode,
             operands=operands,
-            attrs=dict(node.attrs),
+            attrs=dict(attrs),
             output_specs=out_specs,
             kernel=kernel,
             flops=flops,

@@ -6,15 +6,19 @@ bridges the runtime to the compiler:
 * **Per-operation execution** — "It is possible to run single
   operations on a TPU using TensorFlow Eager ... but the overhead of
   compiling operations for TPU and dispatching the generated code is
-  significant" (paper §4.4).  Each distinct (op, signature) compiles
-  once into a one-op program (cached), but *every execution* pays the
-  program-launch overhead — the mechanism behind Table 1's slow
-  imperative rows.
+  significant" (paper §4.4).  Each distinct (op, signature) becomes a
+  one-op graph function (cached) that compiles once, but *every
+  execution* pays the program-launch overhead — the mechanism behind
+  Table 1's slow imperative rows.
 
 * **Whole-function execution** — a ``PartitionedCall`` landing on the
   TPU compiles the callee into a single program; one launch then covers
   the entire training step ("when amortized over a large graph
   function, this overhead becomes negligible").
+
+Both reach the compiler through
+:func:`repro.xla.compiler.executable_for`, so the executables sit on the
+graph functions they were compiled from, not in this module.
 """
 
 from __future__ import annotations
@@ -24,21 +28,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.framework import dtypes
 from repro.framework.errors import UnimplementedError
 from repro.ops import registry
 from repro.runtime import dispatch
 from repro.runtime.device import Device
-from repro.tensor import Tensor, TensorSpec
-from repro.graph.function import GraphFunction, placeholder
-from repro.xla.compiler import CompiledExecutable, compile_function
+from repro.tensor import TensorSpec
+from repro.graph.function import GraphFunction
+from repro.xla.compiler import executable_for
 
 __all__ = ["install", "uninstall", "compile_cache_stats"]
 
-_op_cache: dict = {}
-_fn_cache: dict = {}
+_op_cache: dict = {}  # (op, signature, attrs) -> one-op GraphFunction
 _cache_lock = threading.Lock()
-_stats = {"op_compiles": 0, "fn_compiles": 0, "launches": 0}
+_stats = {"op_compiles": 0, "launches": 0}
 
 
 def compile_cache_stats() -> dict:
@@ -56,22 +58,23 @@ def _attr_cache_key(attrs: dict) -> tuple:
         if isinstance(v, np.ndarray):
             items.append((k, ("ndarray", v.shape, str(v.dtype), v.tobytes())))
         elif callable(v) or hasattr(v, "graph"):
+            # Sound as a key: the cached one-op function's node holds
+            # ``v``, so its address is not reused while the entry lives.
             items.append((k, ("object", id(v))))
         else:
             items.append((k, repr(v)))
     return tuple(items)
 
 
-def _single_op_program(op_name: str, inputs, attrs: dict) -> CompiledExecutable:
-    """Build (or fetch) the one-op program for an eager TPU dispatch."""
+def _single_op_function(op_name: str, inputs, attrs: dict) -> GraphFunction:
+    """Build (or fetch) the one-op function for an eager TPU dispatch."""
     key = (op_name, _signature(inputs), _attr_cache_key(attrs))
     with _cache_lock:
-        prog = _op_cache.get(key)
-    if prog is not None:
-        return prog
+        fn = _op_cache.get(key)
+    if fn is not None:
+        return fn
     from repro.core.tracing import FuncGraph
     from repro.runtime.executor import execute
-    from repro.runtime.context import context
 
     graph = FuncGraph(name=f"tpu_{op_name}")
     with graph.as_default():
@@ -83,62 +86,25 @@ def _single_op_program(op_name: str, inputs, attrs: dict) -> CompiledExecutable:
     if not isinstance(outputs, tuple):
         outputs = (outputs,) if outputs is not None else ()
     fn = GraphFunction(f"tpu_{op_name}", graph, inputs=phs, outputs=list(outputs))
-    prog = compile_function(fn)
     with _cache_lock:
-        _op_cache[key] = prog
+        fn = _op_cache.setdefault(key, fn)
         _stats["op_compiles"] += 1
-    return prog
-
-
-def _function_program(fn: GraphFunction) -> CompiledExecutable:
-    with _cache_lock:
-        prog = _fn_cache.get(id(fn))
-    if prog is not None:
-        return prog
-    prog = compile_function(fn)
-    with _cache_lock:
-        _fn_cache[id(fn)] = prog
-        _stats["fn_compiles"] += 1
-    return prog
+    return fn
 
 
 def run_op_on_tpu(device: Device, op_name: str, inputs: Sequence, attrs: dict) -> list:
     """The compiled-op runner installed into the eager executor."""
     inputs = list(inputs)
     if op_name == "PartitionedCall":
-        prog = _function_program(attrs["f"])
         fn = attrs["f"]
-        out_specs = fn.output_specs
     else:
         if not registry.has_kernel(op_name, "CPU"):
             raise UnimplementedError(
                 f"Operation {op_name!r} has no compilable kernel"
             )
-        prog = _single_op_program(op_name, inputs, attrs)
-        out_specs = None
-
-    arrays = []
-    for t in inputs:
-        if t.dtype in (dtypes.resource, dtypes.variant):
-            arrays.append(t._array)
-        elif t.device_object is not device:
-            arrays.append(device.allocate(np.asarray(t.numpy())))
-        else:
-            arrays.append(t._array)
-    results = prog.execute(arrays, device)
+        fn = _single_op_function(op_name, inputs, attrs)
+    outputs = executable_for(fn, inputs).run(inputs, device)
     _stats["launches"] += 1
-
-    outputs = []
-    for i, arr in enumerate(results):
-        arr = np.asarray(arr)
-        if out_specs is not None and out_specs[i].dtype in (
-            dtypes.resource,
-            dtypes.variant,
-        ):
-            outputs.append(Tensor._from_buffer(arr, out_specs[i].dtype, device))
-            continue
-        buf = device.allocate(arr)
-        outputs.append(Tensor._from_buffer(buf, dtypes.as_dtype(arr.dtype), device))
     return outputs
 
 
@@ -156,5 +122,4 @@ def uninstall() -> None:
 def reset_caches() -> None:
     with _cache_lock:
         _op_cache.clear()
-        _fn_cache.clear()
-        _stats.update({"op_compiles": 0, "fn_compiles": 0, "launches": 0})
+        _stats.update({"op_compiles": 0, "launches": 0})

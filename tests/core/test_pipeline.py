@@ -148,7 +148,7 @@ class TestPerShapeCompiledCache:
         concrete = f.get_concrete_function(
             repro.constant(np.ones((4, 3), np.float32))
         )
-        assert set(concrete._compiled_cache) == {((4, 3),), ((6, 3),)}
+        assert set(concrete.graph_function.executables) == {((4, 3),), ((6, 3),)}
 
     def test_release_clears_per_shape_cache(self):
         @repro.function(experimental_relax_shapes=True, jit_compile=True)
@@ -160,9 +160,9 @@ class TestPerShapeCompiledCache:
         concrete = f.get_concrete_function(
             repro.constant(np.ones((4, 3), np.float32))
         )
-        assert concrete._compiled_cache
+        assert concrete.graph_function.executables
         concrete.release()
-        assert not concrete._compiled_cache
+        assert not concrete.graph_function.executables
 
 
 def _count_infer_calls(monkeypatch):

@@ -194,13 +194,13 @@ class TestLRUCache:
         x1 = _batch(2)
         f(x1)
         concrete = f.get_concrete_function(x1)
-        assert concrete._compiled is not None
+        assert concrete.graph_function.executables
         with repro.GradientTape() as tape:
             tape.watch(x1)
             f(x1)
         assert concrete._forward_backward is not None
         f(_batch(3))  # evicts the batch-2 trace
-        assert concrete._compiled is None
+        assert not concrete.graph_function.executables
         assert concrete._forward_backward is None
         assert concrete.graph_function._runner is None
         # An evicted concrete still works if a caller kept a handle.

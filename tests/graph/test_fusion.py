@@ -236,9 +236,9 @@ class TestInPlaceInsideRegion:
 
 
 class TestCompiledRegions:
-    """Regions specialize their step loop into generated code at build
-    time; the interpreted loop stays behind as the fallback and the two
-    must agree bit-for-bit."""
+    """Regions specialize their steps into generated code at build
+    time; ``run_steps`` (the error-attribution replay) is the reference
+    the generated code must agree with bit-for-bit."""
 
     def _region(self):
         def build(x):
@@ -267,8 +267,7 @@ class TestCompiledRegions:
         ins = ins[: region.num_inputs]
         assert len(ins) == region.num_inputs
         compiled = region([a.copy() for a in ins], device)
-        region._compiled = None
-        interpreted = region([a.copy() for a in ins], device)
+        interpreted = fusion.run_steps(region, [a.copy() for a in ins], device)
         np.testing.assert_array_equal(
             np.asarray(compiled), np.asarray(interpreted)
         )
@@ -391,6 +390,23 @@ class TestFusedErrorAttribution:
         with pytest.raises(ValueError, match="boom kernel exploded") as ei:
             fn.run([repro.constant([1.0, 2.0])])
         assert getattr(ei.value, "_repro_async_op", None) == "TestBoomElem"
+
+    def test_error_the_replay_cannot_reproduce_still_propagates(self):
+        fn = _fn(lambda x: repro.tanh(x * 2.0 + 1.0))
+        assert fusion.fuse_function(fn) == 1
+        region = _fused_nodes(fn)[0].attrs["region"]
+        kernel = region._compiled.__globals__["K0"]
+        calls = []
+
+        def interrupted_once(arrays, attrs, device):
+            calls.append(1)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return kernel(arrays, attrs, device)
+
+        region._compiled.__globals__["K0"] = interrupted_once
+        with pytest.raises(KeyboardInterrupt):
+            fn.run([repro.constant([1.0, 2.0])])
 
 
 class TestRegionCodeCache:
@@ -522,24 +538,23 @@ class TestRegionCodeCache:
         np.testing.assert_allclose(got_numpy, got_tracked, rtol=1e-6)
 
 
-class TestCodegenFallbackIsCounted:
-    def test_failure_is_reported_not_swallowed(self, monkeypatch):
+class TestCodegenIsTheOnlyExecutor:
+    def test_codegen_failure_raises_from_fuse_function(self, monkeypatch):
         def broken(num_inputs, wiring, out_refs):
             raise SyntaxError("generated source is bad")
 
         broken.cache_info = fusion._code_for.cache_info
         monkeypatch.setattr(fusion, "_code_for", broken)
         fn = _fn(lambda x: repro.tanh(x * 2.0 + 1.0))
-        assert fusion.fuse_function(fn) == 1
-        stats = fn._fusion_stats
-        assert stats["codegen_fallbacks"] == 1
-        assert stats["codegen_error"] == "SyntaxError: generated source is bad"
-        assert stats["code_cache"] == {"hits": 0, "misses": 0}
-        # The region still runs, interpreted.
+        nodes = list(fn.graph.nodes)
+        with pytest.raises(SyntaxError, match="generated source is bad"):
+            fusion.fuse_function(fn)
+        # Nothing was rewritten: the unfused graph still runs.
+        assert fn.graph.nodes == nodes
         (out,) = fn.run([repro.constant([0.0, 1.0])])
         np.testing.assert_allclose(out.numpy(), np.tanh([1.0, 3.0]), rtol=1e-6)
 
-    def test_execution_stats_surface_the_count(self):
+    def test_execution_stats_surface_the_code_cache(self):
         previous = context.graph_fusion
         context.graph_fusion = True
         try:
@@ -553,7 +568,5 @@ class TestCodegenFallbackIsCounted:
         finally:
             context.graph_fusion = previous
         assert trace["fused_regions"] == [3]
-        assert trace["codegen_fallbacks"] == 0
-        assert trace["codegen_error"] is None
         cache = trace["fusion_code_cache"]
         assert cache["hits"] + cache["misses"] == 1

@@ -97,8 +97,12 @@ class TestOptimizationSoundness:
     @settings(max_examples=30, deadline=None)
     @given(_programs(), st.integers(0, 2 ** 31 - 1))
     def test_compiled_execution_matches_interpreter(self, program, seed):
-        """XLA-sim lowering + fusion agree with the graph executor."""
+        """XLA-sim, lowering the graph clusterer's regions, agrees with
+        the graph executor — in values and in what the cost model may
+        and may not change."""
+        from repro.graph.fusion import defuse_function
         from repro.runtime.context import context
+        from repro.xla import hlo
         from repro.xla.compiler import compile_function
 
         steps, out_pick = program
@@ -111,3 +115,27 @@ class TestOptimizationSoundness:
         np.testing.assert_allclose(
             compiled, interpreted.numpy(), rtol=1e-6, equal_nan=True
         )
+        # Fusion moves no arithmetic, only memory traffic: the internal
+        # values of a region are never charged.
+        fused = exe.computation
+        unfused = hlo.lower(defuse_function(fn))
+        assert fused.total_flops == unfused.total_flops
+        regions = [i for i in fused.instructions if i.opcode == "Fusion"]
+        if regions:
+            assert fused.total_bytes < unfused.total_bytes
+        else:
+            assert fused.total_bytes == unfused.total_bytes
+        # Every op here is elementwise and hangs off the one input, so a
+        # value with two consumers (a diamond) never splits a region:
+        # what the output depends on is one Fusion (or the lone op a
+        # region of one is not built for).
+        live = {index for index, _slot in fused.roots}
+        for instr in reversed(fused.instructions):
+            if instr.index in live:
+                live.update(index for index, _slot in instr.operands)
+        launched = [
+            i.opcode
+            for i in fused.instructions
+            if i.index in live and i.opcode not in ("Parameter", "Const")
+        ]
+        assert launched == ["Fusion"] or len(launched) <= 1

@@ -7,7 +7,9 @@ paper's central claim is that staging is a *semantics-preserving*
 performance knob; lazy execution makes the same promise for eager
 dispatch.  Each :class:`Program` in :data:`CORPUS` is therefore run in
 all three modes and both its outputs and its tape gradients must agree
-to tight tolerances.
+to tight tolerances.  Three further columns re-run the staged mode
+under one configuration each — graph fusion forced on, one
+shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor).
 
 The corpus is deliberately small programs — elementwise chains, dense
 layers, softmax losses, convolutions, data-dependent control flow, an
@@ -29,6 +31,7 @@ __all__ = [
     "CORPUS",
     "MODES",
     "Program",
+    "assert_compiled_parity",
     "assert_fused_parity",
     "assert_parity",
     "assert_relaxed_parity",
@@ -110,32 +113,36 @@ def run_program(program: Program, mode: str, dtype: str):
     return out_np, grads_np
 
 
-def assert_parity(program: Program, dtype: str) -> None:
-    """Assert outputs and gradients agree across all three modes."""
+def _assert_matches_sync(program: Program, dtype: str, what: str, out, grads) -> None:
+    """``out``/``grads`` (produced by ``what``) equal sync eager's."""
     tol = _TOLERANCES[dtype]
     ref_out, ref_grads = run_program(program, "sync", dtype)
-    for mode in MODES[1:]:
-        out, grads = run_program(program, mode, dtype)
-        np.testing.assert_allclose(
-            out,
-            ref_out,
-            **tol,
-            err_msg=f"{program.name}: {mode} output diverged from sync eager",
+    np.testing.assert_allclose(
+        out,
+        ref_out,
+        **tol,
+        err_msg=f"{program.name}: {what} output diverged from sync eager",
+    )
+    assert len(grads) == len(ref_grads)
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert (g is None) == (ref is None), (
+            f"{program.name}: {what} gradient {i} connectivity differs "
+            f"from sync eager"
         )
-        assert len(grads) == len(ref_grads)
-        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
-            assert (g is None) == (ref is None), (
-                f"{program.name}: {mode} gradient {i} connectivity differs "
-                f"from sync eager"
+        if ref is not None:
+            np.testing.assert_allclose(
+                g,
+                ref,
+                **tol,
+                err_msg=f"{program.name}: {what} gradient {i} diverged "
+                f"from sync eager",
             )
-            if ref is not None:
-                np.testing.assert_allclose(
-                    g,
-                    ref,
-                    **tol,
-                    err_msg=f"{program.name}: {mode} gradient {i} diverged "
-                    f"from sync eager",
-                )
+
+
+def assert_parity(program: Program, dtype: str) -> None:
+    """Assert outputs and gradients agree across all three modes."""
+    for mode in MODES[1:]:
+        _assert_matches_sync(program, dtype, mode, *run_program(program, mode, dtype))
 
 
 def run_program_fused(program: Program, dtype: str):
@@ -163,29 +170,40 @@ def assert_fused_parity(program: Program, dtype: str) -> None:
     into one kernel dispatch must not change a single value, including
     through the staged backward function (which is fused independently).
     """
-    tol = _TOLERANCES[dtype]
-    ref_out, ref_grads = run_program(program, "sync", dtype)
-    out, grads = run_program_fused(program, dtype)
-    np.testing.assert_allclose(
-        out,
-        ref_out,
-        **tol,
-        err_msg=f"{program.name}: fused staged output diverged from sync eager",
+    _assert_matches_sync(
+        program, dtype, "fused staged", *run_program_fused(program, dtype)
     )
-    assert len(grads) == len(ref_grads)
-    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
-        assert (g is None) == (ref is None), (
-            f"{program.name}: fused staged gradient {i} connectivity differs "
-            f"from sync eager"
+
+
+def assert_compiled_parity(program: Program, dtype: str) -> None:
+    """Assert the XLA-sim executable matches sync eager (outputs + grads).
+
+    ``jit_compile=True`` sends a call no tape is watching through the
+    compiled executable — the same clustered graph, lowered region by
+    region to ``Fusion`` instructions — so the output is taken from such
+    a call; the gradients are taken through the same jitted function.
+    Every corpus program must compile: a program silently remembered as
+    uncompilable would run the plan and prove nothing.
+    """
+    from repro.xla.compiler import CompiledExecutable
+
+    arrays = program.make_inputs(np.random.default_rng(0))
+    dt = getattr(repro, dtype)
+    fn = repro.function(program.fn, autograph=True, jit_compile=True)
+    with repro.execution_mode("sync"):
+        tensors = [repro.constant(a, dtype=dt) for a in arrays]
+        out = np.asarray(fn(*tensors).numpy())
+        executables = fn.get_concrete_function(*tensors).graph_function.executables
+        assert [type(e) for e in executables.values()] == [CompiledExecutable], (
+            f"{program.name}: not compiled: {executables}"
         )
-        if ref is not None:
-            np.testing.assert_allclose(
-                g,
-                ref,
-                **tol,
-                err_msg=f"{program.name}: fused staged gradient {i} diverged "
-                f"from sync eager",
-            )
+        with repro.GradientTape() as tape:
+            for t in tensors:
+                tape.watch(t)
+            loss = repro.reduce_sum(fn(*tensors))
+        grads = tape.gradient(loss, tensors)
+        grads_np = [None if g is None else np.asarray(g.numpy()) for g in grads]
+    _assert_matches_sync(program, dtype, "compiled", out, grads_np)
 
 
 def run_program_relaxed(program: Program, dtype: str):
@@ -224,8 +242,6 @@ def run_program_relaxed(program: Program, dtype: str):
 
 def assert_relaxed_parity(program: Program, dtype: str) -> None:
     """Assert the relaxed trace matches sync eager, from one retrace."""
-    tol = _TOLERANCES[dtype]
-    ref_out, ref_grads = run_program(program, "sync", dtype)
     out, grads, fn = run_program_relaxed(program, dtype)
     stats = fn.cache_stats()
     assert fn.trace_count == 2, (
@@ -233,25 +249,7 @@ def assert_relaxed_parity(program: Program, dtype: str) -> None:
         f"{fn.trace_count} traces"
     )
     assert stats["relaxations"] == 1, f"{program.name}: {stats}"
-    np.testing.assert_allclose(
-        out,
-        ref_out,
-        **tol,
-        err_msg=f"{program.name}: relaxed-trace output diverged from sync eager",
-    )
-    assert len(grads) == len(ref_grads)
-    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
-        assert (g is None) == (ref is None), (
-            f"{program.name}: relaxed-trace gradient {i} connectivity differs"
-        )
-        if ref is not None:
-            np.testing.assert_allclose(
-                g,
-                ref,
-                **tol,
-                err_msg=f"{program.name}: relaxed-trace gradient {i} diverged "
-                f"from sync eager",
-            )
+    _assert_matches_sync(program, dtype, "relaxed-trace", out, grads)
 
 
 # -- the corpus --------------------------------------------------------------
