@@ -23,6 +23,7 @@ healthy-path overhead target plus the no-hang property.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -44,26 +45,33 @@ from repro.distribute import (
 from repro.runtime.context import context
 
 
-def _bench_us(fn, iterations: int, repeats: int) -> float:
-    """Best-of-``repeats`` mean microseconds per call of ``fn``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iterations)
-    return best * 1e6
+def _round_us(fn, iterations: int) -> float:
+    """Mean microseconds per call of ``fn`` over one timed round."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        fn()
+    return (time.perf_counter() - start) / iterations * 1e6
 
 
-def measure_healthy_path(iterations: int, repeats: int) -> tuple[float, float]:
-    """(baseline_us, fault_tolerant_us) per remote op on a healthy worker.
+def measure_healthy_path(iterations: int, rounds: int) -> tuple[float, float, float]:
+    """(baseline_us, guarded_us, overhead_pct) per remote op on a healthy worker.
 
-    Both runs use the identical eager → RemoteDevice.execute_op →
-    run_op → worker-queue path; the only difference is the machinery
-    under test: an armed deadline on every ``future.result`` plus the
-    idempotency check and retry wrapper around each request.
+    Both sides use the identical eager → remote op runner → run_op →
+    worker-queue path; the only difference is the machinery under test:
+    an armed deadline on every ``future.result`` plus the retry policy
+    around each request.
+
+    The sides alternate round by round, so a load phase on this box
+    lands on both instead of on whichever ran second.  The overhead is
+    the *median of the per-round guarded/unguarded ratios*: each ratio
+    compares two adjacent windows, and the median drops the rounds a
+    scheduling hiccup hit.  Per-side best-of (also reported) compares
+    each side's luckiest window and measured −7 %…+7 % on an overhead
+    the paired median puts at +1 %…+3 %.
     """
     workers = connect_to_cluster(ClusterSpec({"bench": 1}))
+    guarded_deadline = context.rpc_deadline_ms or 30000.0
+    guarded_policy = set_retry_policy(None) or RetryPolicy()
     try:
         device_name = next(iter(workers[0].devices))
         x = repro.constant(np.float32(1.0))
@@ -73,19 +81,19 @@ def measure_healthy_path(iterations: int, repeats: int) -> tuple[float, float]:
                 repro.add(x, x)
 
         remote_add()  # warm kernel caches
-
-        saved_deadline = context.rpc_deadline_ms
-        saved_policy = set_retry_policy(None)
-        context.rpc_deadline_ms = None
-        try:
-            baseline_us = _bench_us(remote_add, iterations, repeats)
-        finally:
-            context.rpc_deadline_ms = saved_deadline or 30000.0
-            set_retry_policy(saved_policy or RetryPolicy())
-
-        guarded_us = _bench_us(remote_add, iterations, repeats)
-        return baseline_us, guarded_us
+        baseline, guarded = [], []
+        for _ in range(rounds):
+            set_retry_policy(None)
+            context.rpc_deadline_ms = None
+            baseline.append(_round_us(remote_add, iterations))
+            set_retry_policy(guarded_policy)
+            context.rpc_deadline_ms = guarded_deadline
+            guarded.append(_round_us(remote_add, iterations))
+        ratio = statistics.median(g / b for g, b in zip(guarded, baseline))
+        return min(baseline), min(guarded), (ratio - 1.0) * 100.0
     finally:
+        set_retry_policy(guarded_policy)
+        context.rpc_deadline_ms = guarded_deadline
         shutdown_cluster(workers)
 
 
@@ -143,19 +151,18 @@ def measure_kill_recovery(deadline_ms: float) -> tuple[float, list]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke run")
-    parser.add_argument("--iterations", type=int, default=4000)
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--iterations", type=int, default=700, help="per round")
+    parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args()
 
-    iterations = 800 if args.quick else args.iterations
-    repeats = 5 if args.quick else args.repeats
-
-    baseline_us, guarded_us = measure_healthy_path(iterations, repeats)
-    overhead = (guarded_us - baseline_us) / baseline_us * 100.0
-    print("healthy path (remote scalar Add, best-of mean)")
+    iterations = 100 if args.quick else args.iterations
+    baseline_us, guarded_us, overhead = measure_healthy_path(
+        iterations, max(args.rounds, 5)
+    )
+    print("healthy path (remote scalar Add, best round of each side)")
     print(f"  {'no deadlines/retries':<28}{baseline_us:>10.2f} us/op")
     print(f"  {'deadline + retry policy':<28}{guarded_us:>10.2f} us/op")
-    print(f"  overhead: {overhead:+.2f}%  (target < 5%)")
+    print(f"  overhead: {overhead:+.2f}%  (median paired round, target < 5%)")
 
     succeeded, retries, mean_us = measure_transient_recovery(
         200 if args.quick else 1000

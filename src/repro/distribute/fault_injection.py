@@ -1,9 +1,11 @@
-"""Chaos-testing hooks for worker servers.
+"""Chaos-testing hooks for worker servers and served models.
 
 The fault-tolerance layer is only trustworthy if it can be exercised:
-this module installs controlled faults on a :class:`WorkerServer` so
-tests and the chaos benchmark can prove that deadlines fire, retries
-recover, and strategy steps degrade instead of hanging.
+this module installs controlled faults on a
+:class:`~repro.runtime.workqueue.WorkQueue` (a :class:`WorkerServer`, a
+:class:`~repro.serving.ServedModel`) so tests and the chaos benchmark
+can prove that deadlines fire, retries recover, and strategy steps
+degrade instead of hanging.
 
 A :class:`FaultInjector` wraps one worker and applies an ordered list
 of rules on the worker's serve thread, one request at a time::
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.framework.errors import AbortedError, InvalidArgumentError
-from repro.distribute.worker import DROP_REQUEST, WorkerServer
+from repro.runtime.workqueue import DROP_REQUEST, WorkQueue
 
 __all__ = ["FaultInjector"]
 
@@ -52,7 +54,7 @@ class _Rule:
 class FaultInjector:
     """Installable drop / delay / fail / kill faults for one worker."""
 
-    def __init__(self, worker: WorkerServer) -> None:
+    def __init__(self, worker: WorkQueue) -> None:
         self._worker = worker
         self._rules: list[_Rule] = []
         self._lock = threading.Lock()
@@ -142,8 +144,8 @@ class FaultInjector:
                 f"Injected fault: {op_name!r} aborted on worker "
                 f"{self._worker.address!r}"
             )
-        # kind == "kill": the worker's serve loop notices `_running` is
-        # now False and fails the triggering request with
+        # kind == "kill": the fault step that called us notices the
+        # queue is abandoned and fails the triggering request with
         # UnavailableError, exactly like a crash mid-request.
         self._worker.kill()
         return None

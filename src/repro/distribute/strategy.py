@@ -218,10 +218,11 @@ class DataParallelStrategy:
                             out = fn(*args)
                         else:
                             out = fn(args)
-                    # Async eager: force pending outputs *inside* the
-                    # replica, so a worker that died mid-step surfaces
-                    # here — where the degradation logic can reshard —
-                    # not at some later observation of the value.
+                    # Lazy mode returns PendingTensors: force them
+                    # *inside* the replica, so a worker that died
+                    # mid-step surfaces here — where the degradation
+                    # logic can reshard — not at some later observation
+                    # of the value.
                     for leaf in nest.flatten(out):
                         materialize = getattr(leaf, "_materialize", None)
                         if materialize is not None:

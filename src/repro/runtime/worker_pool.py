@@ -34,10 +34,12 @@ Mechanics
 * Errors are marshalled as ``(module, qualname, message)`` and
   re-raised in the parent at the dispatch site with their original
   type.
-* Teardown follows the distribute/worker lifecycle pattern: a
-  lifecycle lock, idempotent shutdown, explicit join timeout surfacing
-  :class:`InternalError`, and ``terminate()`` as the last resort so an
-  abnormal exit can never hang pytest.
+* Teardown keeps the wedged-join row of the request-queue lifecycle
+  (:mod:`repro.runtime.workqueue`, DESIGN.md §7.1) without being one —
+  there is no queue and no serve thread here, the caller blocks on the
+  pipe: idempotent shutdown, ``terminate()`` as the last resort, and
+  :class:`InternalError` when even that cannot reap the child in time,
+  so an abnormal exit can never hang pytest.
 
 Gate: ``context.process_devices`` / ``REPRO_PROCESS_DEVICES``
 (default off).
@@ -410,10 +412,9 @@ class DeviceWorker:
     def shutdown(self, timeout: float = 5.0) -> None:
         """Idempotent teardown with a hard join deadline.
 
-        Mirrors the distribute/worker lifecycle contract: a wedged child
-        is terminated, and if even SIGTERM cannot reap it within the
-        timeout an :class:`InternalError` names the worker instead of
-        letting pytest hang on interpreter exit.
+        A wedged child is terminated, and if even SIGTERM cannot reap it
+        within the timeout an :class:`InternalError` names the worker
+        instead of letting pytest hang on interpreter exit.
         """
         with self._lifecycle_lock:
             if self._shutdown:

@@ -20,11 +20,11 @@ and serves them from one long-lived process:
 * **SLO accounting** — per-model p50/p99 latency via
   :class:`~repro.runtime.profiler.LatencyHistogram`, with every settle
   also reported to the active profiler as a ``serving/<model>`` op.
-* **Fault tolerance** — transient failures retry under the
-  :mod:`repro.distribute.worker` retry policy, and a served model
-  exposes the same fault-hook surface as a worker, so
-  :class:`~repro.distribute.fault_injection.FaultInjector` drives
-  chaos tests against it unchanged.
+* **Fault tolerance** — a served model is the same
+  :class:`~repro.runtime.workqueue.WorkQueue` a cluster worker is:
+  transient failures retry under that module's retry policy, and the
+  distribution layer's ``FaultInjector`` drives chaos tests against
+  its fault hook unchanged.
 
 Quickstart::
 

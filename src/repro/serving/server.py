@@ -1,13 +1,13 @@
 """The multi-tenant model server: per-model queues, workers, and SLOs.
 
 Architecture (DESIGN.md §12): a :class:`ModelServer` is a registry of
-:class:`ServedModel` instances.  Each served model owns
+:class:`ServedModel` instances.  Each served model is a
+:class:`~repro.runtime.workqueue.WorkQueue` — a **bounded FIFO queue**
+of pending requests (admission control:
+:class:`~repro.framework.errors.ResourceExhaustedError` past the
+bound) and one **worker thread** draining it — that adds
 
-* a **bounded FIFO queue** of pending requests (admission control:
-  :class:`~repro.framework.errors.ResourceExhaustedError` past the
-  bound),
-* one **worker thread** that drains the queue, coalescing up to
-  ``max_batch`` compatible requests per staged call
+* coalescing of up to ``max_batch`` compatible requests per staged call
   (:mod:`repro.serving.batching`), and
 * a **latency histogram** fed at settle time (queue wait + execution),
   the per-model p50/p99 the SLO gates read.
@@ -15,146 +15,59 @@ Architecture (DESIGN.md §12): a :class:`ModelServer` is a registry of
 Isolation is structural: nothing a model's worker does — stall, fail,
 die — touches another model's queue or thread.  Transient failures
 (:class:`UnavailableError`, :class:`DeadlineExceededError`,
-:class:`AbortedError`) retry under the module retry policy from
-:mod:`repro.distribute.worker`; a batch that still fails is re-executed
+:class:`AbortedError`) retry under the retry policy of
+:mod:`repro.runtime.workqueue`; a batch that still fails is re-executed
 per request so one poisoned input cannot fail its batch neighbors.
 """
 
 from __future__ import annotations
 
-import collections
 import threading
 import time
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.framework.errors import (
     AlreadyExistsError,
-    DeadlineExceededError,
+    InternalError,
     InvalidArgumentError,
     NotFoundError,
     ResourceExhaustedError,
-    UnavailableError,
 )
 from repro.core.saved_function import LoadedFunction, load
-from repro.distribute.worker import DROP_REQUEST, get_retry_policy
 from repro.runtime import profiler
+from repro.runtime.context import device as device_scope
+from repro.runtime.workqueue import RequestFuture as ServingFuture
+from repro.runtime.workqueue import WorkQueue, call_with_retries
 from repro.tensor import TensorBase, convert_to_tensor
 from repro.serving import batching
 
 __all__ = ["ModelServer", "ServedModel", "ServingFuture"]
-
-#: Sentinel distinguishing "use the module retry policy" from None.
-_DEFAULT_RETRY = object()
 
 
 class _DroppedRequest(Exception):
     """Internal control flow: an injected DROP_REQUEST — never answer."""
 
 
-class ServingFuture:
-    """The settled-later result of one submitted request.
-
-    ``result()`` blocks until the worker settles the future or the
-    request's deadline passes — the deadline covers queue wait *and*
-    execution, so a dropped or stalled request surfaces as
-    :class:`~repro.framework.errors.DeadlineExceededError` rather than
-    a hang.  Futures settle exactly once; ``result()`` may be called
-    from any thread, any number of times.
-    """
-
-    __slots__ = (
-        "_lock",
-        "_done",
-        "_event",
-        "_result",
-        "_error",
-        "enqueued_at",
-        "deadline",
-        "size",
-    )
-
-    def __init__(self, deadline: Optional[float], size: int) -> None:
-        # The wake-up Event is allocated lazily, only by a result()
-        # call that actually has to block: at saturation most futures
-        # are settled before anyone waits, and Event construction is a
-        # measurable per-request cost.  The (cheap, C-level) lock makes
-        # the settle/create-event handoff race-free.
-        self._lock = threading.Lock()
-        self._done = False
-        self._event: Optional[threading.Event] = None
-        self._result = None
-        self._error: Optional[BaseException] = None
-        self.enqueued_at = time.perf_counter()
-        self.deadline = deadline  # absolute perf_counter time, or None
-        self.size = size  # this request's leading-dim contribution
-
-    def _settle(self, result) -> None:
-        with self._lock:
-            self._result = result
-            self._done = True
-            event = self._event
-        if event is not None:
-            event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        with self._lock:
-            self._error = error
-            self._done = True
-            event = self._event
-        if event is not None:
-            event.set()
-
-    def done(self) -> bool:
-        return self._done
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        if self.deadline is None:
-            return False
-        return (time.perf_counter() if now is None else now) > self.deadline
-
-    def result(self, timeout: Optional[float] = None):
-        """The request's output structure (or its raised failure)."""
-        if not self._done:
-            with self._lock:
-                settled = self._done
-                if not settled:
-                    event = self._event
-                    if event is None:
-                        event = self._event = threading.Event()
-            if not settled:
-                if timeout is not None:
-                    wait = timeout
-                elif self.deadline is not None:
-                    wait = max(self.deadline - time.perf_counter(), 0.0)
-                else:
-                    wait = None
-                if not event.wait(wait):
-                    raise DeadlineExceededError(
-                        "Serving request did not complete within its deadline"
-                    )
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-
 class _Request:
-    __slots__ = ("args", "signature", "future")
+    __slots__ = ("args", "signature", "size", "future", "enqueued_at")
 
-    def __init__(self, args, signature, future: ServingFuture) -> None:
+    def __init__(self, args, signature, size: int, future: ServingFuture) -> None:
         self.args = args
         self.signature = signature
+        self.size = size  # this request's leading-dim contribution
         self.future = future
+        self.enqueued_at = time.perf_counter()
 
 
-class ServedModel:
+class ServedModel(WorkQueue):
     """One loaded model: its queue, its worker thread, its SLO books.
 
-    Exposes the same fault surface as a
-    :class:`~repro.distribute.worker.WorkerServer`
-    (``install_fault_hook`` / ``kill`` / ``address``), so
-    :class:`~repro.distribute.fault_injection.FaultInjector` injects
-    delay/drop/fail/kill faults against a served model unchanged; hook
-    rules match on the model name.
+    The queue, future, fault hook, ``kill`` and shutdown escalation are
+    :class:`~repro.runtime.workqueue.WorkQueue`'s — the fault surface a
+    cluster worker has, so the distribution layer's ``FaultInjector``
+    injects delay/drop/fail/kill faults against a served model
+    unchanged; hook rules match on the model name, and the hook runs
+    ahead of every attempt of a staged call.
 
     ``max_batch`` is the most request rows the worker coalesces into one
     staged call (``1`` disables cross-request batching).  ``queue_depth``
@@ -175,7 +88,6 @@ class ServedModel:
         timeout_ms: Optional[float] = 1000.0,
         batch_window_ms: float = 0.0,
         device: Optional[str] = None,
-        retry_policy=_DEFAULT_RETRY,
     ) -> None:
         if max_batch < 1:
             raise InvalidArgumentError(f"max_batch must be >= 1, got {max_batch}")
@@ -185,19 +97,13 @@ class ServedModel:
             raise InvalidArgumentError(
                 f"timeout_ms must be positive or None, got {timeout_ms}"
             )
+        super().__init__(f"Model {name!r}", f"serving-{name}", depth=queue_depth)
         self.name = name
         self.fn = fn
         self._max_batch = max_batch
-        self._queue_depth = queue_depth
         self._timeout_ms = timeout_ms
         self._batch_window = max(batch_window_ms, 0.0) / 1000.0
         self._device = device
-        self._retry_policy = retry_policy
-        self._queue: collections.deque[_Request] = collections.deque()
-        self._cond = threading.Condition()
-        self._fault_hook: Optional[Callable] = None
-        self._alive = True
-        self._stopping = False
         self.latency = profiler.LatencyHistogram()
         self._stats_lock = threading.Lock()
         self._counters = {
@@ -213,42 +119,11 @@ class ServedModel:
             "retries": 0,
             "fallback_splits": 0,
         }
-        self._worker = threading.Thread(
-            target=self._serve_loop, name=f"serving-{name}", daemon=True
-        )
-        self._worker.start()
+        self._thread.start()
 
-    # -- the WorkerServer-compatible fault surface -------------------------
     @property
     def address(self) -> str:
         return f"serving://{self.name}"
-
-    def install_fault_hook(self, hook: Optional[Callable]) -> None:
-        """Install ``hook(model_name)`` ahead of every batch execution.
-
-        The hook may return ``None`` (proceed), return
-        :data:`~repro.distribute.worker.DROP_REQUEST` (the batch is
-        never answered; request deadlines fire), or raise (the batch
-        fails with that error — retried when the type is retryable).
-        """
-        self._fault_hook = hook
-
-    def kill(self) -> None:
-        """Crash the model: fail queued and future requests immediately."""
-        with self._cond:
-            self._alive = False
-            pending = list(self._queue)
-            self._queue.clear()
-            self._cond.notify_all()
-        for request in pending:
-            request.future._fail(
-                UnavailableError(f"Model {self.name!r} was killed")
-            )
-        self._count("failed", len(pending))
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
 
     # -- submission --------------------------------------------------------
     def submit(self, *args) -> ServingFuture:
@@ -260,25 +135,14 @@ class ServedModel:
                 f"inputs, got {len(tensors)}"
             )
         signature = batching.request_signature(tensors)
-        deadline = None
-        if self._timeout_ms is not None:
-            deadline = time.perf_counter() + self._timeout_ms / 1000.0
         size = batching.leading_size(tensors) if signature is not None else 1
-        future = ServingFuture(deadline, size)
-        with self._cond:
-            if not self._alive or self._stopping:
-                raise UnavailableError(
-                    f"Model {self.name!r} is not serving"
-                )
-            if len(self._queue) >= self._queue_depth:
-                self._count("rejected")
-                raise ResourceExhaustedError(
-                    f"Model {self.name!r} queue is full "
-                    f"({self._queue_depth} pending); shed load or retry later"
-                )
-            self._queue.append(_Request(tensors, signature, future))
-            self._count("submitted")
-            self._cond.notify()
+        future = ServingFuture(self._timeout_ms)
+        try:
+            self._enqueue(_Request(tensors, signature, size, future))
+        except ResourceExhaustedError:
+            self._count("rejected")
+            raise
+        self._count("submitted")
         return future
 
     def predict(self, *args):
@@ -286,30 +150,16 @@ class ServedModel:
         return self.submit(*args).result()
 
     # -- the worker loop ---------------------------------------------------
-    def _serve_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            if batch:
-                self._execute_batch(batch)
-
     def _next_batch(self) -> Optional[list]:
         """Dequeue the next coalesced batch (None: worker should exit)."""
         with self._cond:
-            while not self._queue:
-                if self._stopping or not self._alive:
-                    return None
-                self._cond.wait(0.1)
-            first = self._queue.popleft()
-            now = time.perf_counter()
-            if first.future.expired(now):
-                self._expire(first)
-                return []
+            first = self._take()
+            if first is None:
+                return None
             batch = [first]
             if first.signature is None or self._max_batch == 1:
                 return batch
-            deadline = now + self._batch_window
+            deadline = time.perf_counter() + self._batch_window
             while True:
                 self._gather_compatible(batch)
                 if len(batch) >= self._max_batch:
@@ -323,28 +173,23 @@ class ServedModel:
     def _gather_compatible(self, batch: list) -> None:
         """Pull queued requests matching ``batch[0]`` (caller holds lock)."""
         signature = batch[0].signature
-        budget = self._max_batch - sum(r.future.size for r in batch)
+        budget = self._max_batch - sum(r.size for r in batch)
         kept: list[_Request] = []
         now = time.perf_counter()
         while self._queue and budget > 0:
             request = self._queue.popleft()
             if request.future.expired(now):
                 self._expire(request)
-            elif request.signature == signature and request.future.size <= budget:
+            elif request.signature == signature and request.size <= budget:
                 batch.append(request)
-                budget -= request.future.size
+                budget -= request.size
             else:
                 kept.append(request)
         for request in reversed(kept):
             self._queue.appendleft(request)
 
     def _expire(self, request: _Request) -> None:
-        request.future._fail(
-            DeadlineExceededError(
-                f"Request to model {self.name!r} expired in queue "
-                f"(deadline {self._timeout_ms} ms)"
-            )
-        )
+        super()._expire(request)
         self._count("expired")
 
     def _execute_batch(self, batch: list) -> None:
@@ -366,8 +211,11 @@ class ServedModel:
             # result() call, exactly like a dropped RPC.
             self._count("dropped", len(batch))
             return
-        except BaseException as exc:
-            self._fail_or_split(batch, exc)
+        except BaseException:
+            # Isolate the blast radius: re-execute per request, so one
+            # poisoned input only fails its own future.
+            for request in batch:
+                self._run_single(request)
             return
         try:
             per_request = batching.split_results(result, sizes)
@@ -381,51 +229,32 @@ class ServedModel:
         for request, value in zip(batch, per_request):
             self._settle(request, value)
 
+    def _attempt(self, args: Sequence[TensorBase]):
+        if not self._fault_step(self.name):
+            raise _DroppedRequest()
+        if self._device is not None:
+            with device_scope(self._device):
+                return self.fn(*args)
+        return self.fn(*args)
+
+    def _note_retry(self, attempt: int, exc: BaseException) -> None:
+        self._count("retries")
+        prof = profiler.active
+        if prof is not None:
+            prof.add_retry(f"serving/{self.name}")
+
     def _call(self, args: Sequence[TensorBase]):
         """One staged call, retried for transient (retryable) failures.
 
         Every attempt — the first and each retry — passes through the
-        installed fault hook, matching the worker-server convention:
+        installed fault hook, as every attempt of a remote op does:
         consumable injected rules (``fail(times=2)``) are spent by
         retries, so a transient injected fault recovers via the policy
         while a persistent one fails after ``max_attempts``.
         """
-        policy = (
-            get_retry_policy()
-            if self._retry_policy is _DEFAULT_RETRY
-            else self._retry_policy
+        return call_with_retries(
+            lambda: self._attempt(args), lambda: self.alive, self._note_retry
         )
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                hook = self._fault_hook
-                if hook is not None:
-                    if hook(self.name) is DROP_REQUEST:
-                        raise _DroppedRequest()
-                if not self._alive:  # the hook killed us mid-request
-                    raise UnavailableError(f"Model {self.name!r} was killed")
-                if self._device is not None:
-                    from repro.runtime.context import device as device_scope
-
-                    with device_scope(self._device):
-                        return self.fn(*args)
-                return self.fn(*args)
-            except _DroppedRequest:
-                raise
-            except BaseException as exc:
-                retryable = (
-                    self._alive
-                    and policy is not None
-                    and isinstance(exc, policy.retryable)
-                )
-                if not retryable or attempt >= policy.max_attempts:
-                    raise
-                self._count("retries")
-                prof = profiler.active
-                if prof is not None:
-                    prof.add_retry(f"serving/{self.name}")
-                time.sleep(policy.backoff_seconds(attempt))
 
     def _run_single(self, request: _Request) -> None:
         try:
@@ -439,43 +268,25 @@ class ServedModel:
             return
         self._settle(request, result)
 
-    def _fail_or_split(self, batch: list, exc: BaseException) -> None:
-        """A batch failed terminally: isolate the blast radius.
-
-        A coalesced batch is re-executed per request so one poisoned
-        input only fails its own future; a single request just fails.
-        """
-        if len(batch) == 1:
-            batch[0].future._fail(exc)
-            self._count("failed")
-            return
-        for request in batch:
-            self._run_single(request)
-
     def _settle(self, request: _Request, value) -> None:
         request.future._settle(value)
-        elapsed = time.perf_counter() - request.future.enqueued_at
+        elapsed = time.perf_counter() - request.enqueued_at
         self.latency.add(elapsed)
         profiler.record(f"serving/{self.name}", elapsed)
         self._count("completed")
 
     # -- lifecycle / observability ----------------------------------------
-    def stop(self, drain: bool = True) -> None:
-        """Stop the worker; by default serve out the queued requests."""
-        with self._cond:
-            self._stopping = True
-            if not drain:
-                pending = list(self._queue)
-                self._queue.clear()
-            else:
-                pending = []
-            self._cond.notify_all()
-        for request in pending:
-            request.future._fail(
-                UnavailableError(f"Model {self.name!r} is shutting down")
-            )
-        if threading.current_thread() is not self._worker:
-            self._worker.join(timeout=30.0)
+    def kill(self) -> None:
+        """Crash the model: fail queued and future requests immediately."""
+        self._count("failed", len(self._close("dead (killed)", drain=False)))
+
+    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+        """Stop the worker; by default serve out the queued requests.
+
+        Raises :class:`~repro.framework.errors.InternalError` naming the
+        model when its worker is still alive ``timeout`` seconds later.
+        """
+        self.close(drain, timeout)
 
     def _count(self, key: str, by: int = 1) -> None:
         with self._stats_lock:
@@ -496,7 +307,7 @@ class ServedModel:
     def __repr__(self) -> str:
         return (
             f"<ServedModel {self.name!r}: max_batch={self._max_batch}, "
-            f"queue_depth={self._queue_depth}, alive={self._alive}>"
+            f"queue_depth={self._depth}, alive={self.alive}>"
         )
 
 
@@ -580,8 +391,14 @@ class ModelServer:
         with self._lock:
             models = list(self._models.values())
             self._models.clear()
+        wedged = []
         for model in models:
-            model.stop(drain=drain)
+            try:
+                model.stop(drain=drain)
+            except InternalError as exc:  # still stop the others
+                wedged.append(exc)
+        if wedged:
+            raise wedged[0]
 
     def __enter__(self) -> "ModelServer":
         return self

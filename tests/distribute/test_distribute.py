@@ -105,6 +105,52 @@ class TestRemoteExecution:
         np.testing.assert_allclose(b.cpu().numpy(), [2.0, 2.0])
 
 
+class TestSharedKernelPath:
+    """Remote ops run the dispatch core's kernel path on the worker
+    thread, so what holds locally holds behind the queue."""
+
+    def test_tracked_backend_crosses_the_remote_boundary(self, cluster):
+        from repro.backend.tracked import TRACKED_BACKEND
+        from repro.runtime.context import context
+
+        context.kernel_backend = "tracked"
+        x_np = np.arange(4, dtype=np.float32).reshape(2, 2)
+        calls = {}
+        for where in ("/cpu:0", "/job:training/task:0/device:CPU:0"):
+            with repro.device(where):
+                x = repro.constant(x_np)
+                TRACKED_BACKEND.reset_stats()
+                out = repro.matmul(x, x) + x
+                calls[where] = dict(TRACKED_BACKEND.primitive_calls)
+            assert out.backend == "tracked"
+            np.testing.assert_allclose(out.cpu().numpy(), x_np @ x_np + x_np)
+        local, remote = calls.values()
+        assert local == remote == {"MatMul": 1, "Add": 1}
+        assert "job:training" in out.device
+
+    def test_remote_function_body_dispatches_on_the_worker_thread(self, cluster):
+        """An op inside a remote PartitionedCall runs directly on the
+        serve thread — re-enqueueing it would deadlock the worker."""
+        seen = []
+
+        def where_am_i(x):
+            seen.append(threading.current_thread())
+            return x
+
+        @repro.function
+        def step(x):
+            return repro.py_func(where_am_i, [x * 2.0], repro.float32) + 1.0
+
+        worker = cluster[0]
+        before = worker.ops_served
+        with repro.device("/job:training/task:0/device:CPU:0"):
+            out = step(repro.constant([1.0, 2.0]))
+        np.testing.assert_allclose(out.cpu().numpy(), [3.0, 5.0])
+        assert seen == [worker._thread]
+        # The call itself plus each body op, counted once each.
+        assert worker.ops_served - before >= 3
+
+
 class TestLifecycle:
     def test_shutdown_rejects_new_work(self):
         workers = connect_to_cluster(ClusterSpec({"temp": 1}))

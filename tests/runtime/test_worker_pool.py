@@ -149,12 +149,6 @@ class TestErrorMarshalling:
 
 
 class TestLifecycle:
-    def test_shutdown_is_idempotent(self, process_devices):
-        w = worker_pool._worker_for(_gpu_device())
-        w.shutdown()
-        w.shutdown()  # second call is a no-op, not an error
-        assert not w._proc.is_alive()
-
     def test_knob_disable_stops_all_workers(self, process_devices):
         w = worker_pool._worker_for(_gpu_device())
         pid = w.pid
