@@ -17,11 +17,10 @@ is ``context.kernel_backend`` / ``REPRO_KERNEL_BACKEND``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from repro.framework.errors import AlreadyExistsError, NotFoundError
+from repro.ops import registry
 
 __all__ = [
     "ArrayBackend",
@@ -35,11 +34,13 @@ __all__ = [
 class ArrayBackend:
     """Protocol + base implementation for an array backend.
 
-    Subclasses override the primitives they accelerate; the base class
-    implements everything in terms of NumPy so a partial backend is
-    always complete.  Buffers flowing through the runtime must be (or
-    subclass) ``np.ndarray`` — the simulated devices, shared-memory
-    marshalling, and fusion codegen all assume NumPy's buffer protocol.
+    Subclasses override the primitives they accelerate.  The base
+    class's compute primitive for an op *is* that op's registered NumPy
+    kernel, so a partial backend is always complete and no backend
+    carries a second spelling of an op.  Buffers flowing through the
+    runtime must be (or subclass) ``np.ndarray`` — the simulated
+    devices, shared-memory marshalling, and fusion codegen all assume
+    NumPy's buffer protocol.
     """
 
     #: Registry key; subclasses must override.
@@ -74,80 +75,24 @@ class ArrayBackend:
 
     # -- compute primitives --------------------------------------------
     def elementwise(self, op_name: str, inputs: list, attrs: dict):
-        """Apply a (broadcasting) elementwise op to backend buffers."""
-        fn = _ELEMENTWISE_FNS.get(op_name)
-        if fn is None:
-            raise NotFoundError(
-                f"Backend {self.name!r} has no elementwise primitive for "
-                f"{op_name!r}"
-            )
-        return fn(*inputs, attrs)
+        """Apply an ``ELEMENTWISE`` op to backend buffers."""
+        return _numpy_kernel(op_name)(inputs, attrs, None)
 
     def matmul(self, a, b, transpose_a: bool = False, transpose_b: bool = False):
-        if transpose_a:
-            a = np.swapaxes(a, -1, -2)
-        if transpose_b:
-            b = np.swapaxes(b, -1, -2)
-        return np.matmul(a, b)
+        attrs = {"transpose_a": transpose_a, "transpose_b": transpose_b}
+        return _numpy_kernel("MatMul")([a, b], attrs, None)
 
     def reduce(self, op_name: str, x, axis, keepdims: bool = False):
-        fn = _REDUCE_FNS.get(op_name)
-        if fn is None:
-            raise NotFoundError(
-                f"Backend {self.name!r} has no reduction primitive for "
-                f"{op_name!r}"
-            )
-        return fn(x, axis=axis, keepdims=keepdims)
-
-    def cast(self, x, dtype):
-        return x.astype(np.dtype(dtype.name))
+        """Apply a ``REDUCTION`` op over ``axis`` to a backend buffer."""
+        attrs = {"axis": axis, "keepdims": keepdims}
+        return _numpy_kernel(op_name)([x], attrs, None)
 
     def __repr__(self) -> str:
         return f"<ArrayBackend {self.name!r}>"
 
 
-def _bool_out(fn):
-    return lambda *args: fn(*args[:-1])
-
-
-# Elementwise primitive table shared by the base implementation.  Each
-# entry takes the input buffers plus the attrs dict (last positional).
-_ELEMENTWISE_FNS: dict[str, Callable] = {
-    "Add": lambda x, y, a: np.add(x, y),
-    "Sub": lambda x, y, a: np.subtract(x, y),
-    "Mul": lambda x, y, a: np.multiply(x, y),
-    "RealDiv": lambda x, y, a: np.true_divide(x, y),
-    "Pow": lambda x, y, a: np.power(x, y),
-    "Maximum": lambda x, y, a: np.maximum(x, y),
-    "Minimum": lambda x, y, a: np.minimum(x, y),
-    "SquaredDifference": lambda x, y, a: np.square(np.subtract(x, y)),
-    "Neg": lambda x, a: np.negative(x),
-    "Abs": lambda x, a: np.abs(x),
-    "Exp": lambda x, a: np.exp(x),
-    "Log": lambda x, a: np.log(x),
-    "Sqrt": lambda x, a: np.sqrt(x),
-    "Rsqrt": lambda x, a: 1.0 / np.sqrt(x),
-    "Square": lambda x, a: np.square(x),
-    "Sin": lambda x, a: np.sin(x),
-    "Cos": lambda x, a: np.cos(x),
-    "Tanh": lambda x, a: np.tanh(x),
-    "Sigmoid": lambda x, a: 1.0 / (1.0 + np.exp(-x)),
-    "Relu": lambda x, a: np.maximum(x, 0),
-    "Less": lambda x, y, a: np.less(x, y),
-    "LessEqual": lambda x, y, a: np.less_equal(x, y),
-    "Greater": lambda x, y, a: np.greater(x, y),
-    "GreaterEqual": lambda x, y, a: np.greater_equal(x, y),
-    "Equal": lambda x, y, a: np.equal(x, y),
-    "NotEqual": lambda x, y, a: np.not_equal(x, y),
-}
-
-_REDUCE_FNS: dict[str, Callable] = {
-    "Sum": np.sum,
-    "Mean": np.mean,
-    "Max": np.max,
-    "Min": np.min,
-    "Prod": np.prod,
-}
+def _numpy_kernel(op_name: str):
+    return registry.get_kernel(op_name, "CPU", registry.DEFAULT_BACKEND)
 
 
 _BACKENDS: dict[str, ArrayBackend] = {}

@@ -1,35 +1,19 @@
 """Generic per-backend kernels routed through the ArrayBackend protocol.
 
-:func:`install_backend_kernels` registers one kernel per supported
-primitive under ``(op, device_type, backend.name)``.  Each kernel calls
-the backend's primitive (``elementwise``/``matmul``/``reduce``/``cast``)
-instead of raw ``np.*``, so a backend accelerates the hot op set by
-implementing four methods; every other op resolves to its NumPy
-fallback kernel.  Output dtype conventions match the NumPy kernels
-exactly (reductions preserve integer input dtypes) so backends are
-interchangeable under the conformance suite.
+:func:`install_backend_kernels` registers one kernel per routable op
+under ``(op, device_type, backend.name)``: every ``ELEMENTWISE`` op calls
+the backend's ``elementwise`` primitive, every ``REDUCTION`` its
+``reduce``, and ``MatMul`` its ``matmul``.  The routable set is read off
+the op traits, so it follows the op families; every other op resolves
+to its NumPy fallback kernel.  A backend accelerates the hot op set by
+overriding three methods, and inherits the NumPy kernels for the rest.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.backend import base
 from repro.ops import registry
 
-__all__ = ["install_backend_kernels", "BACKEND_ELEMENTWISE_OPS", "BACKEND_REDUCE_OPS"]
-
-#: Elementwise ops with a protocol primitive (subset of
-#: ``registry.ELEMENTWISE_OPS``; the rest fall back to NumPy kernels).
-BACKEND_ELEMENTWISE_OPS = frozenset(base._ELEMENTWISE_FNS)
-
-#: Reductions with a protocol primitive.
-BACKEND_REDUCE_OPS = frozenset(base._REDUCE_FNS)
-
-
-def _np_axis(attrs):
-    axis = attrs.get("axis")
-    return None if axis is None else tuple(axis)
+__all__ = ["install_backend_kernels"]
 
 
 def _make_elementwise(backend, op_name):
@@ -43,40 +27,16 @@ def _make_elementwise(backend, op_name):
 def _make_reduce(backend, op_name):
     def kernel(inputs, attrs, device):
         (x,) = inputs
-        out = backend.reduce(
-            op_name, x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False)
+        return backend.reduce(
+            op_name, x, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)
         )
-        # NumPy kernels keep integer reductions in the input dtype (and
-        # Mean always casts back); match them so plans stay backend-
-        # agnostic.
-        out_dtype = np.asarray(x).dtype
-        if np.asarray(out).dtype != out_dtype:
-            out = out.astype(out_dtype, copy=False)
-        return out
 
     kernel.__name__ = f"{backend.name}_{op_name}"
     return kernel
 
 
-def install_backend_kernels(backend, device_types=("CPU", "GPU")) -> int:
-    """Register protocol-routed kernels for ``backend``; returns count."""
-    installed = 0
-    for op_name in sorted(BACKEND_ELEMENTWISE_OPS):
-        if not registry.has_kernel(op_name, "CPU"):
-            continue  # op set may not define every primitive
-        registry.register_kernel(op_name, device_types, backend=backend.name)(
-            _make_elementwise(backend, op_name)
-        )
-        installed += 1
-    for op_name in sorted(BACKEND_REDUCE_OPS):
-        if not registry.has_kernel(op_name, "CPU"):
-            continue
-        registry.register_kernel(op_name, device_types, backend=backend.name)(
-            _make_reduce(backend, op_name)
-        )
-        installed += 1
-
-    def matmul_kernel(inputs, attrs, device):
+def _make_matmul(backend):
+    def kernel(inputs, attrs, device):
         a, b = inputs
         return backend.matmul(
             a,
@@ -85,15 +45,17 @@ def install_backend_kernels(backend, device_types=("CPU", "GPU")) -> int:
             transpose_b=attrs.get("transpose_b", False),
         )
 
-    registry.register_kernel("MatMul", device_types, backend=backend.name)(
-        matmul_kernel
-    )
-    installed += 1
+    kernel.__name__ = f"{backend.name}_MatMul"
+    return kernel
 
-    def cast_kernel(inputs, attrs, device):
-        (x,) = inputs
-        return backend.cast(x, attrs["dtype"])
 
-    registry.register_kernel("Cast", device_types, backend=backend.name)(cast_kernel)
-    installed += 1
-    return installed
+def install_backend_kernels(backend, device_types=("CPU", "GPU")) -> int:
+    """Register protocol-routed kernels for ``backend``; returns count."""
+    kernels = {"MatMul": _make_matmul(backend)}
+    for op_name in registry.ops_with_trait(registry.ELEMENTWISE):
+        kernels[op_name] = _make_elementwise(backend, op_name)
+    for op_name in registry.ops_with_trait(registry.REDUCTION):
+        kernels[op_name] = _make_reduce(backend, op_name)
+    for op_name, kernel in kernels.items():
+        registry.register_kernel(op_name, device_types, backend=backend.name)(kernel)
+    return len(kernels)

@@ -2,9 +2,8 @@
 
 Every kernel in :mod:`repro.ops` is registered against this backend
 (``register_kernel``'s default), so it needs no per-op kernels of its
-own — the base-class primitives exist for the conformance suite and for
-fused-region codegen, which emits against the active backend's
-primitives rather than raw ``np.*``.
+own, and the base-class compute primitives other backends inherit are
+those same kernels.
 """
 
 from __future__ import annotations

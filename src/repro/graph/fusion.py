@@ -55,17 +55,9 @@ __all__ = [
 
 FUSED_OP = "FusedElementwise"
 
-#: Candidate member set.
-FUSABLE_OPS = registry.ELEMENTWISE_OPS
-
 #: Don't emit a fused node for fewer than this many members (a region
 #: of one is just an op with extra indirection).
 MIN_REGION_SIZE = 2
-
-# Ops whose kernel may return an input array (or a view of it) instead
-# of a fresh allocation.  Their outputs can never donate their buffer,
-# and anything they alias is pinned.
-_ALIAS_OPS = frozenset({"Identity", "StopGradient"})
 
 
 class _SpecView:
@@ -322,7 +314,8 @@ def _fused_kernel(inputs, attrs, device):
 # ---------------------------------------------------------------------------
 
 def _fusable(node: Node) -> bool:
-    if node.op_name not in FUSABLE_OPS:
+    op_def = node.op_def
+    if registry.ELEMENTWISE not in op_def.traits:
         return False
     if node.device is not None or node.control_inputs:
         return False
@@ -330,7 +323,6 @@ def _fusable(node: Node) -> bool:
         return False
     if node.outputs[0].dtype in (dtypes.resource, dtypes.variant):
         return False
-    op_def = node.op_def
     if op_def.is_stateful or op_def.has_side_effects:
         return False
     return registry.has_kernel(node.op_name, "CPU")
@@ -559,10 +551,12 @@ def _build_region(
             if r >= num_ext:
                 last_use[r] = k
 
-    # Buffer aliasing: alias-op outputs share their input's buffer.
+    # Buffer aliasing: an ALIASES_INPUT member's output shares its
+    # input's buffer, so it can never donate it, and what it aliases is
+    # pinned.
     root = list(range(num_ext))
     for k, node in enumerate(member_nodes):
-        if node.op_name in _ALIAS_OPS:
+        if registry.ALIASES_INPUT in node.op_def.traits:
             root.append(root[step_in_refs[k][0]])
         else:
             root.append(num_ext + k)
@@ -618,7 +612,7 @@ def _build_region(
         if donate >= 0:
             slot_bytes[s] = slot_bytes.get(donate, nbytes)
             slot_bytes[donate] = 0
-        elif node.op_name in _ALIAS_OPS:
+        elif registry.ALIASES_INPUT in node.op_def.traits:
             slot_bytes[s] = 0  # a view; the root slot owns the bytes
         else:
             slot_bytes[s] = nbytes

@@ -39,8 +39,6 @@ DEFAULT_PASSES = ("prune", "fold", "arithmetic", "dedup_reads", "cse", "prune")
 # Never materialize folded constants bigger than this.
 _MAX_FOLD_ELEMENTS = 1 << 20
 
-_NEVER_FOLD = frozenset({"Const", "Placeholder"})
-
 
 def _attr_key(attrs: dict):
     if not attrs:
@@ -144,8 +142,7 @@ def constant_fold(fn) -> int:
             continue
         op_def = node.op_def
         if (
-            node.op_name in _NEVER_FOLD
-            or op_def.is_stateful
+            op_def.is_stateful
             or op_def.has_side_effects
             or not registry.has_kernel(node.op_name, "CPU")
         ):

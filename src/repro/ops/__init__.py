@@ -21,10 +21,6 @@ from repro.tensor import TensorBase, convert_to_tensor
 
 __all__ = ["execute", "execute_binary", "convert_operand"]
 
-_COMPARISON_OPS = frozenset(
-    {"Less", "LessEqual", "Greater", "GreaterEqual", "Equal", "NotEqual"}
-)
-
 # Scalar-literal tensor cache: `x * 2.0` style expressions create the
 # same tiny constant on every op dispatch; interning them removes an
 # allocation from the eager hot path (real TFE caches these as well).

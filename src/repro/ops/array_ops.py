@@ -16,8 +16,20 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
-from repro.ops.common import constant_or_none, contiguous, simple_kernel, unary_infer
-from repro.ops.registry import register_gradient, register_kernel, register_op
+from repro.ops.common import (
+    constant_or_none,
+    contiguous,
+    elementwise,
+    elementwise_unary,
+    simple_kernel,
+    sum_to_like,
+)
+from repro.ops.registry import (
+    ALIASES_INPUT,
+    register_gradient,
+    register_kernel,
+    register_op,
+)
 from repro.runtime.context import context, device as device_scope
 from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
 
@@ -132,9 +144,10 @@ def constant(value, dtype=None, shape=None) -> TensorBase:
     return execute("Const", [], {"value": arr})
 
 
-register_op("Identity", infer_fn=unary_infer)
-register_kernel("Identity")(simple_kernel(lambda x: x))
-register_gradient("Identity")(lambda op, grad: [grad])
+# Identity and StopGradient hand back their input buffer itself.
+elementwise_unary(
+    "Identity", lambda x: x, lambda op, grad: [grad], traits=(ALIASES_INPUT,)
+)
 
 
 def identity(x):
@@ -150,9 +163,9 @@ def copy_to_device(x, device_name: str):
         return identity(x)
 
 
-register_op("StopGradient", infer_fn=unary_infer)
-register_kernel("StopGradient")(simple_kernel(lambda x: x))
-register_gradient("StopGradient")(lambda op, grad: [None])
+elementwise_unary(
+    "StopGradient", lambda x: x, lambda op, grad: [None], traits=(ALIASES_INPUT,)
+)
 
 
 def stop_gradient(x):
@@ -862,9 +875,7 @@ def ones(shape_, dtype=dtypes.float32):
     )
 
 
-register_op("ZerosLike", infer_fn=unary_infer)
-register_kernel("ZerosLike")(simple_kernel(np.zeros_like))
-register_gradient("ZerosLike")(lambda op, grad: [None])
+elementwise_unary("ZerosLike", np.zeros_like, lambda op, grad: [None])
 
 
 def zeros_like(x):
@@ -874,9 +885,7 @@ def zeros_like(x):
     return execute("ZerosLike", [_convert(x)])
 
 
-register_op("OnesLike", infer_fn=unary_infer)
-register_kernel("OnesLike")(simple_kernel(np.ones_like))
-register_gradient("OnesLike")(lambda op, grad: [None])
+elementwise_unary("OnesLike", np.ones_like, lambda op, grad: [None])
 
 
 def ones_like(x):
@@ -1072,19 +1081,15 @@ def _select_infer(inputs, attrs):
     return [TensorSpec(s, x.dtype)]
 
 
-register_op("Select", infer_fn=_select_infer)
-register_kernel("Select")(simple_kernel(np.where))
-
-
-@register_gradient("Select")
 def _select_grad(op, grad):
-    from repro.ops.math_ops import _sum_to_like
-
     cond, x, y = op.inputs
     zero = zeros_like(grad)
     gx = where(cond, grad, zero)
     gy = where(cond, zero, grad)
-    return [None, _sum_to_like(gx, x), _sum_to_like(gy, y)]
+    return [None, sum_to_like(gx, x), sum_to_like(gy, y)]
+
+
+elementwise("Select", simple_kernel(np.where), _select_infer, _select_grad)
 
 
 def where(condition, x=None, y=None):

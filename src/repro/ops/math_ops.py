@@ -17,22 +17,20 @@ from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape, broadcast_shapes
 from repro.ops.common import (
-    comparison_infer,
+    comparison,
     constant_or_none,
-    elementwise_infer,
+    elementwise,
+    elementwise_binary,
+    elementwise_unary,
     normalize_axes,
+    reduce_kernel,
     reduced_shape,
-    reduction_infer,
+    reduction,
     simple_kernel,
+    sum_to_like,
     unary_infer,
 )
-from repro.ops.common import inplace_kernel
-from repro.ops.registry import (
-    register_gradient,
-    register_inplace_kernel,
-    register_kernel,
-    register_op,
-)
+from repro.ops.registry import SHAPE_PURE, register_gradient, register_kernel, register_op
 from repro.runtime.executor import execute
 from repro.tensor import TensorBase, TensorSpec, convert_to_tensor
 
@@ -142,82 +140,32 @@ def _sum_to_shape_grad(op, grad):
     return [array_ops.broadcast_to(grad, array_ops.shape(x)), None]
 
 
-def _sum_to_like(grad, x):
-    """Reduce a broadcasting-op gradient back to the shape of ``x``."""
-    from repro.ops import array_ops
-
-    gshape, xshape = grad.shape, x.shape
-    if gshape.is_fully_defined and xshape.is_fully_defined:
-        if gshape == xshape:
-            return grad
-        gdims, xdims = list(gshape.dims), list(xshape.dims)
-        extra = len(gdims) - len(xdims)
-        axes = list(range(extra)) + [
-            i + extra for i, d in enumerate(xdims) if d == 1 and gdims[i + extra] != 1
-        ]
-        if axes:
-            grad = reduce_sum(grad, axis=tuple(axes), keepdims=False)
-        return array_ops.reshape(grad, xdims)
-    return execute("SumToShape", [grad, array_ops.shape(x)])
-
-
 # ---------------------------------------------------------------------------
-# Binary elementwise arithmetic
+# Elementwise families
 # ---------------------------------------------------------------------------
-
-register_op("Add", infer_fn=elementwise_infer)
-register_kernel("Add")(simple_kernel(np.add))
-
-
-@register_gradient("Add")
-def _add_grad(op, grad):
-    x, y = op.inputs
-    return [_sum_to_like(grad, x), _sum_to_like(grad, y)]
+# One call per op: the family registers the op with its traits, inference,
+# NumPy kernel, in-place kernel (``inplace=True`` for ufuncs, whose
+# ``out=`` contract holds when ``out`` aliases an input) and gradient.  A
+# binary rule returns both partials, or yields them when its staged node
+# order should interleave with the broadcast reductions.
 
 
-register_op("Sub", infer_fn=elementwise_infer)
-register_kernel("Sub")(simple_kernel(np.subtract))
-
-
-@register_gradient("Sub")
 def _sub_grad(op, grad):
-    x, y = op.inputs
-    return [_sum_to_like(grad, x), _sum_to_like(negative(grad), y)]
+    yield grad
+    yield negative(grad)
 
 
-register_op("Mul", infer_fn=elementwise_infer)
-register_kernel("Mul")(simple_kernel(np.multiply))
-
-
-@register_gradient("Mul")
 def _mul_grad(op, grad):
     x, y = op.inputs
-    return [_sum_to_like(grad * y, x), _sum_to_like(grad * x, y)]
+    yield grad * y
+    yield grad * x
 
 
-register_op("RealDiv", infer_fn=elementwise_infer)
-register_kernel("RealDiv")(simple_kernel(np.true_divide))
-
-
-@register_gradient("RealDiv")
 def _realdiv_grad(op, grad):
-    x, y = op.inputs
-    gx = grad / y
-    gy = negative(grad * op.outputs[0] / y)
-    return [_sum_to_like(gx, x), _sum_to_like(gy, y)]
+    y = op.inputs[1]
+    return grad / y, negative(grad * op.outputs[0] / y)
 
 
-register_op("FloorDiv", infer_fn=elementwise_infer)
-register_kernel("FloorDiv")(simple_kernel(np.floor_divide))
-
-register_op("Mod", infer_fn=elementwise_infer)
-register_kernel("Mod")(simple_kernel(np.mod))
-
-register_op("Pow", infer_fn=elementwise_infer)
-register_kernel("Pow")(simple_kernel(np.power))
-
-
-@register_gradient("Pow")
 def _pow_grad(op, grad):
     x, y = op.inputs
     z = op.outputs[0]
@@ -225,8 +173,7 @@ def _pow_grad(op, grad):
     # d/dy x**y = x**y * log(x); guard log at x <= 0 like TF does.
     safe_x = maximum(x, _zeros_like_scalar(x))
     log_x = where_nonpositive_zero(x, log(maximum(safe_x, _tiny_like(x))))
-    gy = grad * z * log_x
-    return [_sum_to_like(gx, x), _sum_to_like(gy, y)]
+    return gx, grad * z * log_x
 
 
 def _ones_like_scalar(t):
@@ -248,145 +195,133 @@ def where_nonpositive_zero(x, value):
     return array_ops.where(greater(x, _zeros_like_scalar(x)), value, _zeros_like_scalar(x))
 
 
-register_op("SquaredDifference", infer_fn=elementwise_infer)
-register_kernel("SquaredDifference")(simple_kernel(lambda x, y: np.square(x - y)))
-
-
-@register_gradient("SquaredDifference")
 def _sqdiff_grad(op, grad):
     x, y = op.inputs
     two = convert_to_tensor(2, dtype=x.dtype)
     gx = grad * two * (x - y)
-    return [_sum_to_like(gx, x), _sum_to_like(negative(gx), y)]
+    yield gx
+    yield negative(gx)
 
 
-register_op("Maximum", infer_fn=elementwise_infer)
-register_kernel("Maximum")(simple_kernel(np.maximum))
-
-
-@register_gradient("Maximum")
-def _maximum_grad(op, grad):
+def _split_by(mask, grad):
+    """(grad where mask else 0, 0 where mask else grad): Maximum/Minimum."""
     from repro.ops import array_ops
 
-    x, y = op.inputs
-    mask = greater_equal(x, y)
     zero = _zeros_like_scalar(grad)
-    gx = array_ops.where(mask, grad, zero)
-    gy = array_ops.where(mask, zero, grad)
-    return [_sum_to_like(gx, x), _sum_to_like(gy, y)]
+    return array_ops.where(mask, grad, zero), array_ops.where(mask, zero, grad)
 
 
-register_op("Minimum", infer_fn=elementwise_infer)
-register_kernel("Minimum")(simple_kernel(np.minimum))
-
-
-@register_gradient("Minimum")
-def _minimum_grad(op, grad):
-    from repro.ops import array_ops
-
-    x, y = op.inputs
-    mask = less_equal(x, y)
-    zero = _zeros_like_scalar(grad)
-    gx = array_ops.where(mask, grad, zero)
-    gy = array_ops.where(mask, zero, grad)
-    return [_sum_to_like(gx, x), _sum_to_like(gy, y)]
-
-
-# ---------------------------------------------------------------------------
-# Unary elementwise
-# ---------------------------------------------------------------------------
-
-register_op("Neg", infer_fn=unary_infer)
-register_kernel("Neg")(simple_kernel(np.negative))
-register_gradient("Neg")(lambda op, grad: [negative(grad)])
-
-register_op("Abs", infer_fn=unary_infer)
-register_kernel("Abs")(simple_kernel(np.abs))
-register_gradient("Abs")(lambda op, grad: [grad * sign(op.inputs[0])])
-
-register_op("Reciprocal", infer_fn=unary_infer)
-register_kernel("Reciprocal")(simple_kernel(np.reciprocal))
-register_gradient("Reciprocal")(
-    lambda op, grad: [negative(grad * square(op.outputs[0]))]
+elementwise_binary("Add", np.add, lambda op, grad: (grad, grad), inplace=True)
+elementwise_binary("Sub", np.subtract, _sub_grad, inplace=True)
+elementwise_binary("Mul", np.multiply, _mul_grad, inplace=True)
+elementwise_binary("RealDiv", np.true_divide, _realdiv_grad, inplace=True)
+elementwise_binary("FloorDiv", np.floor_divide)
+elementwise_binary("Mod", np.mod)
+elementwise_binary("Pow", np.power, _pow_grad, inplace=True)
+elementwise_binary(
+    "SquaredDifference", lambda x, y: np.square(x - y), _sqdiff_grad
 )
-
-register_op("Exp", infer_fn=unary_infer)
-register_kernel("Exp")(simple_kernel(np.exp))
-register_gradient("Exp")(lambda op, grad: [grad * op.outputs[0]])
-
-register_op("Log", infer_fn=unary_infer)
-register_kernel("Log")(simple_kernel(np.log))
-register_gradient("Log")(lambda op, grad: [grad / op.inputs[0]])
-
-register_op("Log1p", infer_fn=unary_infer)
-register_kernel("Log1p")(simple_kernel(np.log1p))
-register_gradient("Log1p")(
-    lambda op, grad: [grad / (op.inputs[0] + _ones_like_scalar(op.inputs[0]))]
+elementwise_binary(
+    "Maximum",
+    np.maximum,
+    lambda op, grad: _split_by(greater_equal(*op.inputs), grad),
+    inplace=True,
 )
+elementwise_binary(
+    "Minimum",
+    np.minimum,
+    lambda op, grad: _split_by(less_equal(*op.inputs), grad),
+    inplace=True,
+)
+elementwise_binary("LogicalAnd", np.logical_and)
+elementwise_binary("LogicalOr", np.logical_or)
 
-register_op("Sqrt", infer_fn=unary_infer)
-register_kernel("Sqrt")(simple_kernel(np.sqrt))
-register_gradient("Sqrt")(
+comparison("Less", np.less)
+comparison("LessEqual", np.less_equal)
+comparison("Greater", np.greater)
+comparison("GreaterEqual", np.greater_equal)
+comparison("Equal", np.equal)
+comparison("NotEqual", np.not_equal)
+
+
+def _not_differentiable(op, grad):
+    return [None]
+
+
+def _rsqrt_inplace(inputs, attrs, device, out):
+    np.sqrt(inputs[0], out=out)
+    return np.true_divide(1.0, out, out=out)
+
+
+elementwise_unary("Neg", np.negative, lambda op, grad: [negative(grad)], inplace=True)
+elementwise_unary(
+    "Abs", np.abs, lambda op, grad: [grad * sign(op.inputs[0])], inplace=True
+)
+elementwise_unary(
+    "Reciprocal",
+    np.reciprocal,
+    lambda op, grad: [negative(grad * square(op.outputs[0]))],
+)
+elementwise_unary("Exp", np.exp, lambda op, grad: [grad * op.outputs[0]], inplace=True)
+elementwise_unary("Log", np.log, lambda op, grad: [grad / op.inputs[0]], inplace=True)
+elementwise_unary(
+    "Log1p",
+    np.log1p,
+    lambda op, grad: [grad / (op.inputs[0] + _ones_like_scalar(op.inputs[0]))],
+    inplace=True,
+)
+elementwise_unary(
+    "Sqrt",
+    np.sqrt,
     lambda op, grad: [
         grad * convert_to_tensor(0.5, dtype=grad.dtype) / op.outputs[0]
-    ]
+    ],
+    inplace=True,
 )
-
-register_op("Rsqrt", infer_fn=unary_infer)
-register_kernel("Rsqrt")(simple_kernel(lambda x: 1.0 / np.sqrt(x)))
-register_gradient("Rsqrt")(
+elementwise(
+    "Rsqrt",
+    simple_kernel(lambda x: 1.0 / np.sqrt(x)),
+    unary_infer,
     lambda op, grad: [
         grad
         * convert_to_tensor(-0.5, dtype=grad.dtype)
         * op.outputs[0]
         * square(op.outputs[0])
-    ]
+    ],
+    inplace=_rsqrt_inplace,
 )
-
-register_op("Square", infer_fn=unary_infer)
-register_kernel("Square")(simple_kernel(np.square))
-register_gradient("Square")(
+elementwise_unary(
+    "Square",
+    np.square,
     lambda op, grad: [
         grad * convert_to_tensor(2, dtype=grad.dtype) * op.inputs[0]
-    ]
+    ],
+    inplace=True,
 )
-
-register_op("Sign", infer_fn=unary_infer)
-register_kernel("Sign")(simple_kernel(np.sign))
-register_gradient("Sign")(lambda op, grad: [None])
-
-register_op("Floor", infer_fn=unary_infer)
-register_kernel("Floor")(simple_kernel(np.floor))
-register_gradient("Floor")(lambda op, grad: [None])
-
-register_op("Ceil", infer_fn=unary_infer)
-register_kernel("Ceil")(simple_kernel(np.ceil))
-register_gradient("Ceil")(lambda op, grad: [None])
-
-register_op("Round", infer_fn=unary_infer)
-register_kernel("Round")(simple_kernel(np.round))
-register_gradient("Round")(lambda op, grad: [None])
-
-register_op("Sin", infer_fn=unary_infer)
-register_kernel("Sin")(simple_kernel(np.sin))
-register_gradient("Sin")(lambda op, grad: [grad * cos(op.inputs[0])])
-
-register_op("Cos", infer_fn=unary_infer)
-register_kernel("Cos")(simple_kernel(np.cos))
-register_gradient("Cos")(lambda op, grad: [negative(grad * sin(op.inputs[0]))])
-
-register_op("Tanh", infer_fn=unary_infer)
-register_kernel("Tanh")(simple_kernel(np.tanh))
-register_gradient("Tanh")(
+elementwise_unary("Sign", np.sign, _not_differentiable, inplace=True)
+elementwise_unary("Floor", np.floor, _not_differentiable, inplace=True)
+elementwise_unary("Ceil", np.ceil, _not_differentiable, inplace=True)
+elementwise_unary("Round", np.round, _not_differentiable)
+elementwise_unary(
+    "Sin", np.sin, lambda op, grad: [grad * cos(op.inputs[0])], inplace=True
+)
+elementwise_unary(
+    "Cos",
+    np.cos,
+    lambda op, grad: [negative(grad * sin(op.inputs[0]))],
+    inplace=True,
+)
+elementwise_unary(
+    "Tanh",
+    np.tanh,
     lambda op, grad: [
         grad * (_ones_like_scalar(grad) - square(op.outputs[0]))
-    ]
+    ],
+    inplace=True,
 )
+elementwise_unary("LogicalNot", np.logical_not)
 
-register_op("Sigmoid", infer_fn=unary_infer)
 
-
-@register_kernel("Sigmoid")
 def _sigmoid_kernel(inputs, attrs, device):
     (x,) = inputs
     # Numerically stable piecewise form.
@@ -398,16 +333,16 @@ def _sigmoid_kernel(inputs, attrs, device):
     return out
 
 
-register_gradient("Sigmoid")(
+elementwise(
+    "Sigmoid",
+    _sigmoid_kernel,
+    unary_infer,
     lambda op, grad: [
         grad * op.outputs[0] * (_ones_like_scalar(grad) - op.outputs[0])
-    ]
+    ],
 )
 
-register_op("Erf", infer_fn=unary_infer)
 
-
-@register_kernel("Erf")
 def _erf_kernel(inputs, attrs, device):
     (x,) = inputs
     try:
@@ -418,80 +353,16 @@ def _erf_kernel(inputs, attrs, device):
         return np.vectorize(float)(x)
 
 
-register_gradient("Erf")(
+elementwise(
+    "Erf",
+    _erf_kernel,
+    unary_infer,
     lambda op, grad: [
         grad
         * convert_to_tensor(2.0 / np.sqrt(np.pi), dtype=grad.dtype)
         * exp(negative(square(op.inputs[0])))
-    ]
+    ],
 )
-
-register_op("LogicalNot", infer_fn=unary_infer)
-register_kernel("LogicalNot")(simple_kernel(np.logical_not))
-
-register_op("LogicalAnd", infer_fn=elementwise_infer)
-register_kernel("LogicalAnd")(simple_kernel(np.logical_and))
-
-register_op("LogicalOr", infer_fn=elementwise_infer)
-register_kernel("LogicalOr")(simple_kernel(np.logical_or))
-
-
-# ---------------------------------------------------------------------------
-# In-place kernel variants (buffer donation)
-# ---------------------------------------------------------------------------
-# The executor's static memory plan may let one of these write its
-# result into an input buffer whose last consumer it is (refcount==1,
-# dtype/shape match).  Registration is restricted to ufunc-backed ops
-# whose normal kernels always allocate a fresh output: the registry
-# entry doubles as the planner's "output never aliases an input"
-# predicate, so view-returning ops (Identity, Reshape, ...) and custom
-# kernels stay out.
-
-for _name, _ufunc in [
-    ("Add", np.add),
-    ("Sub", np.subtract),
-    ("Mul", np.multiply),
-    ("RealDiv", np.true_divide),
-    ("Pow", np.power),
-    ("Neg", np.negative),
-    ("Abs", np.abs),
-    ("Exp", np.exp),
-    ("Log", np.log),
-    ("Log1p", np.log1p),
-    ("Sqrt", np.sqrt),
-    ("Square", np.square),
-    ("Sign", np.sign),
-    ("Floor", np.floor),
-    ("Ceil", np.ceil),
-    ("Sin", np.sin),
-    ("Cos", np.cos),
-    ("Tanh", np.tanh),
-    ("Maximum", np.maximum),
-    ("Minimum", np.minimum),
-]:
-    register_inplace_kernel(_name)(inplace_kernel(_ufunc))
-
-
-@register_inplace_kernel("Rsqrt")
-def _rsqrt_inplace(inputs, attrs, device, out):
-    np.sqrt(inputs[0], out=out)
-    return np.true_divide(1.0, out, out=out)
-
-
-# ---------------------------------------------------------------------------
-# Comparisons
-# ---------------------------------------------------------------------------
-
-for _name, _fn in [
-    ("Less", np.less),
-    ("LessEqual", np.less_equal),
-    ("Greater", np.greater),
-    ("GreaterEqual", np.greater_equal),
-    ("Equal", np.equal),
-    ("NotEqual", np.not_equal),
-]:
-    register_op(_name, infer_fn=comparison_infer)
-    register_kernel(_name)(simple_kernel(_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +381,11 @@ def _cast_value(inputs, attrs):
     return [cv.astype(attrs["dtype"].as_numpy_dtype)]
 
 
-register_op("Cast", infer_fn=_cast_infer, value_fn=_cast_value)
-
-
-@register_kernel("Cast")
 def _cast_kernel(inputs, attrs, device):
     (x,) = inputs
     return x.astype(attrs["dtype"].as_numpy_dtype)
 
 
-@register_gradient("Cast")
 def _cast_grad(op, grad):
     src = op.inputs[0].dtype
     if src.is_differentiable and grad.dtype.is_differentiable:
@@ -527,11 +393,9 @@ def _cast_grad(op, grad):
     return [None]
 
 
-register_op("ClipByValue", infer_fn=lambda inputs, attrs: [TensorSpec(inputs[0].shape, inputs[0].dtype)])
-register_kernel("ClipByValue")(simple_kernel(np.clip))
+elementwise("Cast", _cast_kernel, _cast_infer, _cast_grad, value_fn=_cast_value)
 
 
-@register_gradient("ClipByValue")
 def _clip_grad(op, grad):
     from repro.ops import array_ops
 
@@ -539,6 +403,14 @@ def _clip_grad(op, grad):
     inside = logical_and(greater_equal(x, lo), less_equal(x, hi))
     zero = _zeros_like_scalar(grad)
     return [array_ops.where(inside, grad, zero), None, None]
+
+
+elementwise(
+    "ClipByValue",
+    simple_kernel(np.clip),
+    lambda inputs, attrs: [TensorSpec(inputs[0].shape, inputs[0].dtype)],
+    _clip_grad,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +441,7 @@ def _matmul_infer(inputs, attrs):
     return [TensorSpec(batch.concatenate([am, bn]), a.dtype)]
 
 
-register_op("MatMul", infer_fn=_matmul_infer)
+register_op("MatMul", infer_fn=_matmul_infer, traits=(SHAPE_PURE,))
 
 
 @register_kernel("MatMul")
@@ -599,7 +471,7 @@ def _matmul_grad(op, grad):
     else:
         gx = matmul(y, grad, transpose_a=True, transpose_b=True)
         gy = matmul(grad, x, transpose_a=True, transpose_b=True)
-    return [_sum_to_like(gx, x), _sum_to_like(gy, y)]
+    return [sum_to_like(gx, x), sum_to_like(gy, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +501,6 @@ def _np_axis(attrs):
     return None if axis is None else tuple(axis)
 
 
-register_op("Sum", infer_fn=reduction_infer)
-
-
-@register_kernel("Sum")
 def _sum_kernel(inputs, attrs, device):
     (x,) = inputs
     dtype = x.dtype if np.issubdtype(x.dtype, np.integer) else None
@@ -677,15 +545,6 @@ def _reduction_keepdims_shape_kernel(inputs, attrs, device):
     return out.astype(np.int32)
 
 
-@register_gradient("Sum")
-def _sum_grad(op, grad):
-    return [_grad_broadcast_to_input(op, grad)]
-
-
-register_op("Mean", infer_fn=reduction_infer)
-
-
-@register_kernel("Mean")
 def _mean_kernel(inputs, attrs, device):
     (x,) = inputs
     return np.mean(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False)).astype(
@@ -693,7 +552,6 @@ def _mean_kernel(inputs, attrs, device):
     )
 
 
-@register_gradient("Mean")
 def _mean_grad(op, grad):
     x = op.inputs[0]
     out = op.outputs[0]
@@ -709,24 +567,6 @@ def _mean_grad(op, grad):
         size_out = cast(array_ops.size(out), grad.dtype)
         scaled = grad * (size_out / size_x)
     return [_grad_broadcast_to_input(op, scaled)]
-
-
-register_op("Max", infer_fn=reduction_infer)
-
-
-@register_kernel("Max")
-def _max_kernel(inputs, attrs, device):
-    (x,) = inputs
-    return np.max(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False))
-
-
-register_op("Min", infer_fn=reduction_infer)
-
-
-@register_kernel("Min")
-def _min_kernel(inputs, attrs, device):
-    (x,) = inputs
-    return np.min(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False))
 
 
 def _minmax_grad(op, grad):
@@ -749,20 +589,12 @@ def _minmax_grad(op, grad):
     return [mask * grad_k / num_ties]
 
 
-register_gradient("Max")(_minmax_grad)
-register_gradient("Min")(_minmax_grad)
-
-register_op("Prod", infer_fn=reduction_infer)
-
-
-@register_kernel("Prod")
 def _prod_kernel(inputs, attrs, device):
     (x,) = inputs
     dtype = x.dtype if np.issubdtype(x.dtype, np.integer) else None
     return np.prod(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False), dtype=dtype)
 
 
-@register_gradient("Prod")
 def _prod_grad(op, grad):
     # out / x trick; matches TF for inputs without zeros.
     x = op.inputs[0]
@@ -772,38 +604,13 @@ def _prod_grad(op, grad):
     return [broadcast * out_b / x]
 
 
-register_op(
-    "Any",
-    infer_fn=lambda inputs, attrs: [
-        TensorSpec(
-            reduced_shape(TensorShape(inputs[0].shape), attrs.get("axis"), attrs.get("keepdims", False)),
-            dtypes.bool_,
-        )
-    ],
-)
-
-
-@register_kernel("Any")
-def _any_kernel(inputs, attrs, device):
-    (x,) = inputs
-    return np.any(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False))
-
-
-register_op(
-    "All",
-    infer_fn=lambda inputs, attrs: [
-        TensorSpec(
-            reduced_shape(TensorShape(inputs[0].shape), attrs.get("axis"), attrs.get("keepdims", False)),
-            dtypes.bool_,
-        )
-    ],
-)
-
-
-@register_kernel("All")
-def _all_kernel(inputs, attrs, device):
-    (x,) = inputs
-    return np.all(x, axis=_np_axis(attrs), keepdims=attrs.get("keepdims", False))
+reduction("Sum", _sum_kernel, lambda op, grad: [_grad_broadcast_to_input(op, grad)])
+reduction("Mean", _mean_kernel, _mean_grad)
+reduction("Max", reduce_kernel(np.max), _minmax_grad)
+reduction("Min", reduce_kernel(np.min), _minmax_grad)
+reduction("Prod", _prod_kernel, _prod_grad)
+reduction("Any", reduce_kernel(np.any), dtype=dtypes.bool_)
+reduction("All", reduce_kernel(np.all), dtype=dtypes.bool_)
 
 
 def _arg_reduce_infer(inputs, attrs):

@@ -17,10 +17,10 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
-from repro.ops.common import constant_or_none, simple_kernel, unary_infer
+from repro.ops.common import elementwise, simple_kernel, unary_infer
 from repro.ops.registry import (
+    SHAPE_PURE,
     register_gradient,
-    register_inplace_kernel,
     register_kernel,
     register_op,
 )
@@ -59,20 +59,21 @@ def _convert(x, dtype=None):
 # Activations
 # ---------------------------------------------------------------------------
 
-register_op("Relu", infer_fn=unary_infer)
-register_kernel("Relu")(simple_kernel(lambda x: np.maximum(x, 0)))
-register_inplace_kernel("Relu")(
-    lambda inputs, attrs, device, out: np.maximum(inputs[0], 0, out=out)
-)
-
-
-@register_gradient("Relu")
 def _relu_grad(op, grad):
     from repro.ops import array_ops, math_ops
 
     out = op.outputs[0]
     zero = convert_to_tensor(0, dtype=grad.dtype)
     return [array_ops.where(math_ops.greater(out, zero), grad, array_ops.zeros_like(grad))]
+
+
+elementwise(
+    "Relu",
+    simple_kernel(lambda x: np.maximum(x, 0)),
+    unary_infer,
+    _relu_grad,
+    inplace=lambda inputs, attrs, device, out: np.maximum(inputs[0], 0, out=out),
+)
 
 
 def relu(x):
@@ -82,17 +83,12 @@ def relu(x):
     return execute("Relu", [_convert(x)])
 
 
-register_op("LeakyRelu", infer_fn=unary_infer)
-
-
-@register_kernel("LeakyRelu")
 def _leaky_relu_kernel(inputs, attrs, device):
     (x,) = inputs
     alpha = attrs["alpha"]
     return np.where(x > 0, x, x * np.asarray(alpha, dtype=x.dtype))
 
 
-@register_gradient("LeakyRelu")
 def _leaky_relu_grad(op, grad):
     from repro.ops import array_ops, math_ops
 
@@ -102,6 +98,9 @@ def _leaky_relu_grad(op, grad):
     return [array_ops.where(math_ops.greater(x, zero), grad, grad * alpha)]
 
 
+elementwise("LeakyRelu", _leaky_relu_kernel, unary_infer, _leaky_relu_grad)
+
+
 def leaky_relu(x, alpha: float = 0.2):
     """Leaky ReLU with slope ``alpha`` for negative inputs."""
     from repro.runtime.executor import execute
@@ -109,21 +108,19 @@ def leaky_relu(x, alpha: float = 0.2):
     return execute("LeakyRelu", [_convert(x)], {"alpha": float(alpha)})
 
 
-register_op("Softplus", infer_fn=unary_infer)
-
-
-@register_kernel("Softplus")
 def _softplus_kernel(inputs, attrs, device):
     (x,) = inputs
     # Stable: log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
-@register_gradient("Softplus")
 def _softplus_grad(op, grad):
     from repro.ops import math_ops
 
     return [grad * math_ops.sigmoid(op.inputs[0])]
+
+
+elementwise("Softplus", _softplus_kernel, unary_infer, _softplus_grad)
 
 
 def softplus(x):
@@ -133,16 +130,11 @@ def softplus(x):
     return execute("Softplus", [_convert(x)])
 
 
-register_op("Elu", infer_fn=unary_infer)
-
-
-@register_kernel("Elu")
 def _elu_kernel(inputs, attrs, device):
     (x,) = inputs
     return np.where(x > 0, x, np.expm1(x))
 
 
-@register_gradient("Elu")
 def _elu_grad(op, grad):
     from repro.ops import array_ops, math_ops
 
@@ -152,6 +144,9 @@ def _elu_grad(op, grad):
     return [array_ops.where(math_ops.greater(x, zero), grad, grad * (out + one))]
 
 
+elementwise("Elu", _elu_kernel, unary_infer, _elu_grad)
+
+
 def elu(x):
     """Exponential linear unit."""
     from repro.runtime.executor import execute
@@ -159,7 +154,7 @@ def elu(x):
     return execute("Elu", [_convert(x)])
 
 
-register_op("Softmax", infer_fn=unary_infer)
+register_op("Softmax", infer_fn=unary_infer, traits=(SHAPE_PURE,))
 
 
 @register_kernel("Softmax")

@@ -8,8 +8,10 @@ Three registries implement that split:
 
 * :class:`OpDef` / :func:`register_op` — the device-independent
   definition: statefulness (which gates constant folding and common
-  subexpression elimination) and a shape/dtype inference function used
-  when the op is *staged* into a graph.
+  subexpression elimination), a shape/dtype inference function used
+  when the op is *staged* into a graph, and the op's *traits* — the
+  classification the graph passes, lazy recording, the array backends
+  and the cost model read instead of keeping lists of op names.
 * :func:`register_kernel` — device-specific implementations, keyed by
   ``(op name, device type, backend)``.  CPU and the simulated GPU share
   NumPy kernels; the TPU has none (it only runs XLA-compiled programs).
@@ -27,12 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.framework.errors import AlreadyExistsError, NotFoundError
+from repro.framework.errors import (
+    AlreadyExistsError,
+    InvalidArgumentError,
+    NotFoundError,
+)
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "ELEMENTWISE_OPS",
+    "ELEMENTWISE",
+    "REDUCTION",
+    "SHAPE_PURE",
+    "ALIASES_INPUT",
     "OpDef",
+    "ops_with_trait",
     "register_op",
     "get_op_def",
     "register_kernel",
@@ -51,22 +61,25 @@ __all__ = [
     "list_ops",
 ]
 
-# Operations that compute one output element per input element position
-# (with NumPy broadcasting): ~1 FLOP per element, no reductions, no data
-# movement.  This is the candidate set of the ``fuse`` pass
-# (:mod:`repro.graph.fusion`).
-ELEMENTWISE_OPS = frozenset(
-    {
-        "Add", "Sub", "Mul", "RealDiv", "FloorDiv", "Mod", "Pow", "Neg",
-        "Abs", "Reciprocal", "Exp", "Log", "Log1p", "Sqrt", "Rsqrt",
-        "Square", "SquaredDifference", "Sign", "Floor", "Ceil", "Round",
-        "Sin", "Cos", "Tanh", "Sigmoid", "Erf", "Maximum", "Minimum",
-        "Less", "LessEqual", "Greater", "GreaterEqual", "Equal",
-        "NotEqual", "LogicalAnd", "LogicalOr", "LogicalNot", "Cast",
-        "ClipByValue", "Relu", "LeakyRelu", "Softplus", "Elu", "Select",
-        "Identity", "StopGradient", "ZerosLike", "OnesLike",
-    }
-)
+# Op traits.  Each is declared once, at ``register_op(traits=...)``, and
+# exists because some pass reads it (the op families in
+# :mod:`repro.ops.common` attach them):
+#
+# * ``ELEMENTWISE`` — one output element per (broadcast) input position,
+#   no reductions or data movement: the ``fuse`` pass's candidate set,
+#   shape-pure for lazy recording, routed to ``ArrayBackend.elementwise``,
+#   costed at one flop per output element.
+# * ``REDUCTION`` — reduces its single input over ``axis``/``keepdims``
+#   attrs: routed to ``ArrayBackend.reduce``, costed per input element.
+# * ``SHAPE_PURE`` — output specs depend only on input dtypes/shapes, so
+#   lazy recording may memoize inference (implied by ``ELEMENTWISE``).
+# * ``ALIASES_INPUT`` — the kernel may return its input (or a view of it):
+#   a fused region never donates such an output's buffer.
+ELEMENTWISE = "elementwise"
+REDUCTION = "reduction"
+SHAPE_PURE = "shape_pure"
+ALIASES_INPUT = "aliases_input"
+_TRAITS = frozenset({ELEMENTWISE, REDUCTION, SHAPE_PURE, ALIASES_INPUT})
 
 # infer_fn(input_specs: list[TensorSpec], attrs: dict) -> list[TensorSpec]
 InferFn = Callable[[list, dict], list]
@@ -90,6 +103,7 @@ class OpDef:
     # numpy arrays (or None per output) computed from statically-known
     # input values.  Lets shape inference see through Shape/Size/Rank.
     value_fn: Optional[Callable] = None
+    traits: frozenset = frozenset()
 
     def infer(self, input_specs: list, attrs: dict) -> list:
         if self.infer_fn is None:
@@ -138,16 +152,23 @@ def register_op(
     is_stateful: bool = False,
     has_side_effects: bool = False,
     value_fn: Optional[Callable] = None,
+    traits: Sequence[str] = (),
 ) -> OpDef:
     """Register an operation definition.  Returns the OpDef."""
     if name in _OPS:
         raise AlreadyExistsError(f"Operation {name!r} is already registered")
+    unknown = set(traits) - _TRAITS
+    if unknown:
+        raise InvalidArgumentError(
+            f"Operation {name!r}: unknown traits {sorted(unknown)}"
+        )
     op = OpDef(
         name=name,
         infer_fn=infer_fn,
         is_stateful=is_stateful,
         has_side_effects=has_side_effects,
         value_fn=value_fn,
+        traits=frozenset(traits),
     )
     _OPS[name] = op
     return op
@@ -162,6 +183,11 @@ def get_op_def(name: str) -> OpDef:
 
 def list_ops() -> list[str]:
     return sorted(_OPS)
+
+
+def ops_with_trait(trait: str) -> list[str]:
+    """Names of the registered ops carrying ``trait``, sorted."""
+    return sorted(name for name, op in _OPS.items() if trait in op.traits)
 
 
 def register_kernel(

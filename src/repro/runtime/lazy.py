@@ -547,13 +547,11 @@ def reset_lazy_stats(clear_cache: bool = False) -> None:
 # only when its output metadata is inferable and running it later is
 # unobservable: pure (not stateful, no side effects) with a registered
 # inference fn.  ``shape_pure`` marks ops whose inference depends only
-# on input dtypes/shapes (never on constant values), so their inferred
-# specs may be memoized — the recording hot path must not pay a full
-# broadcast-shape inference per op when the same op/signature repeats
-# every training step.
+# on input dtypes/shapes (never on constant values) — the ELEMENTWISE
+# and SHAPE_PURE traits — so their inferred specs may be memoized: the
+# recording hot path must not pay a full broadcast-shape inference per
+# op when the same op/signature repeats every training step.
 _op_gate: dict[str, tuple] = {}
-
-_SHAPE_PURE_EXTRA = frozenset({"MatMul", "BatchMatMul", "Relu", "Softmax"})
 
 
 def _gate(op_name: str) -> tuple:
@@ -570,7 +568,8 @@ def _gate(op_name: str) -> tuple:
             and not op_def.has_side_effects
         )
         shape_pure = recordable and (
-            op_name in registry.ELEMENTWISE_OPS or op_name in _SHAPE_PURE_EXTRA
+            registry.ELEMENTWISE in op_def.traits
+            or registry.SHAPE_PURE in op_def.traits
         )
         entry = _op_gate[op_name] = (op_def, recordable, shape_pure)
     return entry

@@ -75,11 +75,6 @@ INLINE_BYTES = 1 << 16
 
 _HANDLE_DTYPES = (dtypes.resource, dtypes.variant)
 
-# Ops that must never cross the process boundary even if they look
-# shippable: cross-device copies mutate parent-side device accounting,
-# and function-calling ops embed graph objects.
-_DENYLIST = frozenset({"FusedElementwise", "PartitionedCall", "PyFunc", "Copy"})
-
 _ATTR_SCALARS = (type(None), bool, int, float, str, bytes)
 
 _pool_lock = threading.Lock()
@@ -474,9 +469,13 @@ def _attrs_shippable(value) -> bool:
 
 
 def _shippable(op_name: str, inputs, attrs: dict) -> bool:
+    """Can this op run in a worker process?  Stateful and side-effecting
+    ops (function calls, py_func, variables) stay in program order in
+    the parent, and so do ops whose attrs are not plain data (a fused
+    region carries its ``FusionRegion``)."""
     from repro.tensor import Tensor
 
-    if op_name in _DENYLIST or op_name in _child_deny:
+    if op_name in _child_deny:
         return False
     in_dtypes = []
     for t in inputs:

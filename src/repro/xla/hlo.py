@@ -95,7 +95,13 @@ def _spec_bytes(spec: TensorSpec) -> int:
 
 def estimate_cost(node_op: str, input_specs: Sequence[TensorSpec],
                   output_specs: Sequence[TensorSpec], attrs: dict) -> tuple[float, float]:
-    """(flops, bytes) estimate for one operation."""
+    """(flops, bytes) estimate for one operation.
+
+    Contractions are costed by formula; a ``REDUCTION`` (and the
+    softmax-cross-entropy reduction) at one flop per input element;
+    everything else — ``ELEMENTWISE`` ops above all — at one flop per
+    output element.
+    """
     in_bytes = sum(_spec_bytes(s) for s in input_specs)
     out_bytes = sum(_spec_bytes(s) for s in output_specs)
     bytes_accessed = float(in_bytes + out_bytes)
@@ -114,9 +120,12 @@ def estimate_cost(node_op: str, input_specs: Sequence[TensorSpec],
         kw = f[1] or 1
         cin = f[2] or 1
         flops = 2.0 * out_elems * kh * kw * cin
-    elif node_op in ("Conv2DBackpropInput", "Conv2DBackpropFilter"):
+    elif node_op.startswith("Conv2DBackprop"):
         flops = 2.0 * sum(_num_elements(s) for s in input_specs) * 9  # approx
-    elif node_op in ("Sum", "Mean", "Max", "Min", "Prod", "SoftmaxCrossEntropyWithLogits"):
+    elif (
+        registry.REDUCTION in registry.get_op_def(node_op).traits
+        or node_op == "SoftmaxCrossEntropyWithLogits"
+    ):
         flops = float(sum(_num_elements(s) for s in input_specs))
     else:
         flops = float(out_elems)

@@ -18,7 +18,7 @@ import repro
 from repro.graph import fusion, optimize
 from repro.graph.function import GraphFunction, placeholder
 from repro.graph.graph import Graph
-from repro.ops import nn_ops
+from repro.ops import nn_ops, registry
 from repro.runtime.context import context
 
 
@@ -34,6 +34,25 @@ def _fn(build, in_specs=((repro.float32, [2]),), name="t"):
 
 def _fused_nodes(fn):
     return fn.graph.ops_by_type(fusion.FUSED_OP)
+
+
+@pytest.fixture
+def boom_op():
+    """``TestBoomElem``: an ELEMENTWISE op (so a fusion candidate) whose
+    kernel always raises; registered for one test only."""
+
+    def _boom(arrays, attrs, device):
+        raise ValueError("boom kernel exploded")
+
+    registry.register_op(
+        "TestBoomElem",
+        infer_fn=lambda inputs, attrs: [inputs[0].spec],
+        traits=(registry.ELEMENTWISE,),
+    )
+    registry.register_kernel("TestBoomElem", ("CPU",))(_boom)
+    yield "TestBoomElem"
+    registry.unregister_kernel("TestBoomElem", ("CPU",))
+    del registry._OPS["TestBoomElem"]
 
 
 class TestRegionFormation:
@@ -354,33 +373,12 @@ class TestFusedErrorAttribution:
     name, not the region label (the deferred-error contract: errors are
     attributed to the op the user wrote, even after fusion rewrote it)."""
 
-    @staticmethod
-    def _ensure_boom_op():
-        from repro.framework.errors import AlreadyExistsError
-        from repro.ops import registry as op_registry
-
-        try:
-            op_registry.register_op(
-                "TestBoomElem", infer_fn=lambda inputs, attrs: [inputs[0].spec]
-            )
-        except AlreadyExistsError:
-            return
-
-        def _boom(arrays, attrs, device):
-            raise ValueError("boom kernel exploded")
-
-        op_registry.register_kernel("TestBoomElem", ("CPU",))(_boom)
-
-    def test_member_op_name_attached(self, monkeypatch):
-        self._ensure_boom_op()
-        monkeypatch.setattr(
-            fusion, "FUSABLE_OPS", fusion.FUSABLE_OPS | {"TestBoomElem"}
-        )
+    def test_member_op_name_attached(self, boom_op):
         from repro.runtime.executor import execute
 
         def build(x):
             y = x * 2.0
-            z = execute("TestBoomElem", [y], {})
+            z = execute(boom_op, [y], {})
             return z + 1.0
 
         fn = _fn(build)
@@ -463,18 +461,14 @@ class TestRegionCodeCache:
         assert fn_b._fusion_stats["code_cache"] == {"hits": 1, "misses": 0}
 
     def test_failing_member_in_cache_hit_region_names_the_member(
-        self, cache, monkeypatch
+        self, cache, boom_op
     ):
-        TestFusedErrorAttribution._ensure_boom_op()
-        monkeypatch.setattr(
-            fusion, "FUSABLE_OPS", fusion.FUSABLE_OPS | {"TestBoomElem"}
-        )
         from repro.runtime.executor import execute
 
         # LeakyRelu, like the failing op, has no in-place kernel.
         _, healthy = self._region_of(lambda x: nn_ops.leaky_relu(x * 2.0) + 1.0)
         fn, broken = self._region_of(
-            lambda x: execute("TestBoomElem", [x * 2.0], {}) + 1.0
+            lambda x: execute(boom_op, [x * 2.0], {}) + 1.0
         )
         assert broken.code_cache_hit
         assert broken._compiled.__code__ is healthy._compiled.__code__
@@ -513,6 +507,7 @@ class TestRegionCodeCache:
             return repro.tanh(x * 2.0 + 1.0)
 
         x = np.float32([0.5, -1.5])
+        context.kernel_backend = "numpy"
         fn_np, on_numpy = self._region_of(build)
         context.kernel_backend = "tracked"
         try:

@@ -9,7 +9,9 @@ dispatch.  Each :class:`Program` in :data:`CORPUS` is therefore run in
 all three modes and both its outputs and its tape gradients must agree
 to tight tolerances.  Three further columns re-run the staged mode
 under one configuration each — graph fusion forced on, one
-shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor).
+shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor) —
+and one more re-runs sync and staged on each non-default array backend
+(:data:`BACKENDS`).
 
 The corpus is deliberately small programs — elementwise chains, dense
 layers, softmax losses, convolutions, data-dependent control flow, an
@@ -25,12 +27,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 import repro
+from repro.backend import list_backends
 from repro.ops import nn_ops
 
 __all__ = [
+    "BACKENDS",
     "CORPUS",
     "MODES",
     "Program",
+    "assert_backend_parity",
     "assert_compiled_parity",
     "assert_fused_parity",
     "assert_parity",
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 MODES = ("sync", "lazy", "staged")
+
+# Array backends other than the NumPy reference (repro.backend).
+BACKENDS = tuple(b for b in list_backends() if b != "numpy")
 
 # Per-dtype comparison tolerances.  Mode changes may legally reorder
 # float reductions, so exact bit equality is not required; disagreement
@@ -204,6 +212,22 @@ def assert_compiled_parity(program: Program, dtype: str) -> None:
         grads = tape.gradient(loss, tensors)
         grads_np = [None if g is None else np.asarray(g.numpy()) for g in grads]
     _assert_matches_sync(program, dtype, "compiled", out, grads_np)
+
+
+def assert_backend_parity(program: Program, dtype: str, backend: str) -> None:
+    """Assert sync and staged runs on ``backend`` match NumPy sync eager
+    (outputs + grads): a backend swaps kernels, never values."""
+    from repro.runtime.context import context
+
+    previous = context.kernel_backend
+    try:
+        context.kernel_backend = backend
+        runs = {mode: run_program(program, mode, dtype) for mode in ("sync", "staged")}
+        context.kernel_backend = "numpy"
+        for mode, (out, grads) in runs.items():
+            _assert_matches_sync(program, dtype, f"{backend} {mode}", out, grads)
+    finally:
+        context.kernel_backend = previous
 
 
 def run_program_relaxed(program: Program, dtype: str):

@@ -160,3 +160,52 @@ class TestRegistryInvariants:
         ]
         for name in required:
             assert registry.has_gradient(name), name
+
+    def test_traits_are_declared_with_a_complete_op(self):
+        """Every op carrying a trait has inference and a CPU kernel, and
+        an unknown trait is rejected at registration."""
+        from repro.framework.errors import InvalidArgumentError
+        from repro.ops import registry
+
+        for trait in (
+            registry.ELEMENTWISE,
+            registry.REDUCTION,
+            registry.SHAPE_PURE,
+            registry.ALIASES_INPUT,
+        ):
+            for name in registry.ops_with_trait(trait):
+                assert registry.get_op_def(name).infer_fn is not None, name
+                assert registry.has_kernel(name, "CPU"), name
+        with pytest.raises(InvalidArgumentError, match="unknown traits"):
+            registry.register_op("TestBadTraitOp", traits=("commutative",))
+        assert "TestBadTraitOp" not in registry.list_ops()
+
+    def test_family_tables_keep_their_size(self):
+        """The elementwise family (the fusion candidate set) and the
+        in-place kernels within it, as declared when they were name
+        tables."""
+        from repro.ops import registry
+
+        elementwise = registry.ops_with_trait(registry.ELEMENTWISE)
+        inplace = [n for n in registry.list_ops() if registry.has_inplace_kernel(n)]
+        assert (len(elementwise), len(inplace)) == (48, 22)
+        assert set(inplace) <= set(elementwise)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_kernels_match_out_of_place(self, dtype):
+        """Writing into a donated input 0 gives the out-of-place bits."""
+        from repro.ops import common, registry
+
+        rng = np.random.default_rng(0)
+        for name in registry.list_ops():
+            inplace = registry.get_inplace_kernel(name)
+            if inplace is None:
+                continue
+            arity = 1 if registry.get_op_def(name).infer_fn is common.unary_infer else 2
+            inputs = [(rng.random((3, 4)) + 0.5).astype(dtype) for _ in range(arity)]
+            ref = registry.get_kernel(name, "CPU")(inputs, {}, None)
+            donated = [a.copy() for a in inputs]
+            out = inplace(donated, {}, None, donated[0])
+            assert out is donated[0], name
+            np.testing.assert_array_equal(out, ref, err_msg=name)
+            assert out.dtype == ref.dtype, name

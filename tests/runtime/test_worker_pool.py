@@ -184,8 +184,21 @@ class TestLifecycle:
 
 class TestShippability:
     def test_denylisted_ops_stay_in_parent(self, process_devices):
-        assert not worker_pool._shippable("PyFunc", [], {})
-        assert not worker_pool._shippable("FusedElementwise", [], {})
+        # Calls and py_func are stateful; a fused region's attrs carry its
+        # FusionRegion.  Each is asked with the attrs it really carries.
+        context.graph_fusion = True
+        f = repro.function(lambda t: repro.tanh(t * 2.0 + 1.0))
+        x = repro.constant(np.ones(4, dtype=np.float32))
+        gf = f.get_concrete_function(x).graph_function
+        (fused,) = gf.graph.ops_by_type("FusedElementwise")
+        py_func = {"func": np.tanh, "Tout": (repro.float32,), "token": 0, "output_shapes": None}
+        for op_name, attrs in [
+            ("EagerPyFunc", py_func),
+            ("PartitionedCall", {"f": gf}),
+            ("RecomputeCall", {"f": gf}),
+            ("FusedElementwise", fused.attrs),
+        ]:
+            assert not worker_pool._shippable(op_name, [x], attrs), op_name
 
     def test_unpicklable_attrs_stay_in_parent(self, process_devices):
         assert not worker_pool._shippable(
