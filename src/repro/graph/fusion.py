@@ -1,20 +1,16 @@
 """Graph-native elementwise fusion.
 
-Staged execution amortizes Python overhead, but the interpreter still
-pays one dispatch (kernel resolution, buffer wrapping, scheduling) per
-node.  For elementwise-heavy programs — activation chains, optimizer
-update rules, most of a backward pass — that per-node cost dominates,
-and every intermediate is materialized as a full tensor.
-
 The ``fuse`` pass collapses maximal DAG-shaped regions of elementwise
-operations into single ``FusedElementwise`` nodes.  Each fused node
-carries a :class:`FusionRegion`: a generated Python function that runs
-the member kernels back-to-back over local variables, dropping dead
-intermediates eagerly and writing into dying buffers in place (via the
-registry's in-place kernel variants) when shapes are static.  The graph
-executor dispatches the whole region as one operation, and XLA-sim
-lowers it to one ``Fusion`` instruction (:func:`repro.xla.hlo.lower`) —
-this pass is the only fusion clusterer in the system.
+operations into single ``FusedElementwise`` nodes, so an elementwise-heavy
+program (activation chains, optimizer updates, most of a backward pass)
+pays one plan step per region instead of one per op and materializes no
+buried intermediate.  Each fused node carries a :class:`FusionRegion`:
+the member kernels printed back-to-back over locals
+(:mod:`repro.graph.printer`), dropping dead intermediates and writing
+into dying buffers in place (the registry's in-place kernel variants)
+when shapes are static.  The graph executor runs a region as one step,
+and XLA-sim lowers it to one ``Fusion`` instruction
+(:func:`repro.xla.hlo.lower`) — this pass is the only fusion clusterer.
 
 Fusion is a *pure scheduling* rewrite: the region replays back into its
 member primitives for anything that needs per-op structure —
@@ -34,16 +30,14 @@ invariant and abandons fusion entirely if it ever fails.
 
 from __future__ import annotations
 
-import functools
-import types
 from collections import deque
 from typing import Sequence
 
 from repro.framework import dtypes
-from repro.framework.errors import attach_op_name
 from repro.ops import registry
 from repro.tensor import TensorSpec
 from repro.graph.graph import Graph, Node, SymbolicTensor
+from repro.graph.printer import _code_for, bind, print_region, raise_labelled
 
 __all__ = [
     "FUSED_OP",
@@ -87,51 +81,6 @@ def _spec_bytes(spec: TensorSpec) -> tuple[int, bool]:
         else:
             n *= d
     return max(n, 1) * spec.dtype.size, lower
-
-
-@functools.lru_cache(maxsize=256)
-def _code_for(num_inputs: int, wiring: tuple, out_refs: tuple) -> types.CodeType:
-    """Code object of ``_run(inputs, device)`` for one region wiring.
-
-    ``wiring`` is ``(in_refs, donate, dies)`` per step.  The generated
-    source names kernels, attrs and in-place kernels only through
-    per-step globals (``K{k}``/``A{k}``/``P{k}``), so the code object
-    depends on nothing but the wiring: regions with equal wiring share
-    one code object, and each binds it to its own globals dict, so no
-    state is ever shared through the cache.  Process-wide and bounded:
-    L2HMC, ResNet and Adam each repeat a handful of wirings across every
-    trace, retrace and forward/backward split.
-    """
-    n = num_inputs
-    lines = ["def _run(inputs, device):"]
-    if n == 1:
-        lines.append("    v0, = inputs")
-    elif n:
-        lines.append("    " + ", ".join(f"v{i}" for i in range(n)) + " = inputs")
-    for k, (in_refs, donate, dies) in enumerate(wiring):
-        out = f"v{n + k}"
-        args = (
-            "("
-            + ", ".join(f"v{r}" for r in in_refs)
-            + ("," if len(in_refs) == 1 else "")
-            + ")"
-        )
-        if donate >= 0:
-            lines.append("    try:")
-            lines.append(f"        {out} = P{k}({args}, A{k}, device, v{donate})")
-            lines.append("    except (ValueError, TypeError):")
-            lines.append(f"        {out} = K{k}({args}, A{k}, device)")
-        else:
-            lines.append(f"    {out} = K{k}({args}, A{k}, device)")
-        # Drop dead internals so the planned internal peak holds.
-        for d in dies:
-            lines.append(f"    v{d} = None")
-    outs = [f"v{r}" for r in out_refs]
-    lines.append(
-        "    return " + (outs[0] if len(outs) == 1 else "(" + ", ".join(outs) + ")")
-    )
-    module = compile("\n".join(lines), "<fusion-region>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
 class FusionRegion:
@@ -185,21 +134,14 @@ class FusionRegion:
         self.backend = backend
         # Generated code is the only executor a region has, so a codegen
         # failure propagates out of ``fuse_function``.
+        # The code depends on the wiring alone; this region's kernels and
+        # attrs are bound as the globals of its own function.
+        source, at, env = print_region(num_inputs, self.steps, self.out_refs)
         hits = _code_for.cache_info().hits
-        code = _code_for(
-            num_inputs, tuple([(s[4], s[5], s[6]) for s in self.steps]), self.out_refs
-        )
+        code = _code_for(source)
         # Observability only: exact unless another thread is fusing too.
         self.code_cache_hit = _code_for.cache_info().hits > hits
-        # The code object depends on the wiring alone; this region's
-        # kernels and attrs are bound as the globals of its own function.
-        env = {}
-        for k, step in enumerate(self.steps):
-            env[f"K{k}"] = step[1]
-            env[f"A{k}"] = step[3]
-            if step[5] >= 0:
-                env[f"P{k}"] = step[2]
-        self._compiled = types.FunctionType(code, env)
+        self._compiled = bind(code, env, self.op_names, at)
 
     @property
     def size(self) -> int:
@@ -210,13 +152,10 @@ class FusionRegion:
         """Run the region's kernels over concrete arrays."""
         try:
             return self._compiled(inputs, device)
-        except BaseException:
-            # Deferred-error contract: the error names the member op,
-            # not the FusedElementwise region it fused into.  External
-            # input buffers are never donated, so stepping through the
-            # members from them reproduces the failure.
-            run_steps(self, inputs, device)
-            raise
+        except BaseException as exc:
+            # Deferred-error contract: the error names the member op (the
+            # traceback line's step), not the region it fused into.
+            raise_labelled(exc, (self._compiled.__globals__,))
 
     def slot_specs(self, inputs) -> list:
         """Member shape inference over ``inputs``: one shape/dtype view
@@ -253,38 +192,6 @@ class FusionRegion:
             f"<FusionRegion {'+'.join(self.op_names)}: {self.num_inputs} inputs "
             f"-> {len(self.out_refs)} outputs, {self.donated_steps} in-place>"
         )
-
-
-def run_steps(region: FusionRegion, inputs, device):
-    """Run ``region`` one member at a time, naming the member that raises.
-
-    Computes what the generated code computes (the tests hold the two
-    bit-for-bit equal); :meth:`FusionRegion.__call__` calls it only after
-    a failed run, to attach the failing member's op name to the error.
-    """
-    vals = list(inputs)
-    for op_name, kernel, inplace, attrs, in_refs, donate, dies in region.steps:
-        args = [vals[r] for r in in_refs]
-        try:
-            if donate >= 0:
-                # Static shape/dtype checks made this safe at build
-                # time; a ufunc still raises if a polymorphic caller
-                # fed mismatched buffers — fall back to allocating.
-                try:
-                    out = inplace(args, attrs, device, vals[donate])
-                except (ValueError, TypeError):
-                    out = kernel(args, attrs, device)
-            else:
-                out = kernel(args, attrs, device)
-        except BaseException as exc:  # noqa: BLE001 - relabelled
-            raise attach_op_name(exc, op_name)
-        vals.append(out)
-        for d in dies:
-            vals[d] = None
-    out_refs = region.out_refs
-    if len(out_refs) == 1:
-        return vals[out_refs[0]]
-    return tuple(vals[r] for r in out_refs)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +415,9 @@ def _build_region(
     """Compile one cluster; returns (region, ext inputs, escaping outs)."""
     from repro.runtime.context import context
 
-    # Member kernels bind per-backend at build time, so the generated
-    # step loop emits against the active backend's kernels (with the
-    # NumPy registration as the fallback) rather than raw np.* calls.
-    # In-place donation relies on NumPy's `out=` protocol; backends
-    # whose buffers don't honor it opt out via `supports_inplace`.
+    # Member kernels bind to the active backend at build time (NumPy as
+    # the fallback).  In-place donation relies on NumPy's `out=`
+    # protocol; backends whose buffers don't honor it opt out.
     region_backend = context.kernel_backend
     backend_inplace_ok = context.array_backend().supports_inplace
     member_ids = {id(n) for n in member_nodes}
@@ -565,50 +470,41 @@ def _build_region(
         owner_count[r] = owner_count.get(r, 0) + 1
     shared_roots = {r for r, c in owner_count.items() if c > 1}
 
-    # Pick at most one in-place donation per step: a dying, fresh,
-    # exclusively-owned internal input with matching static shape/dtype.
-    donates: list[int] = []
-    inplace_kernels: list = []
-    for k, node in enumerate(member_nodes):
-        donate = -1
-        inplace = (
-            registry.get_inplace_kernel(node.op_name) if backend_inplace_ok else None
-        )
-        out_spec = node.outputs[0].spec
-        if inplace is not None and out_spec.shape.is_fully_defined:
-            for r in step_in_refs[k]:
-                if r < num_ext or r in out_ref_set:
-                    continue
-                if last_use.get(r) != k:
-                    continue
-                if root[r] != r or r in shared_roots:
-                    continue
-                src = member_nodes[r - num_ext].outputs[0]
-                if src.dtype != out_spec.dtype:
-                    continue
-                if not src.shape.is_fully_defined or src.shape != out_spec.shape:
-                    continue
-                donate = r
-                break
-        donates.append(donate)
-        inplace_kernels.append(inplace if donate >= 0 else None)
-
     # Assemble steps + static transient-memory accounting.
     steps = []
     slot_bytes: dict[int, int] = {}
-    live = 0
-    peak = 0
+    live = peak = donated = 0
     lower_bound = False
     for k, node in enumerate(member_nodes):
         s = num_ext + k
+        # At most one in-place donation per step: a dying, fresh,
+        # exclusively-owned internal input with matching static shape/dtype.
+        inplace = registry.get_inplace_kernel(node.op_name) if backend_inplace_ok else None
+        out_spec = node.outputs[0].spec
+        donate = -1
+        if inplace is not None and out_spec.shape.is_fully_defined:
+            for r in step_in_refs[k]:
+                src = member_nodes[r - num_ext].outputs[0] if r >= num_ext else None
+                if (
+                    src is not None
+                    and r not in out_ref_set
+                    and last_use.get(r) == k
+                    and root[r] == r
+                    and r not in shared_roots
+                    and src.dtype == out_spec.dtype
+                    and src.shape.is_fully_defined
+                    and src.shape == out_spec.shape
+                ):
+                    donate = r
+                    donated += 1
+                    break
         dies = tuple(
             r
             for r in set(step_in_refs[k])
             if r >= num_ext and last_use.get(r) == k and r not in out_ref_set
         )
-        nbytes, lb = _spec_bytes(node.outputs[0].spec)
+        nbytes, lb = _spec_bytes(out_spec)
         lower_bound |= lb
-        donate = donates[k]
         if donate >= 0:
             slot_bytes[s] = slot_bytes.get(donate, nbytes)
             slot_bytes[donate] = 0
@@ -621,26 +517,14 @@ def _build_region(
         for d in dies:
             live -= slot_bytes.get(d, 0)
             slot_bytes[d] = 0
-        steps.append(
-            (
-                node.op_name,
-                registry.resolve_kernel(
-                    node.op_name,
-                    "CPU",
-                    allow_soft_placement=False,
-                    backend=region_backend,
-                ),
-                inplace_kernels[k],
-                node.attrs,
-                step_in_refs[k],
-                donate,
-                dies,
-            )
+        kernel = registry.resolve_kernel(
+            node.op_name, "CPU", allow_soft_placement=False, backend=region_backend
         )
+        inplace = inplace if donate >= 0 else None
+        in_refs = step_in_refs[k]
+        steps.append((node.op_name, kernel, inplace, node.attrs, in_refs, donate, dies))
 
-    fresh_outputs = [
-        root[r] == r and r not in shared_roots for r in out_refs
-    ]
+    fresh_outputs = [root[r] == r and r not in shared_roots for r in out_refs]
     region = FusionRegion(
         steps=steps,
         out_refs=out_refs,
@@ -649,7 +533,7 @@ def _build_region(
         fresh_outputs=fresh_outputs,
         internal_peak_bytes=peak,
         peak_is_lower_bound=lower_bound,
-        donated_steps=sum(1 for d in donates if d >= 0),
+        donated_steps=donated,
         backend=region_backend,
     )
     escaping_outs = [member_nodes[k].outputs[0] for k in out_members]
@@ -682,9 +566,7 @@ def fuse_function(fn) -> int:
         fn._fusion_stats = _fusion_stats(before, before, [])
         return 0
     kept_set = set(kept)
-    kept_cluster_of = {
-        p: cid for p, cid in cluster_of.items() if cid in kept_set
-    }
+    kept_cluster_of = {p: cid for p, cid in cluster_of.items() if cid in kept_set}
     if not _contracted_is_acyclic(producers, control, kept_cluster_of):
         # Should be unreachable given the merge-time check; abandon
         # fusion for this graph rather than risk an unschedulable plan.
@@ -736,11 +618,7 @@ def fuse_function(fn) -> int:
         removed.update(positions[:-1])
         regions.append(region)
 
-    graph.nodes = [
-        fused_at.get(i, node)
-        for i, node in enumerate(nodes)
-        if i not in removed
-    ]
+    graph.nodes = [fused_at.get(i, n) for i, n in enumerate(nodes) if i not in removed]
     graph.apply_replacements(replacements)
     fn.outputs = [replacements.get(id(t), t) for t in fn.outputs]
     fn._runner = None

@@ -21,6 +21,7 @@ from repro.ops.common import (
     contiguous,
     elementwise,
     elementwise_unary,
+    kernel_result,
     simple_kernel,
     sum_to_like,
 )
@@ -503,9 +504,9 @@ def _split_kernel(inputs, attrs, device):
             raise InvalidArgumentError(
                 f"Cannot split dimension {dim} into {len(sizes)} equal parts"
             )
-        return [contiguous(p) for p in np.split(x, len(sizes), axis=axis)]
+        return kernel_result([contiguous(p) for p in np.split(x, len(sizes), axis=axis)])
     indices = np.cumsum(sizes[:-1])
-    return [contiguous(p) for p in np.split(x, indices, axis=axis)]
+    return kernel_result([contiguous(p) for p in np.split(x, indices, axis=axis)])
 
 
 @register_gradient("Split")
@@ -598,10 +599,9 @@ register_op("Unpack", infer_fn=_unstack_infer)
 def _unpack_kernel(inputs, attrs, device):
     (x,) = inputs
     axis = attrs["axis"]
-    return [
-        contiguous(np.take(x, i, axis=axis))
-        for i in _builtin_range(attrs["num"])
-    ]
+    return kernel_result(
+        [contiguous(np.take(x, i, axis=axis)) for i in _builtin_range(attrs["num"])]
+    )
 
 
 @register_gradient("Unpack")

@@ -39,6 +39,7 @@ from repro.tensor import TensorSpec
 
 __all__ = [
     "contiguous",
+    "kernel_result",
     "inplace_kernel",
     "simple_kernel",
     "unary_infer",
@@ -68,6 +69,13 @@ def contiguous(a: np.ndarray) -> np.ndarray:
     if out.shape != a.shape:
         out = out.reshape(a.shape)
     return out
+
+
+def kernel_result(values: list):
+    """A kernel's return for an op whose output count varies with its
+    attrs: one output bare, several as the list (the kernel contract of
+    :func:`~repro.ops.registry.register_kernel`)."""
+    return values[0] if len(values) == 1 else values
 
 
 def simple_kernel(fn: Callable) -> Callable:

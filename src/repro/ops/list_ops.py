@@ -144,8 +144,8 @@ def _list_stack_kernel(inputs, attrs, device):
     items = unwrap_handle(handle)
     if not items:
         shape = attrs.get("element_shape") or ()
-        return [np.zeros((0,) + tuple(shape), dtype=attrs["element_dtype"].as_numpy_dtype)]
-    return [np.stack(items, axis=0)]
+        return np.zeros((0,) + tuple(shape), dtype=attrs["element_dtype"].as_numpy_dtype)
+    return np.stack(items, axis=0)
 
 
 @register_gradient("TensorListStack")
@@ -195,7 +195,7 @@ register_op(
 @register_kernel("TensorListLength")
 def _list_length_kernel(inputs, attrs, device):
     (handle,) = inputs
-    return [np.asarray(len(unwrap_handle(handle)), dtype=np.int32)]
+    return np.asarray(len(unwrap_handle(handle)), dtype=np.int32)
 
 
 def empty_tensor_list():

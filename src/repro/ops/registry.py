@@ -197,6 +197,9 @@ def register_kernel(
 ):
     """Decorator registering ``fn`` as the kernel for op on device types.
 
+    A kernel ``fn(arrays, attrs, device)`` returns an op's single output
+    bare, several outputs as a sequence, and no output as None or an
+    empty sequence; the graph executor's printed statements rely on it.
     ``backend`` names the array backend the kernel is implemented
     against (see :mod:`repro.backend`).  The default binds to the NumPy
     backend, which doubles as the fallback implementation for every

@@ -24,6 +24,7 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
+from repro.ops.common import kernel_result
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
 
@@ -71,7 +72,7 @@ def _py_func_kernel(inputs, attrs, device):
     out_tensors = [convert_to_tensor(r, dtype=dt) for r, dt in zip(results, tout)]
     with _table_lock:
         _tape_table[attrs["token"]] = (tape, tensors, out_tensors)
-    return [np.asarray(t.numpy()) for t in out_tensors]
+    return kernel_result([np.asarray(t.numpy()) for t in out_tensors])
 
 
 @register_gradient("EagerPyFunc")

@@ -7,15 +7,12 @@ in the cache the :class:`~repro.graph.function.GraphFunction` itself
 owns, and compiles on a miss.
 
 A :class:`CompiledExecutable` is the analogue of an XLA executable: a
-flat schedule of (fused) instructions with all graph analysis done at
-compile time.  Executing one:
-
-* computes real values with NumPy on the host (our "accelerator" is
-  simulated), and
-* charges the owning device's **simulated clock** one program-launch
-  overhead plus the program's modelled compute time
-  (``max(flops/throughput, bytes/bandwidth)`` per instruction — a
-  roofline model).
+flat schedule of (fused) instructions, printed as straight-line code
+(:mod:`repro.graph.printer`).  Executing one computes real values with
+NumPy on the host (our "accelerator" is simulated) and charges the
+device's **simulated clock** one launch overhead plus the program's
+roofline cost, ``max(flops/throughput, bytes/bandwidth)`` summed over
+its instructions (the :class:`~repro.xla.hlo.HloComputation` it keeps).
 
 Per the paper's methodology (§6), compilation itself is a one-time cost
 "usually amortized over a number of runs"; it is tracked on the
@@ -34,12 +31,25 @@ from repro.framework.errors import UnimplementedError
 from repro.runtime.device import Device
 from repro.tensor import Tensor, TensorSpec
 from repro.graph import fusion as graph_fusion
+from repro.graph import printer
 from repro.graph.function import GraphFunction
 from repro.xla import hlo
 
 __all__ = ["CompiledExecutable", "compile_function", "executable_for"]
 
 _HANDLE_DTYPES = (dtypes.resource, dtypes.variant)
+
+
+def _listed(kernel):
+    """``kernel``'s result as a list of arrays (a printed ``n`` step)."""
+
+    def run(arrays, device):
+        results = kernel(arrays, device)
+        if isinstance(results, (np.ndarray, Tensor)) or np.isscalar(results):
+            results = [results]
+        return [r._array if isinstance(r, Tensor) else np.asarray(r) for r in results or ()]
+
+    return run
 
 
 class CompiledExecutable:
@@ -51,67 +61,46 @@ class CompiledExecutable:
         self._schedule = [
             i for i in computation.instructions if i.opcode != "Parameter"
         ]
-        self._param_slots = {
-            i.attrs["parameter_number"]: i.index
-            for i in computation.instructions
-            if i.opcode == "Parameter"
-        }
         self.num_launch_instructions = len(self._schedule)
         self._root_dtypes = [
             computation.instructions[i].output_specs[slot].dtype
             for i, slot in computation.roots
         ]
-
-        # Last-use analysis: free each intermediate buffer right after
-        # its final consumer (the buffer-reuse benefit of §4.1, same as
-        # the graph executor).  Root values are never freed.
-        roots = set(computation.roots)
-        last_use: dict[tuple[int, int], int] = {}
-        for pos, instr in enumerate(self._schedule):
-            for operand in instr.operands:
-                last_use[operand] = pos
-        self._dies_at: list[tuple[tuple[int, int], ...]] = [
-            () for _ in self._schedule
-        ]
-        for operand, pos in last_use.items():
-            if operand not in roots:
-                self._dies_at[pos] = self._dies_at[pos] + (operand,)
+        params = [i for i in computation.instructions if i.opcode == "Parameter"]
+        stmts = []
+        for i in self._schedule:
+            outs = tuple((i.index, slot) for slot in range(len(i.output_specs)))
+            binding = (None, None, None, _listed(i.kernel))
+            stmts.append(("n", i.opcode, tuple(i.operands), outs, None, binding))
+        fed = [(i.index, 0) for i in params]
+        self._fns, self._size, index = printer.print_pieces(
+            stmts, fed, computation.roots, {}, {}
+        )
+        self._params = [(i.attrs["parameter_number"], index[(i.index, 0)]) for i in params]
+        self._roots = [index[root] for root in computation.roots]
+        self._cost_us: dict = {}  # device -> launch overhead + Σ program_cost_us
 
     @property
     def name(self) -> str:
         return self.computation.name
 
-    def simulated_run_time_us(self, device: Device) -> float:
-        """Modelled execution time for one launch (excl. launch overhead)."""
-        cm = device.cost_model
-        return sum(
-            cm.program_cost_us(i.flops, i.bytes_accessed) for i in self._schedule
-        )
-
     def execute(self, arrays: Sequence[np.ndarray], device: Device) -> list[np.ndarray]:
         """Run the program; charges one launch on the device's clock."""
-        env: dict[tuple[int, int], np.ndarray] = {}
-        for pnum, index in self._param_slots.items():
-            env[(index, 0)] = arrays[pnum]
-        cm = device.cost_model
-        elapsed = cm.launch_overhead_us
-        for pos, instr in enumerate(self._schedule):
-            args = [env[op] for op in instr.operands]
-            results = instr.kernel(args, device)
-            if results is None:
-                results = []
-            elif isinstance(results, (np.ndarray, Tensor)) or np.isscalar(results):
-                results = [results]
-            for slot, r in enumerate(results):
-                env[(instr.index, slot)] = (
-                    r._array if isinstance(r, Tensor) else np.asarray(r)
-                )
-            elapsed += cm.program_cost_us(instr.flops, instr.bytes_accessed)
-            for dead in self._dies_at[pos]:
-                env.pop(dead, None)
-        device.charge_simulated_time(elapsed)
+        s = [None] * self._size
+        for pnum, i in self._params:
+            s[i] = arrays[pnum]
+        for fn in self._fns:
+            fn(s, device)
+        cost = self._cost_us.get(device)
+        if cost is None:
+            cm = device.cost_model
+            cost = cm.launch_overhead_us
+            for i in self._schedule:
+                cost += cm.program_cost_us(i.flops, i.bytes_accessed)
+            self._cost_us[device] = cost
+        device.charge_simulated_time(cost)
         device.count_kernel_launch()
-        return [env[root] for root in self.computation.roots]
+        return [s[i] for i in self._roots]
 
     def run(self, inputs: Sequence[Tensor], device: Device) -> list[Tensor]:
         """:meth:`execute` over tensors: inputs held elsewhere are copied
@@ -142,18 +131,14 @@ class CompiledExecutable:
 def compile_function(fn: GraphFunction, name: Optional[str] = None) -> CompiledExecutable:
     """Compile a graph function into an accelerator executable.
 
-    Operation fusion (paper §4.4) is the graph clusterer's: the fused
-    regions ``fn`` already has are lowered as they are, and a function
-    that has none (``context.graph_fusion`` off, or built by hand) is
-    fused on a private clone, so ``fn`` and its plan are never touched.
-
-    Compilation is *shape-monomorphic*: the roofline cost model consumes
-    per-instruction flop/byte counts, which require every dimension to
-    be known.  A symbolic (relaxed) trace must be specialized to
-    concrete input shapes first —
-    :meth:`repro.core.pipeline.CompilationPipeline.compile` does this,
-    and :func:`executable_for` keeps one executable per shape under the
-    one symbolic trace.
+    Operation fusion (paper §4.4) is the graph clusterer's: ``fn``'s
+    fused regions are lowered as they are, and a function with none
+    (fusion off, or built by hand) is fused on a private clone, so
+    ``fn`` and its plan are never touched.  Compilation is
+    *shape-monomorphic* (the roofline model needs every dimension): a
+    symbolic trace is specialized to concrete shapes first
+    (:meth:`repro.core.pipeline.CompilationPipeline.compile`), one
+    executable per shape (:func:`executable_for`).
     """
     for spec in fn.input_specs:
         if not spec.is_fully_defined:
@@ -175,13 +160,11 @@ def compile_function(fn: GraphFunction, name: Optional[str] = None) -> CompiledE
 def executable_for(fn: GraphFunction, inputs: Sequence[Tensor]) -> CompiledExecutable:
     """The executable that runs ``fn`` on ``inputs``, compiled on first use.
 
-    Executables live in ``fn.executables`` and nowhere else, so they die
-    with the function and go when its plan is released.  A static
-    signature has one entry (key ``None``); a symbolic one is
-    specialized per concrete input-shape tuple it is called with.  A
-    function XLA-sim cannot compile (e.g. a ``py_func`` inside) stores
-    the reason instead, raised as ``UnimplementedError`` on every
-    request without compiling again.
+    Executables live in ``fn.executables`` only, dying with the function
+    and going with its plan: key ``None`` for a static signature, else
+    the concrete input shapes.  A function XLA-sim cannot compile (e.g.
+    a ``py_func`` inside) stores the reason, raised as
+    ``UnimplementedError`` on every request without compiling again.
     """
     key = None
     if not all(spec.is_fully_defined for spec in fn.input_specs):

@@ -4,7 +4,7 @@ The compiler lowers a :class:`~repro.graph.function.GraphFunction` into
 an :class:`HloComputation` — a flat, topologically-ordered list of
 :class:`HloInstruction` values.  Each instruction carries
 
-* a kernel closure (the same NumPy kernel the interpreter would run),
+* a kernel closure (the same NumPy kernel the graph executor runs),
 * output specs, and
 * a cost estimate (FLOPs and bytes accessed) used by the simulated TPU
   clock.

@@ -1,13 +1,20 @@
-"""Graph executor: scheduling order, pruning, buffer freeing."""
+"""Graph executor: scheduling order, pruning, buffer freeing, printed plans."""
+
+import builtins
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro
 from repro.framework.errors import InvalidArgumentError
+from repro.graph import printer
 from repro.graph.executor import GraphRunner
 from repro.graph.function import GraphFunction, placeholder
 from repro.graph.graph import Graph
+from repro.runtime import dispatch
+from repro.runtime.context import context
 
 
 def _build_diamond():
@@ -122,3 +129,156 @@ class TestGraphFunction:
             y = x * 2.0
         fn = GraphFunction("f", g, [x], [y])
         assert "1 inputs" in repr(fn)
+
+
+class _GraphNodes(dispatch.OpInterceptor):
+    """Records the op of every graph node the dispatch core runs."""
+
+    name = "graph-nodes"
+    modes = (dispatch.GRAPH,)
+
+    def __init__(self):
+        self.ops = []
+
+    def on_start(self, op_name, attrs, inputs, device):
+        self.ops.append(op_name)
+
+
+class TestDispatchVariant:
+    """A registered graph-mode interceptor, or a feed off the CPU, runs
+    the plan's second print, where every node goes through the dispatch
+    core; nothing is checked per node."""
+
+    def test_interceptor_sees_every_node_and_values_match(self, monkeypatch):
+        g, x, (a, b, c) = _build_diamond()
+        runner = GraphRunner(g, [a, c])
+        feed = [(x, repro.constant([1.0, -2.0, 3.0, 0.5]))]
+        fast = runner.run(feed)
+        seen = dispatch.core.register_interceptor(_GraphNodes())
+        try:
+            observed = runner.run(feed)
+            runner.run(feed)
+        finally:
+            dispatch.core.unregister_interceptor(seen)
+        # Placeholders are feeds, not dispatched ops.
+        executed = [e[0].op_name for e in runner.plan if e[0].op_name != "Placeholder"]
+        assert len(executed) == len(runner.plan) - 1
+        assert seen.ops == executed * 2
+        for got, want in zip(observed, fast):
+            np.testing.assert_array_equal(got.numpy(), want.numpy())
+        # Unregistered: the next run is the fast print, which reaches the
+        # dispatch core for no node.
+        calls = []
+        real = dispatch.core.dispatch
+        monkeypatch.setattr(
+            dispatch.core, "dispatch", lambda *a, **k: calls.append(a[0]) or real(*a, **k)
+        )
+        runner.run(feed)
+        assert calls == []
+
+    def test_gpu_feed_into_unpinned_plan(self):
+        """Placement follows the inputs, as on the eager path: nodes fed
+        from the GPU run there, a node of CPU constants stays put."""
+        g, x, (a, b, c) = _build_diamond()
+        with g.as_default():
+            d = repro.constant(1.0) + 2.0
+        runner = GraphRunner(g, [a, b, c, d])
+        value = repro.constant([1.0, 2.0, 3.0, 4.0])
+        on_cpu = runner.run([(x, value)])
+        on_gpu = runner.run([(x, value.gpu())])
+        assert ["GPU" in t.device for t in on_gpu] == [True, True, True, False]
+        assert all("CPU" in t.device for t in on_cpu)
+        for got, want in zip(on_gpu, on_cpu):
+            np.testing.assert_array_equal(got.numpy(), want.numpy())
+
+
+class TestPrintedCode:
+    """Printed plan code is keyed by wiring alone (``printer._code_for``);
+    what a plan computes with is bound per plan."""
+
+    @staticmethod
+    def _affine(scale, shift):
+        g = Graph("affine")
+        x = placeholder(g, repro.float32, [3], name="x")
+        with g.as_default():
+            y = shift(x * scale, 1.0)
+        return GraphRunner(g, [y]), x
+
+    @staticmethod
+    def _pieces(runner):
+        return runner._programs[False][0]
+
+    def test_equal_wiring_shares_code_not_state(self):
+        double_inc, x1 = self._affine(2.0, repro.add)
+        triple_dec, x2 = self._affine(3.0, repro.subtract)
+        value = repro.constant([1.0, 2.0, 3.0])
+        (a,) = double_inc.run([(x1, value)])
+        (b,) = triple_dec.run([(x2, value)])
+        (fa,), (fb,) = self._pieces(double_inc), self._pieces(triple_dec)
+        assert fa.__code__ is fb.__code__
+        assert fa.__globals__ is not fb.__globals__
+        np.testing.assert_array_equal(a.numpy(), [3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(b.numpy(), [2.0, 5.0, 8.0])
+
+    def test_backend_flip_rebinds_a_printed_plan(self):
+        from repro.backend.tracked import TRACKED_BACKEND
+
+        context.kernel_backend = "numpy"
+        runner, x = self._affine(2.0, repro.add)
+        feed = [(x, repro.constant([1.0, 2.0, 3.0]))]
+        runner.run(feed)
+        (printed,) = self._pieces(runner)
+        TRACKED_BACKEND.reset_stats()
+        context.kernel_backend = "tracked"
+        try:
+            (out,) = runner.run(feed)
+            assert dict(TRACKED_BACKEND.primitive_calls) == {"Mul": 1, "Add": 1}
+            assert out.backend == "tracked"
+            assert self._pieces(runner)[0].__code__ is printed.__code__
+        finally:
+            context.kernel_backend = "numpy"
+        TRACKED_BACKEND.reset_stats()
+        runner.run(feed)
+        assert not TRACKED_BACKEND.primitive_calls
+
+    def test_fresh_function_over_a_seen_program_compiles_nothing(self, monkeypatch):
+        def step(x):
+            return repro.reduce_sum(repro.tanh(x * 2.0 + 1.0) * x)
+
+        x = repro.constant(np.linspace(-1.0, 1.0, 8, dtype=np.float32))
+        first = repro.function(step)(x)
+        compiled = []
+        monkeypatch.setattr(
+            printer,
+            "compile",
+            lambda *a, **k: compiled.append(a[0]) or builtins.compile(*a, **k),
+            raising=False,
+        )
+        second = repro.function(step)(x)
+        assert compiled == []
+        np.testing.assert_array_equal(first.numpy(), second.numpy())
+
+    def test_printing_a_large_plan_compiles_in_small_pieces(self, monkeypatch):
+        """One ``compile()`` of a whole 2 000-node plan peaks at ~17 MiB;
+        the printer compiles at most ``PIECE`` statements at a time."""
+        monkeypatch.setattr(
+            printer, "_code_for", functools.lru_cache(maxsize=64)(printer._code_for.__wrapped__)
+        )
+        rng = np.random.default_rng(0)
+        g = Graph("wide")
+        x = placeholder(g, repro.float32, [4], name="x")
+        with g.as_default():
+            values = [x]
+            for i in range(2000):
+                other = values[int(rng.integers(len(values)))]
+                values.append(values[-1] + other if i % 2 else values[-1] * other)
+        runner = GraphRunner(g, [values[-1]])
+        assert len(runner.plan) > 2000
+        tracemalloc.start()
+        try:
+            runner._program(False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert printer._code_for.cache_info().misses > 30  # really printed
+        assert peak <= 2 * 2**20

@@ -9,6 +9,7 @@ harness's fused axis; here the graphs are small enough to assert on
 structure.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -36,23 +37,46 @@ def _fused_nodes(fn):
     return fn.graph.ops_by_type(fusion.FUSED_OP)
 
 
+#: Kernel calls of the ``boom_op`` fixture's counting ops, by op name.
+CALLS = collections.Counter()
+
+
 @pytest.fixture
 def boom_op():
     """``TestBoomElem``: an ELEMENTWISE op (so a fusion candidate) whose
-    kernel always raises; registered for one test only."""
+    kernel always raises.  Alongside it, ``TestBoomOnceElem`` (ELEMENTWISE)
+    and ``TestBoomOnce`` (no trait, never fused) raise on their first
+    call only, and ``TestCountElem`` (ELEMENTWISE) copies its input; the
+    three count their calls in ``CALLS``.  Registered for one test only."""
 
     def _boom(arrays, attrs, device):
         raise ValueError("boom kernel exploded")
 
-    registry.register_op(
-        "TestBoomElem",
-        infer_fn=lambda inputs, attrs: [inputs[0].spec],
-        traits=(registry.ELEMENTWISE,),
-    )
-    registry.register_kernel("TestBoomElem", ("CPU",))(_boom)
+    def _counted(name, first_call_raises):
+        def kernel(arrays, attrs, device):
+            CALLS[name] += 1
+            if first_call_raises and CALLS[name] == 1:
+                raise ValueError(f"{name} failed on its first call")
+            return arrays[0].copy()
+
+        return kernel
+
+    kernels = {
+        "TestBoomElem": (_boom, (registry.ELEMENTWISE,)),
+        "TestBoomOnceElem": (_counted("TestBoomOnceElem", True), (registry.ELEMENTWISE,)),
+        "TestBoomOnce": (_counted("TestBoomOnce", True), ()),
+        "TestCountElem": (_counted("TestCountElem", False), (registry.ELEMENTWISE,)),
+    }
+    CALLS.clear()
+    for name, (kernel, traits) in kernels.items():
+        registry.register_op(
+            name, infer_fn=lambda inputs, attrs: [inputs[0].spec], traits=traits
+        )
+        registry.register_kernel(name, ("CPU",))(kernel)
     yield "TestBoomElem"
-    registry.unregister_kernel("TestBoomElem", ("CPU",))
-    del registry._OPS["TestBoomElem"]
+    for name in kernels:
+        registry.unregister_kernel(name, ("CPU",))
+        del registry._OPS[name]
 
 
 class TestRegionFormation:
@@ -256,8 +280,8 @@ class TestInPlaceInsideRegion:
 
 class TestCompiledRegions:
     """Regions specialize their steps into generated code at build
-    time; ``run_steps`` (the error-attribution replay) is the reference
-    the generated code must agree with bit-for-bit."""
+    time; running the member kernels one by one is the reference the
+    generated code must agree with bit-for-bit."""
 
     def _region(self):
         def build(x):
@@ -286,7 +310,10 @@ class TestCompiledRegions:
         ins = ins[: region.num_inputs]
         assert len(ins) == region.num_inputs
         compiled = region([a.copy() for a in ins], device)
-        interpreted = fusion.run_steps(region, [a.copy() for a in ins], device)
+        vals = [a.copy() for a in ins]
+        for _op, kernel, _inplace, attrs, in_refs, _donate, _dies in region.steps:
+            vals.append(kernel([vals[r] for r in in_refs], attrs, device))
+        (interpreted,) = [vals[r] for r in region.out_refs]
         np.testing.assert_array_equal(
             np.asarray(compiled), np.asarray(interpreted)
         )
@@ -388,6 +415,45 @@ class TestFusedErrorAttribution:
         with pytest.raises(ValueError, match="boom kernel exploded") as ei:
             fn.run([repro.constant([1.0, 2.0])])
         assert getattr(ei.value, "_repro_async_op", None) == "TestBoomElem"
+
+    def test_member_failing_once_is_named_without_a_rerun(self, boom_op):
+        """The member is found from the traceback, not by running the
+        region again: a failure the members would not repeat still
+        names its member, and the members before it ran once."""
+        from repro.runtime.executor import execute
+
+        def build(x):
+            y = execute("TestCountElem", [x * 2.0], {})
+            return execute("TestBoomOnceElem", [y], {}) + 1.0
+
+        fn = _fn(build)
+        assert fusion.fuse_function(fn) == 1
+        with pytest.raises(ValueError, match="first call") as ei:
+            fn.run([repro.constant([1.0, 2.0])])
+        assert getattr(ei.value, "_repro_async_op", None) == "TestBoomOnceElem"
+        assert CALLS == {"TestCountElem": 1, "TestBoomOnceElem": 1}
+
+    def test_lazy_segment_names_a_node_failing_once(self, boom_op):
+        """The same for an unfused node of a flushed lazy segment, whose
+        plan labels errors (``label_errors``)."""
+        from repro.core.pipeline import CompilationPipeline
+        from repro.tensor import TensorSpec
+
+        fn = CompilationPipeline().compile_segment(
+            "segment",
+            [TensorSpec([2], repro.float32)],
+            [
+                ("TestCountElem", {}, (("e", 0),)),
+                ("TestBoomOnce", {}, (("o", 0, 0),)),
+                ("Neg", {}, (("o", 1, 0),)),
+            ],
+            [(2, 0)],
+        )
+        assert not fusion.has_fused_nodes(fn)
+        with pytest.raises(ValueError, match="first call") as ei:
+            fn.run([repro.constant([1.0, 2.0])])
+        assert getattr(ei.value, "_repro_async_op", None) == "TestBoomOnce"
+        assert CALLS == {"TestCountElem": 1, "TestBoomOnce": 1}
 
     def test_error_the_replay_cannot_reproduce_still_propagates(self):
         fn = _fn(lambda x: repro.tanh(x * 2.0 + 1.0))
@@ -535,7 +601,7 @@ class TestRegionCodeCache:
 
 class TestCodegenIsTheOnlyExecutor:
     def test_codegen_failure_raises_from_fuse_function(self, monkeypatch):
-        def broken(num_inputs, wiring, out_refs):
+        def broken(source):
             raise SyntaxError("generated source is bad")
 
         broken.cache_info = fusion._code_for.cache_info
