@@ -92,8 +92,8 @@ class SegmentCache:
       steady-state training loop with varying batch sizes compiles
       once.
 
-    Artifacts are anything with a ``release()`` method; the cache never
-    inspects them.  All methods are thread-safe.
+    Artifacts are planned graph functions, released by
+    ``release_plan()``; the cache never inspects them.  Thread-safe.
     """
 
     def __init__(self) -> None:
@@ -137,7 +137,7 @@ class SegmentCache:
             if relaxed:
                 old = self._relaxed.pop(structural_key, None)
                 if old is not None:
-                    old.release()
+                    old.release_plan()
                 self._relaxed[structural_key] = artifact
                 self._shape_misses.pop(structural_key, None)
                 self._stats["relaxations"] += 1
@@ -146,15 +146,15 @@ class SegmentCache:
             limit = context.trace_cache_size
             while len(self._exact) > limit:
                 _, evicted = self._exact.popitem(last=False)
-                evicted.release()
+                evicted.release_plan()
                 self._stats["evictions"] += 1
 
     def clear(self) -> None:
         with self._lock:
             for artifact in self._exact.values():
-                artifact.release()
+                artifact.release_plan()
             for artifact in self._relaxed.values():
-                artifact.release()
+                artifact.release_plan()
             self._exact.clear()
             self._relaxed.clear()
             self._shape_misses.clear()

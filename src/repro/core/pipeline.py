@@ -202,9 +202,7 @@ class CompilationPipeline:
                 order the caller wants them back from ``run()``.
 
         Returns:
-            A planned :class:`~repro.graph.function.GraphFunction` whose
-            runner labels kernel errors with the failing op's name (the
-            deferred-error contract of the lazy mode).
+            A planned :class:`~repro.graph.function.GraphFunction`.
         """
         from repro.framework.tensor_shape import TensorShape
         from repro.graph.function import GraphFunction
@@ -230,7 +228,7 @@ class CompilationPipeline:
         outputs = [produced[k][j] for k, j in fetches]
         fn = GraphFunction(name=name, graph=graph, inputs=inputs, outputs=outputs)
         self.finalize(fn)
-        self.plan(fn).label_errors = True
+        self.plan(fn)
         return fn
 
     def compile(

@@ -218,7 +218,7 @@ class DataParallelStrategy:
                             out = fn(*args)
                         else:
                             out = fn(args)
-                    # Lazy mode returns PendingTensors: force them
+                    # Lazy mode returns LazyTensors: force them
                     # *inside* the replica, so a worker that died
                     # mid-step surfaces here — where the degradation
                     # logic can reshard — not at some later observation

@@ -97,23 +97,19 @@ class GraphRunner:
         graph: Graph,
         fetches: Sequence,
         include_side_effects: bool = True,
-        label_errors: bool = False,
     ) -> None:
         """Plan execution of ``fetches`` (symbolic tensors, or Nodes for
         pure side-effect operations like variable assignment).
 
         ``include_side_effects=True`` (traced functions) runs every
         side-effecting node; ``False`` (classic Session semantics) only
-        what the fetches reach — fetch-driven pruning, paper §5.
-        ``label_errors=True`` (flushed lazy segments) names the failing
-        node's op on kernel exceptions
-        (:func:`~repro.framework.errors.attach_op_name`): the deferred-error
-        contract, an error surfacing long after its op was recorded.
+        what the fetches reach — fetch-driven pruning, paper §5.  A node
+        failing at run time raises named after its op
+        (:func:`~repro.graph.printer.raise_labelled`).
         """
         self.graph = graph
         self.fetches = list(fetches)
         self._include_side_effects = include_side_effects
-        self.label_errors = label_errors
         self._build_schedule()
 
     def _build_schedule(self) -> None:
@@ -406,8 +402,6 @@ class GraphRunner:
             for fn in fns:
                 fn(s, cpu)
         except BaseException as exc:  # noqa: BLE001 - relabelled, re-raised
-            if not self.label_errors:
-                raise
             printer.raise_labelled(exc, [fn.__globals__ for fn in fns])
         for i, dtype in escapes:
             s[i] = _tensor(s[i], dtype, cpu)

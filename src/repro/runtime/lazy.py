@@ -27,18 +27,18 @@ exact/relaxed LRU policy as the ``Function`` trace cache.  On a miss
 the segment is lowered through
 :meth:`~repro.core.pipeline.CompilationPipeline.compile_segment`
 (optimize → fuse → plan), so a steady-state training loop hits a
-compiled, fused, memory-planned artifact on every step.  Only *live*
+compiled, fused, memory-planned artifact on every step.  A segment
+whose attrs cannot be hashed compiles and runs uncached.  Only *live*
 outputs (Python references still exist — user variables, tape entries)
 are fetched; dead intermediates are fused away or freed by the plan.
+The compiled artifact is the only executor.
 
-**Deferred errors.**  A kernel error during a flush is attached to the
-originating op's name with the original exception type preserved
-(:func:`~repro.framework.errors.attach_op_name`), settles the failed
-op's handle (and, via poison propagation, its dependents'), and is
-delivered exactly once — at the observation that forced the flush, or
-at the next synchronization point for flushes nobody observed.  On an
-artifact failure the segment is replayed op-by-op through the sync
-dispatch path, which assigns precise per-op outcomes.
+**Deferred errors.**  A flush fails as a unit, as a staged call does:
+a kernel error (named after its op by the printed plan, original type
+preserved) or a lowering error settles *every* live output of the
+segment with that one exception object, and is delivered exactly once —
+at the observation that forced the flush, or at the next
+synchronization point for flushes nobody observed.  No op runs twice.
 """
 
 from __future__ import annotations
@@ -49,16 +49,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.framework.errors import InternalError, NotFoundError, attach_op_name
+from repro.framework.errors import NotFoundError
 from repro.ops import registry
 from repro.runtime import records
 from repro.runtime.context import context
 from repro.runtime.dispatch import core
-from repro.tensor import LazyTensor, PendingTensor, Tensor
+from repro.tensor import LazyTensor, Tensor, TensorSpec
 
 __all__ = [
     "LazyTrace",
-    "LazyHandle",
     "flush_all_pending",
     "lazy_stats",
     "reset_lazy_stats",
@@ -74,61 +73,6 @@ __all__ = [
 SEGMENT_LIMIT = 256
 
 
-class LazyHandle:
-    """Completion state of one recorded op.
-
-    The observation protocol :class:`~repro.tensor.PendingTensor` forces
-    through (``done``/``result``/``output``/settle).  Records settle
-    under their trace's lock, on whichever thread runs the flush, so
-    plain attributes ordered by the GIL suffice — recording stays cheap
-    per op.
-    """
-
-    __slots__ = ("op_name", "record_index", "_outputs", "_error", "_settled")
-
-    def __init__(self, op_name: str, record_index: int) -> None:
-        self.op_name = op_name
-        self.record_index = record_index
-        self._outputs: Optional[list] = None
-        self._error: Optional[BaseException] = None
-        self._settled = False
-
-    def done(self) -> bool:
-        return self._settled
-
-    def _settle_result(self, outputs) -> None:
-        if self._settled:
-            return
-        self._outputs = list(outputs)
-        self._settled = True
-
-    def _settle_error(self, exc: BaseException) -> None:
-        if self._settled:
-            return
-        self._error = attach_op_name(exc, self.op_name)
-        self._settled = True
-
-    def result(self) -> list:
-        if not self._settled:
-            raise InternalError(
-                f"Recorded op {self.op_name!r} was observed before its "
-                "trace flushed (flush-ordering bug)"
-            )
-        error = self._error
-        if error is not None:
-            error._repro_delivered = True  # type: ignore[attr-defined]
-            raise error
-        return self._outputs  # type: ignore[return-value]
-
-    def output(self, index: int):
-        outputs = self.result()
-        if index >= len(outputs) or outputs[index] is None:
-            raise InternalError(
-                f"Recorded op {self.op_name!r} has no computed output {index}"
-            )
-        return outputs[index]
-
-
 class _Record:
     """One recorded op: everything a flush needs, nothing more.
 
@@ -137,18 +81,17 @@ class _Record:
     ``("o", k, j)`` for output ``j`` of recorded op ``k``.  Outputs are
     held by **weak** references: a recorded intermediate whose Python
     handle dies before the flush is never fetched, so fusion and the
-    memory plan can elide its buffer entirely.
+    memory plan can elide its buffer entirely; the flush writes each
+    live output's outcome through them.
     """
 
-    __slots__ = ("op_name", "attrs", "in_refs", "handle", "out_refs", "num_outputs")
+    __slots__ = ("op_name", "attrs", "in_refs", "out_refs")
 
-    def __init__(self, op_name, attrs, in_refs, handle, out_refs) -> None:
+    def __init__(self, op_name, attrs, in_refs, out_refs) -> None:
         self.op_name = op_name
         self.attrs = attrs
         self.in_refs = in_refs
-        self.handle = handle
         self.out_refs = out_refs
-        self.num_outputs = len(out_refs)
 
 
 # All open traces (normally one: the recording thread's), so
@@ -212,20 +155,19 @@ class LazyTrace:
     def record(self, op_name: str, attrs: dict, inputs: Sequence, specs, device):
         """Append one op; returns its pending LazyTensor outputs.
 
-        The body inlines :meth:`_ref_for` — this is the per-op recording
-        hot path, and lazy mode only wins when recording costs less than
-        the kernel dispatch it displaces.
+        The per-op recording hot path: lazy mode only wins when
+        recording costs less than the kernel dispatch it displaces.
         """
         ext_ids = self.ext_ids
         ext = self.ext
         in_refs = []
         for t in inputs:
             if isinstance(t, LazyTensor):
-                handle = t._handle
-                if handle is not None and not handle._settled:
-                    if t._trace is self:
-                        in_refs.append(("o", handle.record_index, t._index))
-                        continue
+                trace = t._trace
+                if trace is self:
+                    in_refs.append(t._ref)
+                    continue
+                if trace is not None:
                     # Pending value of another trace (another thread's,
                     # or a just-auto-flushed one): materialize, then
                     # treat as a plain external input.
@@ -236,29 +178,23 @@ class LazyTrace:
                 pos = ext_ids[key] = len(ext)
                 ext.append(t)
             in_refs.append(("e", pos))
-        handle = LazyHandle(op_name, len(self.records))
+        k = len(self.records)
         outputs = [
-            LazyTensor._pending_in_trace(handle, i, spec, device, self)
-            for i, spec in enumerate(specs)
+            LazyTensor._recorded(self, ("o", k, j), spec, device)
+            for j, spec in enumerate(specs)
         ]
         self.records.append(
-            _Record(
-                op_name,
-                attrs,
-                tuple(in_refs),
-                handle,
-                tuple(weakref.ref(t) for t in outputs),
-            )
+            _Record(op_name, attrs, tuple(in_refs), tuple(map(weakref.ref, outputs)))
         )
         return outputs
 
     # -- flushing ----------------------------------------------------------
     def flush(self) -> None:
-        """Compile and run the recorded segment, settling its handles.
+        """Compile and run the recorded segment, settling its live outputs.
 
-        Never raises: errors settle on the failed ops' handles (poison
-        propagating to dependents) and park in the module deferred slot
-        for the next synchronization point.  Idempotent and thread-safe.
+        Raises only interrupts: any other error settles every live
+        output and parks in the module deferred slot for the next
+        synchronization point.  Idempotent and thread-safe.
         """
         with self.lock:
             if self.closed:
@@ -275,48 +211,43 @@ class LazyTrace:
     def _execute(self, recs: list) -> None:
         # Liveness: an output is fetched iff some Python reference —
         # user variable, tape entry, container — still holds it.
-        fetches = []
-        for k, rec in enumerate(recs):
-            for j, wr in enumerate(rec.out_refs):
-                if wr() is not None:
-                    fetches.append((k, j))
+        live = []
+        for rec in recs:
+            for wr in rec.out_refs:
+                t = wr()
+                if t is not None:
+                    live.append(t)
         _stats["flushes"] += 1
         _stats["flushed_ops"] += len(recs)
-        if not fetches:
+        if not live:
             # Dead code: nothing observable depends on the segment.
             _stats["dead_flushes"] += 1
             return
+        fetches = [t._ref[1:] for t in live]
         cache_hit = False
         try:
             key = self._segment_key(recs, fetches)
-            if key is None:
-                self._replay(recs)  # unhashable attrs: run uncached
-                return
-            structural, shapes = key
-            artifact, build_relaxed = _segment_cache.lookup(structural, shapes)
-            cache_hit = artifact is not None
+            artifact, relaxed = None, False
+            if key is not None:  # else unhashable attrs: run uncached
+                artifact, relaxed = _segment_cache.lookup(*key)
+                cache_hit = artifact is not None
             if artifact is None:
-                artifact = self._compile(recs, fetches, build_relaxed)
-                if artifact is None:
-                    self._replay(recs)  # lowering failed: run uncached
-                    return
-                _segment_cache.insert(
-                    structural, shapes, artifact, relaxed=build_relaxed
-                )
-            try:
-                values = artifact.fn.run(self.ext)
-            except BaseException:  # noqa: BLE001 - diagnosed by the replay
-                # Per-op replay assigns precise outcomes: failed ops
-                # settle with their own labelled error, independent ops
-                # still produce values.
-                self._replay(recs)
-                return
-            try:
-                seg_peak = (artifact.fn.plan().memory_plan or {}).get(
-                    "peak_live_bytes", 0
-                )
-            except Exception:
-                seg_peak = 0
+                artifact = self._compile(recs, fetches, relaxed)
+                if key is not None:
+                    _segment_cache.insert(*key, artifact, relaxed=relaxed)
+            values = artifact.run(self.ext)
+        except BaseException as exc:  # noqa: BLE001 - deferred, interrupts re-raised
+            # The segment fails as a unit, as a staged call does: every
+            # live output settles with the one (labelled) error.  Each
+            # outcome is written before its trace reference is cleared.
+            for t in live:
+                t._error = exc
+                t._trace = None
+            if not isinstance(exc, Exception):
+                raise
+            _note_deferred(exc)
+        else:
+            seg_peak = artifact.plan().memory_plan["peak_live_bytes"]
             if seg_peak > _stats["max_segment_peak_bytes"]:
                 # The high-water mark across flushed segments: the lazy
                 # analogue of a staged trace's peak-live-bytes, and what
@@ -324,36 +255,27 @@ class LazyTrace:
                 # tape references (recompute_grad) actually shrinks the
                 # planned working set of the flushed graphs.
                 _stats["max_segment_peak_bytes"] = seg_peak
-            per_record: dict[int, list] = {}
-            for (k, j), value in zip(fetches, values):
-                outs = per_record.get(k)
-                if outs is None:
-                    outs = per_record[k] = [None] * recs[k].num_outputs
-                outs[j] = value
-            for k, outs in per_record.items():
-                recs[k].handle._settle_result(outs)
-        finally:
-            prof = _profiler_mod().active
-            if prof is not None:
-                prof.add_lazy_flush(len(recs), cache_hit)
+            for t, value in zip(live, values):
+                t._value = value._array
+                t._trace = None
+        prof = _profiler_mod().active
+        if prof is not None:
+            prof.add_lazy_flush(len(recs), cache_hit)
 
     def _compile(self, recs, fetches, relaxed: bool):
         specs = []
         for t in self.ext:
-            spec = _spec_mod().from_tensor(t)
+            spec = TensorSpec.from_tensor(t)
             specs.append(spec.relaxed() if relaxed else spec)
-        try:
-            fn = _pipeline.compile_segment(
-                f"lazy_segment_{context.unique_id()}",
-                specs,
-                [(rec.op_name, rec.attrs, rec.in_refs) for rec in recs],
-                fetches,
-            )
-        except BaseException:  # noqa: BLE001 - replay surfaces the real error
-            return None
+        fn = _pipeline.compile_segment(
+            f"lazy_segment_{context.unique_id()}",
+            specs,
+            [(rec.op_name, rec.attrs, rec.in_refs) for rec in recs],
+            fetches,
+        )
         if relaxed:
             _stats["relaxed_segments"] += 1
-        return _SegmentArtifact(fn)
+        return fn
 
     def _segment_key(self, recs, fetches):
         """``(structural_key, shapes)`` for the cache, or None if unhashable."""
@@ -366,67 +288,13 @@ class LazyTrace:
         ext_struct = []
         shapes = []
         for t in self.ext:
-            shape = t.shape  # may force an unknown-dim pending input
+            shape = t.shape
             ext_struct.append((t._dtype, shape.rank))
             shapes.append(shape)
         return (
             (tuple(struct), tuple(fetches), tuple(ext_struct)),
             tuple(shapes),
         )
-
-    def _replay(self, recs: list) -> None:
-        """Run the segment op-by-op through the sync dispatch path.
-
-        The error path (and the fallback for uncacheable/unlowerable
-        segments): every record settles with its real outputs or with
-        the labelled error of the op that raised (dependents inherit the
-        originating op's label via poison propagation).  Tape recording
-        is suppressed — these ops were already offered to the tapes at
-        record time.
-        """
-        _stats["replays"] += 1
-        cpu = context.cpu_device()
-        vals: list = [None] * len(recs)
-        errs: list = [None] * len(recs)
-        with records.stop_recording():
-            for k, rec in enumerate(recs):
-                poisoned = None
-                ins = []
-                for ref in rec.in_refs:
-                    if ref[0] == "e":
-                        ins.append(self.ext[ref[1]])
-                        continue
-                    producer = ref[1]
-                    if errs[producer] is not None:
-                        poisoned = errs[producer]
-                        break
-                    ins.append(vals[producer][ref[2]])
-                if poisoned is not None:
-                    rec.handle._settle_error(poisoned)  # label passes through
-                    errs[k] = poisoned
-                    continue
-                try:
-                    outs = core.dispatch(rec.op_name, ins, rec.attrs, device=cpu)
-                except BaseException as exc:  # noqa: BLE001 - deferred
-                    labelled = attach_op_name(exc, rec.op_name)
-                    rec.handle._settle_error(labelled)
-                    errs[k] = labelled
-                    _note_deferred(labelled)
-                else:
-                    vals[k] = outs
-                    rec.handle._settle_result(outs)
-
-
-class _SegmentArtifact:
-    """Cache entry: a planned segment function (release = drop the plan)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-
-    def release(self) -> None:
-        self.fn.release_plan()
 
 
 # -- segment hashing helpers ------------------------------------------------
@@ -499,12 +367,6 @@ def _profiler_mod():
     return profiler
 
 
-def _spec_mod():
-    from repro.tensor import TensorSpec
-
-    return TensorSpec
-
-
 _pipeline = _make_pipeline()
 _segment_cache = _make_cache()
 
@@ -520,7 +382,6 @@ _stats = {
     "flushes": 0,
     "flushed_ops": 0,
     "dead_flushes": 0,
-    "replays": 0,
     "relaxed_segments": 0,
     "max_segment_peak_bytes": 0,
 }
@@ -612,8 +473,8 @@ def submit(op_name: str, inputs: Sequence, attrs: dict) -> list:
                 return _fallback(op_name, inputs, attrs, op_def)
             if sigs is None:  # memo already skipped; still gate devices
                 continue
-            if isinstance(t, PendingTensor) and t._handle is not None:
-                dims = t._pending_shape._dims
+            if isinstance(t, LazyTensor) and t._trace is not None:
+                dims = t._shape._dims
                 if dims is None or None in dims:
                     sigs = None  # unknown shape: skip the memo
                     continue

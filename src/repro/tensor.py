@@ -12,7 +12,9 @@ and the symbolic tensors produced inside a graph-building context
 base class and dispatch through the single op-execution path, so the
 same user code runs unchanged whether it is executing imperatively or
 being traced — the heart of the paper's "single API surface ...
-agnostic to execution mode" claim.
+agnostic to execution mode" claim.  Lazy eager mode's deferred values
+are :class:`LazyTensor` objects: concrete tensors whose buffer is one
+flush of the recorded segment away.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.framework import dtypes
-from repro.framework.errors import InvalidArgumentError
+from repro.framework.errors import InternalError, InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
 from repro.runtime.context import context
 from repro.runtime.device import Device
 
 __all__ = [
     "LazyTensor",
-    "PendingTensor",
     "Tensor",
     "TensorBase",
     "TensorSpec",
@@ -421,104 +422,80 @@ class Tensor(TensorBase):
         return self.__repr__()
 
 
-class PendingTensor(Tensor):
-    """Shared pending-value protocol for tensors not yet computed.
+class LazyTensor(Tensor):
+    """A tensor recorded — not yet executed — in a pending lazy trace.
 
-    Lazy eager mode returns tensors whose dtype and (inferred) shape
-    are known immediately while the buffer materializes later.  This
-    base class overrides the ``_array`` storage slot with a *forcing
-    property*, so every existing code path that touches a tensor's
-    buffer — ``.numpy()``, ``.item()``, ``bool()/float()/int()``,
-    kernels consuming the tensor, cross-device copies — is
-    automatically a synchronization point, with no changes at those
-    call sites.  If the producing op failed, the deferred error
-    (op name attached, original type preserved) re-raises here.
+    Lazy eager mode records ops into a
+    :class:`~repro.runtime.lazy.LazyTrace` instead of running them and
+    returns these: dtype and inferred shape are known at once, the
+    buffer later.  The ``_array`` storage slot is a *forcing property*,
+    so every code path that touches a tensor's buffer — ``.numpy()``,
+    ``.item()``, ``bool()/float()/int()``, kernels consuming the
+    tensor, cross-device copies — is a synchronization point with no
+    change at the call site.  Forcing flushes the whole segment
+    (``_trace``), which writes this tensor's outcome into it: the value,
+    or the segment's one error (op name attached, original type
+    preserved), which re-raises here.
 
-    Subclasses hook :meth:`_resolve_output` to say *how* forcing
-    happens: lazy tensors first flush the recorded trace that will
-    settle the handle.
+    ``_ref`` is the tensor's ``("o", record, output)`` dataflow
+    reference inside its trace.  The flush writes ``_value`` or
+    ``_error`` first and clears ``_trace`` after: the GIL orders the
+    stores, so an observer that reads a None ``_trace`` finds the
+    outcome in place.
     """
 
-    __slots__ = ("_handle", "_index", "_pending_shape", "_value")
+    __slots__ = ("_ref", "_trace", "_shape", "_value", "_error")
 
-    def _resolve_output(self, handle) -> "Tensor":
-        """Produce the settled output (blocking / flushing as needed)."""
-        return handle.output(self._index)
+    @classmethod
+    def _recorded(cls, trace, ref: tuple, spec: "TensorSpec", device: Device):
+        # Plain slot stores: one of these is built per recorded-op
+        # output, and lazy mode only pays off while recording stays
+        # cheaper than kernel dispatch.
+        t = cls.__new__(cls)
+        t._value = t._error = None
+        t._ref = ref
+        t._trace = trace
+        t._dtype = spec.dtype
+        t._shape = spec.shape  # TensorSpec.shape is a TensorShape
+        t._device = device
+        return t
 
     @property
     def _array(self) -> np.ndarray:
-        handle = self._handle
-        if handle is not None:
-            out = self._resolve_output(handle)
-            self._value = out._array
-            self._dtype = out._dtype
-            # Clear the handle only after _value is written: the GIL
-            # orders these stores, so a racing reader that sees a None
-            # handle is guaranteed to see the resolved buffer too.
-            self._handle = None
-        return self._value
+        value = self._value
+        if value is None:
+            trace = self._trace
+            if trace is not None:
+                trace.flush()  # idempotent, lock-serialized
+            error = self._error
+            if error is not None:
+                error._repro_delivered = True  # type: ignore[attr-defined]
+                raise error
+            value = self._value
+            if value is None:
+                op = trace.records[self._ref[1]].op_name if trace else "?"
+                raise InternalError(
+                    f"Recorded op {op!r} was observed before its trace "
+                    "flushed (flush-ordering bug)"
+                )
+        return value
 
-    def _materialize(self) -> "PendingTensor":
+    def _materialize(self) -> "LazyTensor":
         """Force the value to be resident (or raise its deferred error)."""
         self._array
         return self
 
     def is_ready(self) -> bool:
-        """Whether the value is available without blocking."""
-        handle = self._handle
-        return handle is None or handle.done()
+        """Whether the outcome is available without flushing."""
+        return self._trace is None
 
     @property
     def shape(self) -> TensorShape:
         # Shape queries force only when inference left dynamic dims
         # (the "shape queries that need the value" sync point).
-        if self._handle is not None:
-            pending = self._pending_shape
-            if pending.is_fully_defined:
-                return pending
+        if self._trace is not None and self._shape.is_fully_defined:
+            return self._shape
         return TensorShape(self._array.shape)
-
-
-class LazyTensor(PendingTensor):
-    """A tensor recorded — not yet executed — in a pending lazy trace.
-
-    Lazy eager mode records ops into a
-    :class:`~repro.runtime.lazy.LazyTrace` instead of running them;
-    forcing any output flushes the whole recorded segment through the
-    compilation pipeline, which settles this tensor's handle (with a
-    value, or with the deferred error of the originating op).
-    """
-
-    __slots__ = ("_trace",)
-
-    @classmethod
-    def _pending_in_trace(
-        cls, handle, index: int, spec: "TensorSpec", device: Device, trace
-    ) -> "LazyTensor":
-        # Plain slot stores, no helper call: one of these is built per
-        # recorded-op output, and lazy mode only pays off while
-        # recording stays cheaper than kernel dispatch.
-        t = cls.__new__(cls)
-        t._value = None
-        t._handle = handle
-        t._index = index
-        t._dtype = spec.dtype
-        t._pending_shape = spec.shape  # TensorSpec.shape is a TensorShape
-        t._device = device
-        t._trace = trace
-        return t
-
-    def _resolve_output(self, handle) -> "Tensor":
-        trace = self._trace
-        if trace is not None:
-            if not handle.done():
-                trace.flush()
-            # Clear the trace reference only after flush() returns: a
-            # concurrent observer that reads a None trace must find the
-            # handle settled, not a flush still in flight on this
-            # thread (flush itself is idempotent and lock-serialized).
-            self._trace = None
-        return handle.output(self._index)
 
     @property
     def constant_value(self):
@@ -526,11 +503,9 @@ class LazyTensor(PendingTensor):
         # forcing a flush: shape inference consults constant_value on
         # the inputs of every recorded op, and materializing there
         # would defeat the recording entirely.
-        if not self.is_ready():
+        if self._trace is not None:
             return None
-        if self._dtype in (dtypes.resource, dtypes.variant):
-            return None
-        return self._array
+        return Tensor.constant_value.fget(self)
 
 
 class TensorSpec:

@@ -3,12 +3,16 @@ numeric-gradient helpers (re-exported from :mod:`tests.harness.grad_check`)."""
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
 import repro
+from repro.ops import registry
 from repro.runtime import dispatch, profiler
 from repro.runtime.context import context
+from repro.tensor import TensorSpec
 
 # Kept importable from here for existing tests; the implementation
 # lives in the harness package now.
@@ -76,3 +80,49 @@ def grad_checker():
         check_gradient(op_fn, x_np, rtol=rtol, atol=atol)
 
     return check
+
+
+#: Kernel calls of the ``boom_op`` fixture's counting ops, by op name.
+CALLS = collections.Counter()
+
+
+@pytest.fixture
+def boom_op():
+    """``TestBoomElem``: an ELEMENTWISE op (so a fusion candidate) whose
+    kernel always raises.  Alongside it, ``TestBoomOnceElem`` (ELEMENTWISE)
+    and ``TestBoomOnce`` (no trait, never fused) raise on their first
+    call only, and ``TestCountElem`` (ELEMENTWISE) copies its input; the
+    three count their calls in ``CALLS``.  All four infer their output
+    from symbolic and eager inputs alike, so lazy mode records them.
+    Registered for one test only."""
+
+    def _boom(arrays, attrs, device):
+        raise ValueError("boom kernel exploded")
+
+    def _counted(name, first_call_raises):
+        def kernel(arrays, attrs, device):
+            CALLS[name] += 1
+            if first_call_raises and CALLS[name] == 1:
+                raise ValueError(f"{name} failed on its first call")
+            return arrays[0].copy()
+
+        return kernel
+
+    kernels = {
+        "TestBoomElem": (_boom, (registry.ELEMENTWISE,)),
+        "TestBoomOnceElem": (_counted("TestBoomOnceElem", True), (registry.ELEMENTWISE,)),
+        "TestBoomOnce": (_counted("TestBoomOnce", True), ()),
+        "TestCountElem": (_counted("TestCountElem", False), (registry.ELEMENTWISE,)),
+    }
+    CALLS.clear()
+    for name, (kernel, traits) in kernels.items():
+        registry.register_op(
+            name,
+            infer_fn=lambda inputs, attrs: [TensorSpec.from_tensor(inputs[0])],
+            traits=traits,
+        )
+        registry.register_kernel(name, ("CPU",))(kernel)
+    yield "TestBoomElem"
+    for name in kernels:
+        registry.unregister_kernel(name, ("CPU",))
+        del registry._OPS[name]

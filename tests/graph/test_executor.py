@@ -282,3 +282,18 @@ class TestPrintedCode:
             tracemalloc.stop()
         assert printer._code_for.cache_info().misses > 30  # really printed
         assert peak <= 2 * 2**20
+
+
+class TestErrorLabels:
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_staged_call_names_the_failing_node(self, fusion):
+        """Every printed plan names its failing node, fused or not."""
+        context.graph_fusion = fusion
+
+        @repro.function
+        def f(x):
+            return repro.gather(x, repro.constant([7], dtype=repro.int32)) * 2.0
+
+        with pytest.raises(IndexError, match="Gather") as ei:
+            f(repro.constant([1.0, 2.0]))
+        assert getattr(ei.value, "_repro_async_op", None) == "Gather"

@@ -9,7 +9,6 @@ harness's fused axis; here the graphs are small enough to assert on
 structure.
 """
 
-import collections
 import functools
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.graph.function import GraphFunction, placeholder
 from repro.graph.graph import Graph
 from repro.ops import nn_ops, registry
 from repro.runtime.context import context
+from tests.conftest import CALLS
 
 
 def _fn(build, in_specs=((repro.float32, [2]),), name="t"):
@@ -35,48 +35,6 @@ def _fn(build, in_specs=((repro.float32, [2]),), name="t"):
 
 def _fused_nodes(fn):
     return fn.graph.ops_by_type(fusion.FUSED_OP)
-
-
-#: Kernel calls of the ``boom_op`` fixture's counting ops, by op name.
-CALLS = collections.Counter()
-
-
-@pytest.fixture
-def boom_op():
-    """``TestBoomElem``: an ELEMENTWISE op (so a fusion candidate) whose
-    kernel always raises.  Alongside it, ``TestBoomOnceElem`` (ELEMENTWISE)
-    and ``TestBoomOnce`` (no trait, never fused) raise on their first
-    call only, and ``TestCountElem`` (ELEMENTWISE) copies its input; the
-    three count their calls in ``CALLS``.  Registered for one test only."""
-
-    def _boom(arrays, attrs, device):
-        raise ValueError("boom kernel exploded")
-
-    def _counted(name, first_call_raises):
-        def kernel(arrays, attrs, device):
-            CALLS[name] += 1
-            if first_call_raises and CALLS[name] == 1:
-                raise ValueError(f"{name} failed on its first call")
-            return arrays[0].copy()
-
-        return kernel
-
-    kernels = {
-        "TestBoomElem": (_boom, (registry.ELEMENTWISE,)),
-        "TestBoomOnceElem": (_counted("TestBoomOnceElem", True), (registry.ELEMENTWISE,)),
-        "TestBoomOnce": (_counted("TestBoomOnce", True), ()),
-        "TestCountElem": (_counted("TestCountElem", False), (registry.ELEMENTWISE,)),
-    }
-    CALLS.clear()
-    for name, (kernel, traits) in kernels.items():
-        registry.register_op(
-            name, infer_fn=lambda inputs, attrs: [inputs[0].spec], traits=traits
-        )
-        registry.register_kernel(name, ("CPU",))(kernel)
-    yield "TestBoomElem"
-    for name in kernels:
-        registry.unregister_kernel(name, ("CPU",))
-        del registry._OPS[name]
 
 
 class TestRegionFormation:
@@ -434,8 +392,8 @@ class TestFusedErrorAttribution:
         assert CALLS == {"TestCountElem": 1, "TestBoomOnceElem": 1}
 
     def test_lazy_segment_names_a_node_failing_once(self, boom_op):
-        """The same for an unfused node of a flushed lazy segment, whose
-        plan labels errors (``label_errors``)."""
+        """The same for an unfused node of a flushed lazy segment's plan
+        (every printed plan labels its errors)."""
         from repro.core.pipeline import CompilationPipeline
         from repro.tensor import TensorSpec
 

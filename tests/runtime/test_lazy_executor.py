@@ -17,15 +17,33 @@ import numpy as np
 import pytest
 
 import repro
+from repro.ops import registry
 from repro.runtime import lazy
 from repro.runtime.context import context
-from repro.tensor import LazyTensor, PendingTensor
+from repro.runtime.executor import execute
+from repro.tensor import LazyTensor, TensorSpec
+from tests.conftest import CALLS
 
 
 @pytest.fixture
 def lazy_mode():
     with repro.execution_mode("lazy"):
         yield
+
+
+@pytest.fixture
+def table_op():
+    """``TestAddTable``: adds the sum of its ndarray ``table`` attr."""
+    registry.register_op(
+        "TestAddTable",
+        infer_fn=lambda inputs, attrs: [TensorSpec.from_tensor(inputs[0])],
+    )
+    registry.register_kernel("TestAddTable", ("CPU",))(
+        lambda arrays, attrs, device: arrays[0] + attrs["table"].sum()
+    )
+    yield "TestAddTable"
+    registry.unregister_kernel("TestAddTable", ("CPU",))
+    del registry._OPS["TestAddTable"]
 
 
 def _snapshot():
@@ -65,7 +83,6 @@ class TestRecording:
         x = repro.constant([1.0, 2.0, 3.0])
         y = repro.tanh(x * 2.0 + 1.0)
         assert isinstance(y, LazyTensor)
-        assert isinstance(y, PendingTensor)
         assert not y.is_ready()
         assert _delta(before, "recorded_ops") == 3
         assert _delta(before, "flushes") == 0
@@ -231,15 +248,67 @@ class TestDeferredErrors:
         with pytest.raises(IndexError, match="Gather"):
             dep.numpy()
 
-    def test_independent_ops_in_failed_segment_still_produce(self, lazy_mode):
+    def test_failed_segment_fails_as_a_unit(self, lazy_mode):
         x = repro.constant([1.0, 2.0])
         good = x * 2.0
         bad = repro.gather(x, repro.constant([7], dtype=repro.int32))
-        # Forcing the healthy value flushes the shared segment; the
-        # op-by-op replay gives it a real value despite the failure.
-        np.testing.assert_allclose(good.numpy(), [2.0, 4.0])
-        with pytest.raises(IndexError):
+        # Like a staged call whose node fails: no output of the shared
+        # segment has a value, and all of them raise the one error.
+        with pytest.raises(IndexError, match="Gather") as ei:
+            good.numpy()
+        assert getattr(ei.value, "_repro_async_op", None) == "Gather"
+        with pytest.raises(IndexError) as again:
             bad.numpy()
+        assert again.value is ei.value
+        repro.sync()  # delivered through the tensors
+
+    def test_failing_node_runs_once_and_is_named(self, lazy_mode, boom_op):
+        # TestBoomOnce raises on its first call only: re-running the
+        # segment would hide the error and run every kernel twice.
+        x = repro.constant([1.0, 2.0])
+        y = -execute("TestBoomOnce", [execute("TestCountElem", [x], {})], {})
+        assert isinstance(y, LazyTensor) and not y.is_ready()
+        with pytest.raises(ValueError, match="first call") as ei:
+            y.numpy()
+        assert getattr(ei.value, "_repro_async_op", None) == "TestBoomOnce"
+        assert CALLS == {"TestCountElem": 1, "TestBoomOnce": 1}
+        repro.sync()
+
+    def test_lowering_error_surfaces_once(self, lazy_mode, monkeypatch):
+        lazy.reset_lazy_stats(clear_cache=True)  # force a miss
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise RuntimeError("lowering exploded")
+
+        monkeypatch.setattr(lazy._pipeline, "compile_segment", broken)
+        y = repro.constant([1.0, 2.0]) * 2.0 + 1.0
+        with pytest.raises(RuntimeError, match="lowering exploded"):
+            y.numpy()
+        repro.sync()  # delivered at .numpy(), not again here
+        assert len(calls) == 1
+
+    def test_unhashable_attrs_compile_uncached_per_flush(
+        self, lazy_mode, table_op, monkeypatch
+    ):
+        compiles = []
+        compile_segment = lazy._pipeline.compile_segment
+
+        def counted(*args):
+            compiles.append(args)
+            return compile_segment(*args)
+
+        monkeypatch.setattr(lazy._pipeline, "compile_segment", counted)
+        size = lazy.segment_cache().stats()["size"]
+        table = np.ones(256, np.float32)  # 1 KiB: too big to hash
+        for step in range(3):
+            x = repro.constant([1.0, 2.0])
+            y = execute(table_op, [x * 2.0], {"table": table})
+            assert not y.is_ready()
+            np.testing.assert_allclose(y.numpy(), [258.0, 260.0])
+            assert len(compiles) == step + 1
+        assert lazy.segment_cache().stats()["size"] == size
 
     def test_tape_gradient_is_a_delivery_point(self, lazy_mode):
         # Gradient computation flushes the recorded forward segment, so
@@ -311,6 +380,42 @@ class TestConcurrentSubmission:
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
         _run_threads(threads)
         assert not errors
+
+    def test_racing_observers_of_a_partly_fetched_record(
+        self, lazy_mode, monkeypatch
+    ):
+        """One output of a multi-output record dies before the flush; six
+        threads race on observing the live ones.  Each sees the exact
+        values, the dead output is not fetched, and nothing hangs."""
+        lazy.reset_lazy_stats(clear_cache=True)
+        fetched = []
+        compile_segment = lazy._pipeline.compile_segment
+
+        def recording(name, specs, ops, fetches):
+            fetched.append(list(fetches))
+            return compile_segment(name, specs, ops, fetches)
+
+        monkeypatch.setattr(lazy._pipeline, "compile_segment", recording)
+        base = np.arange(12, dtype=np.float32).reshape(3, 4)
+        for _ in range(10):
+            a, b, c = repro.unstack(repro.constant(base) * 2.0)
+            del b
+            assert not a.is_ready()
+            barrier = threading.Barrier(6)
+            errors: list[BaseException] = []
+
+            def observe(k: int) -> None:
+                try:
+                    barrier.wait()
+                    for t, row in ((a, 0), (c, 2))[:: 1 if k % 2 else -1]:
+                        np.testing.assert_array_equal(t.numpy(), base[row] * 2.0)
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            _run_threads([threading.Thread(target=observe, args=(k,)) for k in range(6)])
+            assert not errors, errors
+        # Record 0 is the Mul, record 1 the Unpack: output 1 never fetched.
+        assert fetched == [[(1, 0), (1, 2)]]
 
     def test_concurrent_failures_stay_attributed(self, lazy_mode):
         """Each thread's failed op raises in *that* thread's observation,

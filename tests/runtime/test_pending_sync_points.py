@@ -1,6 +1,6 @@
 """The sync-point matrix of lazy eager mode's pending values.
 
-Lazy eager returns :class:`~repro.tensor.PendingTensor` subclasses from
+Lazy eager returns :class:`~repro.tensor.LazyTensor` objects from
 ``execute`` and promises an observation contract: every way Python can
 look at a value — ``numpy()``, ``item()``, ``bool()``, ``len()``, a
 cross-device copy, ``py_func`` — is a synchronization point that (a)
@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.ops.script_ops import py_func
-from repro.tensor import PendingTensor
+from repro.tensor import LazyTensor
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def _pending_vec():
     """A pending [3, 5, 7] produced by recorded pure ops."""
     x = repro.constant([1.0, 2.0, 3.0])
     y = x * 2.0 + 1.0
-    assert isinstance(y, PendingTensor)
+    assert isinstance(y, LazyTensor)
     return y
 
 
