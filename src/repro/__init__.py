@@ -175,13 +175,7 @@ from repro.runtime import profiler
 from repro import serving
 
 # The array-backend registry needs the full op set above (it installs
-# per-backend kernels only for ops that exist); the worker pool then
-# applies REPRO_PROCESS_DEVICES once devices and kernels are in place.
-from repro import backend  # noqa: E402
-from repro.runtime import worker_pool as _worker_pool  # noqa: E402
-from repro.runtime.context import context as _context  # noqa: E402
-
-if _context.process_devices:
-    _worker_pool.apply_process_devices(True)
+# per-backend kernels only for ops that exist).
+from repro import backend
 
 __version__ = "0.1.0"

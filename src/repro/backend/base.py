@@ -39,8 +39,7 @@ class ArrayBackend:
     kernel, so a partial backend is always complete and no backend
     carries a second spelling of an op.  Buffers flowing through the
     runtime must be (or subclass) ``np.ndarray`` — the simulated
-    devices, shared-memory marshalling, and fusion codegen all assume
-    NumPy's buffer protocol.
+    devices and fusion codegen both assume NumPy's buffer protocol.
     """
 
     #: Registry key; subclasses must override.

@@ -107,9 +107,8 @@ class DType:
 
     def __reduce__(self):
         # DTypes are interned singletons compared by identity in hot
-        # paths; pickling (e.g. op attrs crossing a device-worker
-        # process boundary) must rehydrate to the interned instance,
-        # not a copy.
+        # paths; pickling and deepcopy must rehydrate to the interned
+        # instance, not a copy.
         return (as_dtype, (self._name,))
 
     def __repr__(self) -> str:

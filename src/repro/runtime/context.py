@@ -165,12 +165,6 @@ def _resolve_kernel_backend(ctx: "Context", old: str) -> None:
     ctx._array_backend_obj = base.get_backend(ctx._kernel_backend)
 
 
-def _apply_process_devices(ctx: "Context", old: bool) -> None:
-    from repro.runtime import worker_pool
-
-    worker_pool.apply_process_devices(ctx._process_devices)
-
-
 KNOBS = (
     Knob(
         "executor_mode", ("REPRO_LAZY_EAGER",), "mode", "sync",
@@ -264,19 +258,6 @@ KNOBS = (
         """,
         _resolve_kernel_backend,
     ),
-    Knob(
-        "process_devices", ("REPRO_PROCESS_DEVICES",), "bool", False,
-        """Whether simulated GPU devices run kernels in worker processes.
-
-        When on, each local GPU's kernels run in a forked worker
-        (:mod:`repro.runtime.worker_pool`): tensors cross over shared
-        memory and the dispatching Python thread blocks on IPC with the
-        GIL released, so user threads pinned to different GPUs (one
-        thread per device, paper §4.5) overlap real compute on
-        multi-core hosts.  Turning it off shuts the workers down.
-        """,
-        _apply_process_devices,
-    ),
 )
 
 
@@ -359,10 +340,6 @@ class Context:
             core = _dispatch_core()
             if core is not None and core.compilation_runner is not None:
                 dev.set_op_runner(core.compilation_runner)
-        if self._process_devices:
-            mod = sys.modules.get("repro.runtime.worker_pool")
-            if mod is not None:
-                mod.maybe_install_runner(dev)
 
     def list_devices(self) -> list[str]:
         """Names of all devices the runtime is aware of (paper §4.4)."""

@@ -4,8 +4,6 @@ A :class:`WorkQueue` owns a FIFO of pending requests and the thread that
 serves them; it is the only place that knows the serve-thread contract
 (DESIGN.md §7.1 has the failure table).  ``distribute.WorkerServer`` and
 ``serving.ServedModel`` subclass it and keep only what is theirs.
-``runtime.worker_pool.DeviceWorker`` does not: it has no queue and no
-serve thread — its caller blocks on the pipe.
 
 Transient failures retry under the module :class:`RetryPolicy` through
 the one retry loop, :func:`call_with_retries`.

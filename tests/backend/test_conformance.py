@@ -10,7 +10,6 @@ prove ops were actually routed through the backend seam rather than
 silently falling back.
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -285,26 +284,3 @@ class TestBackendSeam:
         out = f(x, x)
         np.testing.assert_allclose(out.numpy(), 2.0 * np.ones(8))
         assert TRACKED_BACKEND.total_calls() >= 1
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_PROCESS_DEVICES"),
-    reason="process-device parity checks run with REPRO_PROCESS_DEVICES=1",
-)
-class TestProcessDeviceParity:
-    def test_gpu_matmul_parity(self):
-        from repro.runtime import worker_pool
-
-        a_np = _rand(np.float32, shape=(96, 96), seed=11)
-        with repro.device("/gpu:0"):
-            a = repro.constant(a_np)
-            out = repro.matmul(a, a).numpy()
-        np.testing.assert_allclose(out, a_np @ a_np, rtol=1e-4)
-        stats = worker_pool.worker_stats()
-        assert any(st["ops_shipped"] > 0 for st in stats.values())
-
-    def test_small_ops_stay_inline(self):
-        with repro.device("/gpu:0"):
-            a = repro.constant(np.float32(2.0))
-            out = repro.add(a, a).numpy()
-        assert float(out) == 4.0

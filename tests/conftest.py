@@ -46,8 +46,9 @@ def _reset_context_knobs():
     if lazy_mod is not None:
         lazy_mod.flush_all_pending()
         lazy_mod.take_deferred()
-    # Every knob back to its environment-derived default; a test that
-    # turned process devices on gets its workers shut down.
+    # Every knob back to its environment-derived default, through its
+    # setter, so on_change effects (a kernel-cache clear, a backend
+    # swap) apply as well.
     context.reset_knobs()
     repro.tensor._specialization_warned_sites.clear()
     # RetraceWarning state is rate-limited per Function; a warning

@@ -1,5 +1,7 @@
 """Data-parallel strategy (the paper's distributed-training direction)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.distribute import (
     shutdown_cluster,
 )
 from repro.framework.errors import InvalidArgumentError, NotFoundError
+from repro.runtime.context import context
+from repro.runtime.device import Device, local_device_spec
 
 
 @pytest.fixture
@@ -127,3 +131,95 @@ class TestGradientStep:
         # for MSE with equal shard sizes), so training trajectories match.
         np.testing.assert_allclose(dist_kernel, local_kernel, rtol=1e-4)
         assert dist_losses[-1] < dist_losses[0] * 0.5
+
+
+@pytest.fixture
+def second_gpu():
+    gpu1 = Device(local_device_spec("GPU", 1))
+    context.add_device(gpu1)
+    try:
+        yield gpu1.name
+    finally:
+        del context._devices[gpu1.name]
+
+
+class TestLocalGpuReplicas:
+    """Paper §4.5's recipe on one host: one Python thread per local GPU,
+    each replica's kernels running in this process."""
+
+    STEPS = 3
+
+    def _data(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(8, 4)).astype(np.float32)
+        y = rng.normal(size=(8, 2)).astype(np.float32)
+        return repro.constant(x), repro.constant(y)
+
+    def _model(self, x, weights=None):
+        model = nn.Dense(2)
+        model(x)
+        if weights is not None:
+            for var, value in zip(model.trainable_variables, weights):
+                var.assign(value)
+        return model
+
+    def _reference(self, weights, x, y):
+        """The same steps, shard by shard on ``/cpu:0``, grads averaged."""
+        model = self._model(x, weights)
+        opt = nn.SGD(0.1)
+        shards = [(x[:4], y[:4]), (x[4:], y[4:])]
+        losses = []
+        for _ in range(self.STEPS):
+            step_losses, step_grads = [], []
+            with repro.device("/cpu:0"):
+                for bx, by in shards:
+                    with repro.GradientTape() as tape:
+                        loss = nn.mean_squared_error(by, model(bx))
+                    step_grads.append(tape.gradient(loss, model.trainable_variables))
+                    step_losses.append(loss)
+            averaged = [
+                repro.add_n([g[i] for g in step_grads]) / 2.0
+                for i in range(len(model.trainable_variables))
+            ]
+            opt.apply_gradients(zip(averaged, model.trainable_variables))
+            losses.append(float(repro.add_n(step_losses) / 2.0))
+        return losses, [v.numpy() for v in model.trainable_variables]
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["eager", "function"])
+    def test_gradient_step_over_two_gpus(self, second_gpu, staged):
+        x, y = self._data()
+        model = self._model(x)
+        initial = [v.numpy().copy() for v in model.trainable_variables]
+        loss_devices = {}
+        lock = threading.Lock()
+
+        def mse(bx, by):
+            return nn.mean_squared_error(by, model(bx))
+
+        compute = repro.function(mse) if staged else mse
+
+        def loss_fn(bx, by):
+            loss = compute(bx, by)
+            with lock:
+                loss_devices.setdefault(context.current_device_name(), set()).add(
+                    loss.device
+                )
+            return loss
+
+        strategy = DataParallelStrategy(["/gpu:0", "/gpu:1"])
+        opt = nn.SGD(0.1)
+        losses = [
+            float(strategy.gradient_step(loss_fn, (x, y), model.trainable_variables, opt))
+            for _ in range(self.STEPS)
+        ]
+
+        ref_losses, ref_weights = self._reference(initial, x, y)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-5)
+        for var, ref in zip(model.trainable_variables, ref_weights):
+            np.testing.assert_allclose(var.numpy(), ref, rtol=1e-5)
+        gpu0 = context.get_device("/gpu:0").name
+        assert loss_devices == {"/gpu:0": {gpu0}, "/gpu:1": {second_gpu}}
+        if staged:
+            stats = compute.cache_stats()
+            assert stats["traces"] == 2  # one per device
+            assert stats["hits"] == 2 * self.STEPS - 2

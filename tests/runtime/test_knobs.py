@@ -19,7 +19,7 @@ from repro.framework.errors import InvalidArgumentError, NotFoundError
 from repro.graph.executor import GraphRunner
 from repro.graph.function import placeholder
 from repro.graph.graph import Graph
-from repro.runtime import dispatch, worker_pool
+from repro.runtime import dispatch
 from repro.runtime.context import KNOBS, Context, context
 from repro.tensor import LazyTensor
 
@@ -157,20 +157,10 @@ def _check_kernel_backend():
     assert context.array_backend().name == "tracked"
 
 
-def _check_process_devices():
-    gpu = context.get_device("/gpu:0")
-    context.process_devices = True
-    assert gpu.op_runner is worker_pool._process_runner
-    context.process_devices = False
-    assert gpu.op_runner is None
-    assert worker_pool.worker_stats() == {}
-
-
 ON_CHANGE_CHECKS = {
     "executor_mode": _check_executor_mode,
     "soft_device_placement": _check_soft_device_placement,
     "kernel_backend": _check_kernel_backend,
-    "process_devices": _check_process_devices,
 }
 
 
@@ -218,7 +208,8 @@ def test_benchmark_knob_discovery_contract():
 def test_retired_knobs_are_gone():
     for name in ("relax_retraces", "serving_max_batch", "serving_queue_depth",
                  "serving_timeout_ms", "async_eager", "lazy_eager",
-                 "stream_depth", "inter_op_parallelism_threads"):
+                 "stream_depth", "inter_op_parallelism_threads",
+                 "process_devices"):
         assert not hasattr(context, name), name
     assert not [name for name in dir(Context) if name.endswith("_from_env")]
 

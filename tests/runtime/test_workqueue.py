@@ -1,17 +1,14 @@
 """The request-queue lifecycle contract (DESIGN.md §7.1's failure table).
 
 One test per row, parametrized over the two ``WorkQueue`` owners — a
-``distribute.WorkerServer`` and a ``serving.ServedModel`` — and, for
-the rows that apply to something with no queue and no serve thread,
-over ``worker_pool.DeviceWorker``.  Every wait is bounded: a hang is a
-failure, never a stuck suite.
+``distribute.WorkerServer`` and a ``serving.ServedModel``.  Every wait
+is bounded: a hang is a failure, never a stuck suite.
 """
 
 import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 
 import repro
@@ -23,12 +20,9 @@ from repro.framework.errors import (
     ResourceExhaustedError,
     UnavailableError,
 )
-from repro.runtime import worker_pool
 from repro.runtime.workqueue import DROP_REQUEST, RequestFuture, WorkQueue
 from repro.serving import ServedModel
 from tests.serving.test_server import export_linear, x_batch
-
-GPU0 = "/job:localhost/replica:0/task:0/device:GPU:0"
 
 
 class _Owner:
@@ -291,25 +285,3 @@ class TestBuildingBlocks:
         assert future.expired()
         future._settle(7)
         assert future.done() and future.result() == future.result() == 7
-
-
-class TestProcessDeviceRows:
-    """``DeviceWorker`` is not a ``WorkQueue`` (no queue, no serve
-    thread: the caller blocks on the pipe) but keeps the rows that
-    apply to any worker handle."""
-
-    def test_not_a_work_queue(self):
-        assert not issubclass(worker_pool.DeviceWorker, WorkQueue)
-
-    def test_shutdown_is_idempotent_and_then_unavailable(self):
-        worker = worker_pool.DeviceWorker(GPU0)
-        one = np.float32(1.0)
-        try:
-            (out,) = worker.run_op("Add", [one, one], {})
-            assert float(out) == 2.0
-        finally:
-            worker.shutdown()
-        worker.shutdown()  # second call is a no-op, not an error
-        assert not worker._proc.is_alive()
-        with pytest.raises(UnavailableError, match="not running"):
-            worker.run_op("Add", [one, one], {})
