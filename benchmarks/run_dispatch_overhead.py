@@ -13,22 +13,12 @@ for the unified dispatch core:
 * **numpy**   — the raw ``np.add`` call on the same operands, as the
   floor below which no dispatcher can go.
 
-The pluggable-backend refactor threads the active array backend through
-kernel resolution, so two further measurements guard that seam:
-
-* **per-backend eager** — the same eager measurement per registered
-  backend (``numpy`` reference plus e.g. ``tracked``), showing what a
-  backend's own primitives cost through the identical dispatch path.
-* **seam overhead** — eager per-op time with the real backend-aware
-  resolver vs. a pinned resolver that skips the backend lookup; their
-  difference bounds what the seam adds on a cache hit (gate: <= 5%).
-
 Usage:
     PYTHONPATH=src python benchmarks/run_dispatch_overhead.py [--quick]
 
-``--quick`` shrinks iteration counts for CI smoke runs and asserts the
-sanity property the refactor must preserve: graph-mode per-node
-dispatch stays well below eager per-op dispatch.
+``--quick`` shrinks iteration counts for CI smoke runs.  Either way the
+exit status asserts the property the dispatch core must preserve:
+graph-mode per-node dispatch stays below eager per-op dispatch.
 """
 
 from __future__ import annotations
@@ -84,53 +74,6 @@ def measure_numpy_us(iterations: int, repeats: int) -> float:
     return _bench(lambda: add(a, a), iterations, repeats) * 1e6
 
 
-def measure_backend_us(backend: str, iterations: int, repeats: int) -> float:
-    """Eager per-op cost with ``backend`` active on the dispatch seam."""
-    from repro.runtime.context import context
-
-    context.kernel_backend = backend
-    try:
-        measure_eager_us(100, 1)  # warm this backend's cache entries
-        return measure_eager_us(iterations, repeats)
-    finally:
-        context.kernel_backend = "numpy"
-
-
-def measure_seam_pair_us(iterations: int, repeats: int) -> tuple[float, float]:
-    """Eager per-op cost: real backend-aware resolver vs pinned resolver.
-
-    The pinned variant replaces ``DispatchCore.resolve_kernel`` with a
-    resolver keyed only on ``(op, device, dtypes)`` — the pre-backend
-    shape — so the delta bounds the backend seam's cache-hit cost.  The
-    two configurations are measured *interleaved* (alternating repeats,
-    best-of each) so slow drift in host load biases neither side.
-    """
-    from repro.runtime import dispatch
-
-    core = dispatch.core
-    original = type(core).resolve_kernel
-    cache: dict = {}
-
-    def pinned_resolve(op_name, device_type, input_dtypes=()):
-        key = (op_name, device_type, input_dtypes)
-        kernel = cache.get(key)
-        if kernel is None:
-            kernel = original(core, op_name, device_type, input_dtypes)
-            cache[key] = kernel
-        return kernel
-
-    real_us = pinned_us = float("inf")
-    measure_eager_us(100, 1)
-    for _ in range(max(repeats, 3)):
-        real_us = min(real_us, measure_eager_us(iterations, 1))
-        core.resolve_kernel = pinned_resolve
-        try:
-            pinned_us = min(pinned_us, measure_eager_us(iterations, 1))
-        finally:
-            del core.resolve_kernel  # restore the class method
-    return real_us, pinned_us
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke run")
@@ -164,59 +107,20 @@ def main() -> int:
         f"{eager_us / graph_us:.1f}x cheaper than eager per-op dispatch"
     )
 
-    # Per-backend eager dispatch through the identical seam.
-    from repro.backend import list_backends
-
-    print()
-    print("per-backend eager dispatch (same seam, backend primitives)")
-    print(f"{'backend':<12}{'us/op':>10}{'x numpy-be':>12}")
-    print("-" * 34)
-    backend_us = {}
-    for name in sorted(list_backends()):
-        backend_us[name] = measure_backend_us(name, iterations, repeats)
-    for name, value in backend_us.items():
-        print(
-            f"{name:<12}{value:>10.2f}"
-            f"{value / backend_us['numpy']:>11.1f}x"
-        )
-
-    # Seam overhead: real backend-aware resolver vs pinned resolver.
-    eager_seam_us, seamless_us = measure_seam_pair_us(iterations, repeats)
-    seam_pct = (eager_seam_us - seamless_us) / seamless_us * 100.0
-    print()
-    print(
-        f"backend seam: {eager_seam_us:.2f} us/op with backend-aware "
-        f"resolution vs {seamless_us:.2f} us/op pinned "
-        f"({seam_pct:+.1f}%)"
-    )
-
     failed = False
     # The property the unified dispatch core must preserve (Fig. 3's
     # mechanism): staged per-node overhead well under eager per-op cost.
     if graph_us >= eager_us:
         print("FAIL: graph-mode dispatch is not cheaper than eager dispatch")
         failed = True
-    # Refactor gate: the pluggable-backend seam must stay within 5% of
-    # pinned resolution on the eager hot path (2pp of slack absorbs
-    # timer noise on loaded CI hosts).
-    if seam_pct > 7.0:
-        print(
-            f"FAIL: backend seam adds {seam_pct:.1f}% to eager dispatch "
-            f"(gate: 5% + 2pp noise allowance)"
-        )
-        failed = True
     write_report(
         "dispatch_overhead",
         speedup=eager_us / graph_us,
-        bars=[
-            bar("graph_cheaper_than_eager", eager_us / graph_us, 1.0, op=">"),
-            bar("seam_overhead_pct", seam_pct, 7.0, op="<="),
-        ],
+        bars=[bar("graph_cheaper_than_eager", eager_us / graph_us, 1.0, op=">")],
         metrics={
             "numpy_us_per_op": numpy_us,
             "eager_us_per_op": eager_us,
             "graph_us_per_node": graph_us,
-            "backend_us_per_op": backend_us,
         },
     )
     return 1 if failed else 0

@@ -174,8 +174,4 @@ from repro.tensor import TraceSpecializationWarning
 from repro.runtime import profiler
 from repro import serving
 
-# The array-backend registry needs the full op set above (it installs
-# per-backend kernels only for ops that exist).
-from repro import backend
-
 __version__ = "0.1.0"

@@ -195,8 +195,8 @@ class WorkerServer(WorkQueue):
         """Enqueue one operation; blocks until the worker replies.
 
         The worker thread runs the op through the dispatch core's shared
-        kernel path — the cached, backend- and soft-placement-aware
-        resolution local ops get.
+        kernel path — the cached, soft-placement-aware resolution local
+        ops get.
 
         Args:
             deadline_ms: per-request deadline; defaults to

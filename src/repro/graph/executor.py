@@ -147,14 +147,12 @@ class GraphRunner:
 
         # The plan: per node, ``[node, kernel, input ids, output ids (None
         # when nothing consumes or fetches it), dies, donation]``.  The
-        # kernel resolves once through the dispatch core's cache, under
-        # the backend active now (`run` re-plans when it changes).  It is
+        # kernel resolves once through the dispatch core's cache.  It is
         # None for placeholders, for ops without one and for nodes that
         # always take the dispatch core: pinned ones, those calling a graph
         # function (calls, control flow) or producing resource/variant
         # handles (their kernels return Tensors).
         core = dispatch.core
-        self.plan_backend = context.kernel_backend
         self.plan = []
         last_use: dict[int, int] = {}
         consumed = self.consumers.get
@@ -183,9 +181,8 @@ class GraphRunner:
         # consumer, was freshly allocated by its producer (never aliases
         # anything), and matches the output's static shape and dtype.
         # Gated, at plan-build time, with the fusion knob (the two
-        # together are the "static memory plan") and on the backend's
-        # buffers honoring NumPy's `out=` protocol.
-        if context.graph_fusion and context.array_backend().supports_inplace:
+        # together are the "static memory plan").
+        if context.graph_fusion:
             for pos, entry in enumerate(self.plan):
                 node = entry[0]
                 if entry[1] is None or len(node.outputs) != 1:
@@ -365,10 +362,6 @@ class GraphRunner:
                 "GraphRunner.run(parallel=True): the thread-parallel "
                 "scheduler was removed; graphs run on the calling thread"
             )
-        if self.plan_backend != context._kernel_backend:
-            # The active array backend changed after this plan bound its
-            # kernels; rebind so cached plans follow the knob.
-            self._build_schedule()
         items = feeds.items() if isinstance(feeds, dict) else feeds
         feed_values: dict[int, Tensor] = {}
         for key, value in items:

@@ -106,7 +106,6 @@ class FusionRegion:
         "internal_peak_bytes",
         "peak_is_lower_bound",
         "donated_steps",
-        "backend",
         "code_cache_hit",
         "_compiled",
     )
@@ -121,7 +120,6 @@ class FusionRegion:
         internal_peak_bytes: int,
         peak_is_lower_bound: bool,
         donated_steps: int,
-        backend: str = "numpy",
     ) -> None:
         self.steps = tuple(steps)
         self.out_refs = tuple(out_refs)
@@ -131,7 +129,6 @@ class FusionRegion:
         self.internal_peak_bytes = internal_peak_bytes
         self.peak_is_lower_bound = peak_is_lower_bound
         self.donated_steps = donated_steps
-        self.backend = backend
         # Generated code is the only executor a region has, so a codegen
         # failure propagates out of ``fuse_function``.
         # The code depends on the wiring alone; this region's kernels and
@@ -413,13 +410,6 @@ def _build_region(
     member_nodes: list[Node], escaping: set[int]
 ) -> tuple[FusionRegion, list[SymbolicTensor], list[SymbolicTensor]]:
     """Compile one cluster; returns (region, ext inputs, escaping outs)."""
-    from repro.runtime.context import context
-
-    # Member kernels bind to the active backend at build time (NumPy as
-    # the fallback).  In-place donation relies on NumPy's `out=`
-    # protocol; backends whose buffers don't honor it opt out.
-    region_backend = context.kernel_backend
-    backend_inplace_ok = context.array_backend().supports_inplace
     member_ids = {id(n) for n in member_nodes}
 
     ext_tensors: list[SymbolicTensor] = []
@@ -479,7 +469,7 @@ def _build_region(
         s = num_ext + k
         # At most one in-place donation per step: a dying, fresh,
         # exclusively-owned internal input with matching static shape/dtype.
-        inplace = registry.get_inplace_kernel(node.op_name) if backend_inplace_ok else None
+        inplace = registry.get_inplace_kernel(node.op_name)
         out_spec = node.outputs[0].spec
         donate = -1
         if inplace is not None and out_spec.shape.is_fully_defined:
@@ -517,9 +507,7 @@ def _build_region(
         for d in dies:
             live -= slot_bytes.get(d, 0)
             slot_bytes[d] = 0
-        kernel = registry.resolve_kernel(
-            node.op_name, "CPU", allow_soft_placement=False, backend=region_backend
-        )
+        kernel = registry.resolve_kernel(node.op_name, "CPU", allow_soft_placement=False)
         inplace = inplace if donate >= 0 else None
         in_refs = step_in_refs[k]
         steps.append((node.op_name, kernel, inplace, node.attrs, in_refs, donate, dies))
@@ -534,7 +522,6 @@ def _build_region(
         internal_peak_bytes=peak,
         peak_is_lower_bound=lower_bound,
         donated_steps=donated,
-        backend=region_backend,
     )
     escaping_outs = [member_nodes[k].outputs[0] for k in out_members]
     return region, ext_tensors, escaping_outs

@@ -10,14 +10,11 @@ Three registries implement that split:
   definition: statefulness (which gates constant folding and common
   subexpression elimination), a shape/dtype inference function used
   when the op is *staged* into a graph, and the op's *traits* — the
-  classification the graph passes, lazy recording, the array backends
-  and the cost model read instead of keeping lists of op names.
+  classification the graph passes, lazy recording and the cost model
+  read instead of keeping lists of op names.
 * :func:`register_kernel` — device-specific implementations, keyed by
-  ``(op name, device type, backend)``.  CPU and the simulated GPU share
-  NumPy kernels; the TPU has none (it only runs XLA-compiled programs).
-  Kernels bind to an *array backend* (:mod:`repro.backend`); the NumPy
-  backend is the default and the universal fallback, so an alternative
-  backend only has to register the primitives it accelerates.
+  ``(op name, device type)``.  CPU and the simulated GPU share NumPy
+  kernels; the TPU has none (it only runs XLA-compiled programs).
 * :func:`register_gradient` — the reverse-mode rule for each op,
   consumed by the tape machinery (§4.2).  Gradient functions are
   themselves compositions of primitive ops, so "it is possible to
@@ -36,7 +33,6 @@ from repro.framework.errors import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "ELEMENTWISE",
     "REDUCTION",
     "SHAPE_PURE",
@@ -49,7 +45,6 @@ __all__ = [
     "unregister_kernel",
     "get_kernel",
     "has_kernel",
-    "kernel_backends",
     "resolve_kernel",
     "add_kernel_registration_listener",
     "register_gradient",
@@ -67,10 +62,9 @@ __all__ = [
 #
 # * ``ELEMENTWISE`` — one output element per (broadcast) input position,
 #   no reductions or data movement: the ``fuse`` pass's candidate set,
-#   shape-pure for lazy recording, routed to ``ArrayBackend.elementwise``,
-#   costed at one flop per output element.
+#   shape-pure for lazy recording, costed at one flop per output element.
 # * ``REDUCTION`` — reduces its single input over ``axis``/``keepdims``
-#   attrs: routed to ``ArrayBackend.reduce``, costed per input element.
+#   attrs: costed per input element.
 # * ``SHAPE_PURE`` — output specs depend only on input dtypes/shapes, so
 #   lazy recording may memoize inference (implied by ``ELEMENTWISE``).
 # * ``ALIASES_INPUT`` — the kernel may return its input (or a view of it):
@@ -114,19 +108,14 @@ class OpDef:
         return self.infer_fn(input_specs, attrs)
 
 
-# The default array backend.  Every kernel registered without an
-# explicit ``backend=`` binds here, and placement-aware resolution falls
-# back here when the active backend has no specialized kernel.
-DEFAULT_BACKEND = "numpy"
-
 _OPS: dict[str, OpDef] = {}
-_KERNELS: dict[tuple[str, str, str], KernelFn] = {}
+_KERNELS: dict[tuple[str, str], KernelFn] = {}
 _GRADIENTS: dict[str, GradFn] = {}
 
 # Placement-aware kernel resolution is memoised here (and again, keyed
 # by input signature, in the dispatch core); registering a new kernel
 # invalidates both through the listener list.
-_RESOLUTION_CACHE: dict[tuple[str, str, str, bool], KernelFn] = {}
+_RESOLUTION_CACHE: dict[tuple[str, str, bool], KernelFn] = {}
 _KERNEL_LISTENERS: list[Callable[[], None]] = []
 
 
@@ -190,25 +179,17 @@ def ops_with_trait(trait: str) -> list[str]:
     return sorted(name for name, op in _OPS.items() if trait in op.traits)
 
 
-def register_kernel(
-    op_name: str,
-    device_types: Sequence[str] = ("CPU", "GPU"),
-    backend: str = DEFAULT_BACKEND,
-):
+def register_kernel(op_name: str, device_types: Sequence[str] = ("CPU", "GPU")):
     """Decorator registering ``fn`` as the kernel for op on device types.
 
     A kernel ``fn(arrays, attrs, device)`` returns an op's single output
     bare, several outputs as a sequence, and no output as None or an
     empty sequence; the graph executor's printed statements rely on it.
-    ``backend`` names the array backend the kernel is implemented
-    against (see :mod:`repro.backend`).  The default binds to the NumPy
-    backend, which doubles as the fallback implementation for every
-    other backend.
     """
 
     def decorator(fn: KernelFn) -> KernelFn:
         for device_type in device_types:
-            key = (op_name, device_type.upper(), backend)
+            key = (op_name, device_type.upper())
             if key in _KERNELS:
                 raise AlreadyExistsError(f"Kernel already registered for {key}")
             _KERNELS[key] = fn
@@ -219,77 +200,47 @@ def register_kernel(
 
 
 def unregister_kernel(
-    op_name: str,
-    device_types: Sequence[str] = ("CPU", "GPU"),
-    backend: str = DEFAULT_BACKEND,
+    op_name: str, device_types: Sequence[str] = ("CPU", "GPU")
 ) -> None:
-    """Remove a kernel registration (test backends use this to clean up)."""
+    """Remove a kernel registration (test ops use this to clean up)."""
     for device_type in device_types:
-        _KERNELS.pop((op_name, device_type.upper(), backend), None)
+        _KERNELS.pop((op_name, device_type.upper()), None)
     _notify_kernel_registration()
 
 
-def get_kernel(
-    op_name: str, device_type: str, backend: str = DEFAULT_BACKEND
-) -> KernelFn:
-    """Exact-key kernel lookup (no placement or backend fallback)."""
+def get_kernel(op_name: str, device_type: str) -> KernelFn:
+    """Exact-key kernel lookup (no placement fallback)."""
     try:
-        return _KERNELS[(op_name, device_type.upper(), backend)]
+        return _KERNELS[(op_name, device_type.upper())]
     except KeyError:
         raise NotFoundError(
             f"No kernel registered for operation {op_name!r} on device type "
-            f"{device_type!r} (backend {backend!r})"
+            f"{device_type!r}"
         ) from None
 
 
-def has_kernel(
-    op_name: str, device_type: str, backend: str = DEFAULT_BACKEND
-) -> bool:
-    return (op_name, device_type.upper(), backend) in _KERNELS
-
-
-def kernel_backends(op_name: str, device_type: str) -> list[str]:
-    """All backends with a kernel registered for ``(op, device_type)``."""
-    device_type = device_type.upper()
-    return sorted(
-        b for (op, dev, b) in _KERNELS if op == op_name and dev == device_type
-    )
+def has_kernel(op_name: str, device_type: str) -> bool:
+    return (op_name, device_type.upper()) in _KERNELS
 
 
 def resolve_kernel(
-    op_name: str,
-    device_type: str,
-    allow_soft_placement: bool = True,
-    backend: Optional[str] = None,
+    op_name: str, device_type: str, allow_soft_placement: bool = True
 ) -> KernelFn:
-    """Placement- and backend-aware kernel resolution (the cacheable
-    dispatch API).
+    """Placement-aware kernel resolution (the cacheable dispatch API).
 
-    Returns the kernel registered for ``(op_name, device_type,
-    backend)``, falling back in order: the NumPy kernel on the requested
-    device type, then — under soft placement — the backend's CPU kernel,
-    then the NumPy CPU kernel (TF's soft placement does the same minus
-    the backend dimension).  ``backend=None`` resolves against the
-    context's active backend.  Successful resolutions are memoised until
-    the next kernel registration, so the dispatch hot path is a dict hit
-    rather than repeated probing.
+    Returns the kernel registered for ``(op_name, device_type)``, else —
+    under soft placement, as in TF — the op's CPU kernel.  Successful
+    resolutions are memoised until the next kernel registration, so the
+    dispatch hot path is a dict hit rather than repeated probing.
     """
-    if backend is None:
-        from repro.runtime.context import context
-
-        backend = context.kernel_backend
     device_type = device_type.upper()
-    key = (op_name, device_type, backend, allow_soft_placement)
+    key = (op_name, device_type, allow_soft_placement)
     kernel = _RESOLUTION_CACHE.get(key)
     if kernel is not None:
         return kernel
-    kernel = _KERNELS.get((op_name, device_type, backend))
-    if kernel is None and backend != DEFAULT_BACKEND:
-        kernel = _KERNELS.get((op_name, device_type, DEFAULT_BACKEND))
+    kernel = _KERNELS.get((op_name, device_type))
     if kernel is None and allow_soft_placement and device_type != "CPU":
-        kernel = _KERNELS.get((op_name, "CPU", backend))
-        if kernel is None and backend != DEFAULT_BACKEND:
-            kernel = _KERNELS.get((op_name, "CPU", DEFAULT_BACKEND))
+        kernel = _KERNELS.get((op_name, "CPU"))
     if kernel is None:
         raise NotFoundError(
             f"No kernel for operation {op_name!r} on device type "

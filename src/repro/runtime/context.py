@@ -72,7 +72,7 @@ class Knob(NamedTuple):
 
     name: str
     env: tuple  # variables read once, when the Context is constructed
-    kind: str  # "bool", "int", "float", "str" or "mode": see _validated
+    kind: str  # "bool", "int", "float" or "mode": see _validated
     default: object
     doc: str
     #: ``on_change(context, old_value)`` runs after a setter changed the
@@ -107,8 +107,6 @@ def _validated(knob: Knob, value, source: str):
     """``value`` coerced to the knob's kind; ``source`` names it in errors."""
     if knob.kind == "bool":
         return bool(value)
-    if knob.kind == "str":
-        return str(value)
     if knob.kind == "mode":
         if value not in ("sync", "lazy"):
             raise InvalidArgumentError(
@@ -135,10 +133,6 @@ def _from_env(knob: Knob):
     if knob.kind == "bool":
         return _env_bool(env)
     raw = os.environ[env]
-    if knob.kind == "str":
-        # Validated on first use: the registry that knows the names
-        # (array backends) imports after the context exists.
-        return raw.strip() or knob.default
     if knob.kind == "float":  # a non-positive variable means None
         value = _number(float, raw, env)
         return value if value > 0 else None
@@ -155,14 +149,6 @@ def _clear_kernel_cache(ctx: "Context", old: bool) -> None:
     if core is not None:
         # Cached kernel resolutions embed the placement policy.
         core.clear_kernel_cache()
-
-
-def _resolve_kernel_backend(ctx: "Context", old: str) -> None:
-    from repro.backend import base
-
-    # Raises on an unregistered name.  No cache clear needed: the
-    # dispatch core's per-signature cache keys include the backend name.
-    ctx._array_backend_obj = base.get_backend(ctx._kernel_backend)
 
 
 KNOBS = (
@@ -246,18 +232,6 @@ KNOBS = (
         made afterwards; a staged trace keeps what it was traced with.
         """,
     ),
-    Knob(
-        "kernel_backend", ("REPRO_KERNEL_BACKEND",), "str", "numpy",
-        """The active array backend for kernel resolution.
-
-        Kernels are registered per ``(op, device type, backend)``
-        (:mod:`repro.backend`); the active backend's win and anything it
-        doesn't implement falls back to the NumPy kernels.  Applies to
-        ops dispatched afterwards; fused regions and execution plans
-        built earlier keep the kernels they bound.
-        """,
-        _resolve_kernel_backend,
-    ),
 )
 
 
@@ -297,7 +271,6 @@ class Context:
         self._uid = 0
         for knob in KNOBS:
             setattr(self, "_" + knob.name, _from_env(knob))
-        self._array_backend_obj = None  # resolved lazily (import order)
         self._initialize_local_devices(num_gpus=num_gpus, num_tpus=num_tpus)
 
     def reset_knobs(self) -> None:
@@ -316,15 +289,6 @@ class Context:
         lazy_mod = sys.modules.get("repro.runtime.lazy")
         if lazy_mod is not None:
             lazy_mod.sync_lazy()
-
-    def array_backend(self):
-        """The active :class:`~repro.backend.ArrayBackend` object."""
-        obj = self._array_backend_obj
-        if obj is None or obj.name != self._kernel_backend:
-            from repro.backend import base
-
-            obj = self._array_backend_obj = base.get_backend(self._kernel_backend)
-        return obj
 
     # -- devices -----------------------------------------------------------
     def _initialize_local_devices(self, num_gpus: int, num_tpus: int) -> None:

@@ -41,25 +41,6 @@ from repro.framework.errors import FailedPreconditionError, InvalidArgumentError
 
 __all__ = ["DeviceSpec", "Device", "DeviceCostModel"]
 
-_context_module = None
-
-
-def _context():
-    """The runtime context singleton, or None during bootstrap.
-
-    Devices exist before (and are created by) the context, so the
-    reference resolves lazily through ``sys.modules`` rather than a
-    top-level import.
-    """
-    global _context_module
-    if _context_module is None:
-        import sys
-
-        _context_module = sys.modules.get("repro.runtime.context")
-        if _context_module is None:
-            return None
-    return getattr(_context_module, "context", None)
-
 _FULL_NAME_RE = re.compile(
     r"^/job:(?P<job>[^/]+)/replica:(?P<replica>\d+)/task:(?P<task>\d+)"
     r"/device:(?P<type>[A-Za-z_]+):(?P<index>\d+)$"
@@ -288,22 +269,12 @@ class Device:
         return None
 
     # -- memory ------------------------------------------------------------
-    @property
-    def backend(self):
-        """The :class:`~repro.backend.ArrayBackend` this device
-        allocates through (the context's active backend)."""
-        from repro.runtime.context import context
-
-        return context.array_backend()
-
     def allocate(self, array: np.ndarray) -> np.ndarray:
         """Copy ``array`` into this device's memory space.
 
         The returned buffer is read-only: tensors are immutable, and
         marking the buffer non-writeable catches accidental aliasing
-        mutations at their source.  Under a non-default array backend
-        the buffer is adopted through the backend (``from_host``), so
-        device-resident tensors carry the backend's tag.
+        mutations at their source.
         """
         buf = np.ascontiguousarray(array)
         if buf.shape != array.shape:  # ascontiguousarray promotes 0-d to (1,)
@@ -311,9 +282,6 @@ class Device:
         if buf is array or buf.base is not None:
             buf = buf.copy()
         buf.flags.writeable = False
-        ctx = _context()
-        if ctx is not None and ctx._kernel_backend != "numpy":
-            buf = ctx.array_backend().from_host(buf)
         with self._lock:
             self._bytes_in_use += buf.nbytes
             self._num_allocations += 1

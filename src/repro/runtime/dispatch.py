@@ -188,21 +188,14 @@ class DispatchCore:
 
     # -- kernel resolution -------------------------------------------------
     def resolve_kernel(self, op_name: str, device_type: str, input_dtypes: tuple = ()):
-        """Resolve (and cache) the kernel for one op signature.
-
-        The cache key includes the active array backend, so flipping
-        ``context.kernel_backend`` re-resolves without clearing (and the
-        backend seam costs one attribute read on a cache hit).
-        """
-        backend = context._kernel_backend
-        key = (op_name, device_type, input_dtypes, backend)
+        """Resolve (and cache) the kernel for one op signature."""
+        key = (op_name, device_type, input_dtypes)
         kernel = self._kernel_cache.get(key)
         if kernel is None:
             kernel = registry.resolve_kernel(
                 op_name,
                 device_type,
                 allow_soft_placement=context.soft_device_placement,
-                backend=backend,
             )
             self._kernel_cache[key] = kernel
         return kernel

@@ -313,16 +313,6 @@ class Tensor(TensorBase):
         return self._device
 
     @property
-    def backend(self) -> str:
-        """Name of the array backend owning this tensor's buffer.
-
-        Backend buffers are tagged via ``__array_backend__`` on their
-        array type (:func:`repro.backend.backend_of`); untagged buffers
-        are plain NumPy.
-        """
-        return getattr(self._array, "__array_backend__", "numpy")
-
-    @property
     def nbytes(self) -> int:
         return int(self._array.nbytes)
 

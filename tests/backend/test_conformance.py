@@ -1,30 +1,34 @@
-"""Backend conformance matrix.
+"""Kernel conformance matrix.
 
-Every registered :class:`ArrayBackend` must produce bit-equal results
-with the NumPy backend for every member of the elementwise and
-reduction op families at every dtype the op is well-typed at, fall
-back to NumPy kernels for ops it does not route, and round-trip host
-buffers faithfully.  The ``tracked``
-backend doubles as the pluggability witness: its primitive counters
-prove ops were actually routed through the backend seam rather than
-silently falling back.
+Every kernel is registered under ``(op, device_type)`` and resolved one
+way: the requested device's kernel, else the CPU kernel under soft
+placement.  Each routed test runs twice:
+
+- ``numpy``: the op through eager dispatch, checked against NumPy;
+- ``tracked``: the same with every registered kernel swapped for a
+  counting wrapper (:func:`tests.harness.tracking.tracked_kernels`),
+  whose counter proves the op reached the kernel the registry holds
+  rather than one a cache kept from before the swap.
+
+The family matrix covers every member of the elementwise and reduction
+op families at every dtype the op is well-typed at: eager dispatch
+returns its kernel's value, at the dtype the op's inference declares.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import repro
-from repro.backend import base, list_backends
-from repro.backend.tracked import TRACKED_BACKEND, TrackedArray
 from repro.framework import dtypes
+from repro.framework.errors import InvalidArgumentError, NotFoundError
 from repro.ops import common, registry
-from repro.runtime.context import context
 from repro.runtime.executor import execute
 from repro.tensor import TensorSpec
-
-ALL_BACKENDS = sorted(list_backends())
+from tests.conftest import CALLS
+from tests.harness.tracking import tracked_kernels
 
 FLOAT_DTYPES = [np.float32, np.float64]
 INT_DTYPES = [np.int32, np.int64]
@@ -46,14 +50,29 @@ REDUCE_OPS = [
     ("Mean", repro.reduce_mean),
     ("Max", repro.reduce_max),
 ]
+NUMPY_REFERENCE = {
+    "Add": np.add,
+    "Mul": np.multiply,
+    "Maximum": np.maximum,
+    "Exp": np.exp,
+    "Tanh": np.tanh,
+    "Sqrt": np.sqrt,
+    "Sigmoid": expit,
+    "Sum": np.sum,
+    "Mean": np.mean,
+    "Max": np.max,
+}
 
 
-@pytest.fixture(params=ALL_BACKENDS)
-def backend_name(request):
-    context.kernel_backend = request.param
-    TRACKED_BACKEND.reset_stats()
-    yield request.param
-    context._kernel_backend = "numpy"
+@pytest.fixture(params=["numpy", "tracked"])
+def route(request):
+    """None on the ``numpy`` route; the kernel call counter on the
+    ``tracked`` route, with every kernel swapped for the test."""
+    if request.param == "numpy":
+        yield None
+        return
+    with tracked_kernels() as counts:
+        yield counts
 
 
 def _rand(dtype, shape=(4, 5), seed=7):
@@ -65,10 +84,17 @@ def _rand(dtype, shape=(4, 5), seed=7):
     return (rng.random(shape) + 0.25).astype(dtype)
 
 
-def _on_numpy(thunk):
-    """``thunk()``'s result computed on the NumPy backend (the reference)."""
-    context.kernel_backend = "numpy"
-    return thunk().numpy()
+def _run(route, op_name, thunk):
+    """``thunk()`` as a host array.  On the tracked route it runs sync
+    (a lazy segment may come from the process-wide cache, bound before
+    the swap) and must call ``op_name``'s kernel exactly once."""
+    if route is None:
+        return thunk().numpy()
+    route.clear()
+    with repro.execution_mode("sync"):
+        out = thunk().numpy()
+    assert route[op_name] == 1, dict(route)
+    return out
 
 
 # -- the family matrix: every ELEMENTWISE / REDUCTION member -----------------
@@ -97,18 +123,22 @@ def _call_args(op_name, dtype):
     return [x, _rand(dtype, seed=2)], {}
 
 
+def _declared_dtype(op_name, inputs, attrs):
+    specs = [TensorSpec(a.shape, dtypes.as_dtype(a.dtype)) for a in inputs]
+    (spec,) = registry.get_op_def(op_name).infer(specs, attrs)
+    return spec.dtype.as_numpy_dtype
+
+
 def _accepts(op_name, dtype) -> bool:
-    """Is the op well-typed at ``dtype``: its NumPy kernel runs without a
+    """Is the op well-typed at ``dtype``: its CPU kernel runs without a
     floating-point error and returns the dtype its inference declares?"""
     inputs, attrs = _call_args(op_name, dtype)
-    specs = [TensorSpec(a.shape, dtypes.as_dtype(a.dtype)) for a in inputs]
     try:
         with np.errstate(all="raise"):
             out = registry.get_kernel(op_name, "CPU")(inputs, attrs, None)
     except (TypeError, ValueError, ArithmeticError):
         return False
-    (spec,) = registry.get_op_def(op_name).infer(specs, attrs)
-    return np.asarray(out).dtype == spec.dtype.as_numpy_dtype
+    return np.asarray(out).dtype == _declared_dtype(op_name, inputs, attrs)
 
 
 FAMILY_CASES = [
@@ -123,8 +153,8 @@ FAMILY_CASES = [
 
 
 def _execute(op_name, arrays, attrs):
-    # Sync: the routing witness needs the op itself dispatched, not a
-    # lazy segment the optimizer may shrink.
+    # Sync: the op itself dispatched, not a lazy segment the optimizer
+    # may shrink.
     with repro.execution_mode("sync"):
         return execute(op_name, [repro.constant(a) for a in arrays], attrs)
 
@@ -133,16 +163,15 @@ class TestKernelMatrix:
     @pytest.mark.parametrize(
         "op_name,dtype", FAMILY_CASES, ids=[f"{o}-{np.dtype(d)}" for o, d in FAMILY_CASES]
     )
-    def test_family_member_matches_numpy(self, backend_name, op_name, dtype):
-        """Every ELEMENTWISE/REDUCTION member is routed through the active
-        backend and bit-equal to the NumPy backend."""
+    def test_family_member_matches_numpy(self, route, op_name, dtype):
+        """Every ELEMENTWISE/REDUCTION member dispatches to its
+        registered NumPy kernel and returns that kernel's value at the
+        dtype its inference declares."""
         inputs, attrs = _call_args(op_name, dtype)
-        out = _execute(op_name, inputs, attrs).numpy()
-        if backend_name == "tracked":
-            assert TRACKED_BACKEND.primitive_calls[op_name] == 1
-        ref = _on_numpy(lambda: _execute(op_name, inputs, attrs))
+        ref = np.asarray(registry.get_kernel(op_name, "CPU")(inputs, attrs, None))
+        out = _run(route, op_name, lambda: _execute(op_name, inputs, attrs))
         np.testing.assert_array_equal(out, ref)
-        assert out.dtype == ref.dtype
+        assert out.dtype == ref.dtype == _declared_dtype(op_name, inputs, attrs)
 
     def test_every_family_member_accepts_a_dtype(self):
         members = {o for o, _ in FAMILY_CASES}
@@ -156,131 +185,158 @@ class TestKernelMatrix:
         # Extreme inputs: the naive 1 / (1 + exp(-x)) overflows at -1000
         # and differs from the stable kernel in the last bit at -20.
         x = np.array([-1000.0, -20.0, 0.0, 20.0], dtype=dtype)
+        kernel_out = registry.get_kernel("Sigmoid", "CPU")([x], {}, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            context.kernel_backend = "tracked"
-            got = repro.sigmoid(repro.constant(x)).numpy()
-            ref = _on_numpy(lambda: repro.sigmoid(repro.constant(x)))
-        np.testing.assert_array_equal(got, ref)
+            with tracked_kernels() as counts, repro.execution_mode("sync"):
+                got = repro.sigmoid(repro.constant(x)).numpy()
+        assert counts["Sigmoid"] == 1
+        np.testing.assert_array_equal(got, kernel_out)
+        np.testing.assert_allclose(got, expit(x.astype(np.float64)), rtol=1e-6)
 
-    # The public wrappers on the same seam (operand conversion included).
+    # The public wrappers on the same path (operand conversion included).
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES + INT_DTYPES)
     @pytest.mark.parametrize("op_name,fn", BINARY_OPS)
-    def test_binary_elementwise(self, backend_name, op_name, fn, dtype):
+    def test_binary_elementwise(self, route, op_name, fn, dtype):
         a, b = _rand(dtype, seed=1), _rand(dtype, seed=2)
-        out = fn(repro.constant(a), repro.constant(b)).numpy()
-        ref = _on_numpy(lambda: fn(repro.constant(a), repro.constant(b)))
+        out = _run(route, op_name, lambda: fn(repro.constant(a), repro.constant(b)))
+        ref = NUMPY_REFERENCE[op_name](a, b)
         np.testing.assert_array_equal(out, ref)
         assert out.dtype == ref.dtype
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("op_name,fn", UNARY_FLOAT_OPS)
-    def test_unary_elementwise(self, backend_name, op_name, fn, dtype):
+    def test_unary_elementwise(self, route, op_name, fn, dtype):
         x = _rand(dtype)
-        out = fn(repro.constant(x)).numpy()
-        np.testing.assert_array_equal(out, _on_numpy(lambda: fn(repro.constant(x))))
+        out = _run(route, op_name, lambda: fn(repro.constant(x)))
+        assert out.dtype == dtype
+        np.testing.assert_allclose(
+            out, NUMPY_REFERENCE[op_name](x), rtol=4 * np.finfo(dtype).eps
+        )
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES + INT_DTYPES)
     @pytest.mark.parametrize("op_name,fn", REDUCE_OPS)
-    def test_reductions_preserve_dtype(self, backend_name, op_name, fn, dtype):
+    def test_reductions_preserve_dtype(self, route, op_name, fn, dtype):
         x = _rand(dtype, shape=(3, 6))
-        out = fn(repro.constant(x), axis=1).numpy()
-        np.testing.assert_array_equal(
-            out, _on_numpy(lambda: fn(repro.constant(x), axis=1))
+        out = _run(route, op_name, lambda: fn(repro.constant(x), axis=1))
+        np.testing.assert_allclose(
+            out, NUMPY_REFERENCE[op_name](x, axis=1).astype(dtype), rtol=1e-6
         )
         # Framework convention: reductions keep the input dtype (no
         # silent int→int64 / float→float64 widening).
         assert out.dtype == dtype
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_matmul(self, backend_name, dtype):
+    def test_matmul(self, route, dtype):
         a = _rand(dtype, shape=(4, 3), seed=3)
         b = _rand(dtype, shape=(3, 5), seed=4)
-        out = repro.matmul(repro.constant(a), repro.constant(b)).numpy()
+        out = _run(route, "MatMul", lambda: repro.matmul(repro.constant(a), repro.constant(b)))
+        assert out.dtype == dtype
         np.testing.assert_allclose(out, a @ b, rtol=1e-5)
 
     @pytest.mark.parametrize("src,dst", [(np.float32, "int32"), (np.int32, "float64")])
-    def test_cast(self, backend_name, src, dst):
+    def test_cast(self, route, src, dst):
         x = _rand(src)
-        out = repro.cast(repro.constant(x), dst).numpy()
+        out = _run(route, "Cast", lambda: repro.cast(repro.constant(x), dst))
+        assert out.dtype == np.dtype(dst)
         np.testing.assert_allclose(out, x.astype(dst))
 
-    def test_comparison_returns_bool(self, backend_name):
+    def test_comparison_returns_bool(self, route):
         a, b = _rand(np.float32, seed=5), _rand(np.float32, seed=6)
-        out = repro.less(repro.constant(a), repro.constant(b)).numpy()
+        out = _run(route, "Less", lambda: repro.less(repro.constant(a), repro.constant(b)))
         assert out.dtype == np.bool_
         np.testing.assert_array_equal(out, a < b)
 
 
 class TestBackendSeam:
+    """What is left where the array-backend seam was: kernels keyed by
+    ``(op, device_type)``, plain host buffers, one resolution path."""
+
     def test_promote_types_matches_framework(self):
-        for name in ALL_BACKENDS:
-            be = base.get_backend(name)
-            assert be.promote_types(repro.float32, repro.float32) is repro.float32
-            with pytest.raises(TypeError):
-                be.promote_types(repro.float32, repro.float64)
+        # Eager dispatch types a binary op exactly as
+        # ``dtypes.result_type`` does: equal dtypes, or an error.
+        for a in (repro.float32, repro.float64, repro.int32):
+            for b in (repro.float32, repro.float64, repro.int32):
+                x = repro.constant(np.ones(3, a.as_numpy_dtype))
+                y = repro.constant(np.ones(3, b.as_numpy_dtype))
+                if a == b:
+                    assert dtypes.result_type(a, b) is a
+                    assert repro.add(x, y).dtype is a
+                    continue
+                with pytest.raises(TypeError):
+                    dtypes.result_type(a, b)
+                with pytest.raises(InvalidArgumentError, match="repro.cast"):
+                    repro.add(x, y)
 
     def test_host_roundtrip(self):
         x = np.arange(12, dtype=np.float32).reshape(3, 4)
-        for name in ALL_BACKENDS:
-            be = base.get_backend(name)
-            dev = be.from_host(x)
-            back = be.to_host(dev)
+        t = repro.constant(x)
+        for back in (t.numpy(), t.gpu().cpu().numpy()):
+            assert type(back) is np.ndarray
             np.testing.assert_array_equal(back, x)
 
     def test_tracked_counts_primitives(self):
-        context.kernel_backend = "tracked"
-        TRACKED_BACKEND.reset_stats()
         a = repro.constant(_rand(np.float32, shape=(4, 4), seed=8))
-        out = repro.add(repro.matmul(a, a, transpose_b=True), a)
-        out.numpy()
-        calls = dict(TRACKED_BACKEND.primitive_calls)
-        assert calls.get("MatMul", 0) >= 1
-        assert calls.get("Add", 0) >= 1
+        with tracked_kernels(("MatMul", "Add")) as counts, repro.execution_mode("sync"):
+            out = repro.add(repro.matmul(a, a, transpose_b=True), a)
+            out.numpy()
+        assert dict(counts) == {"MatMul": 1, "Add": 1}
 
     def test_tracked_buffers_are_tagged(self):
-        context.kernel_backend = "tracked"
-        a = repro.constant(np.ones((2, 2), dtype=np.float32))
-        out = repro.multiply(a, a)
-        assert out.backend == "tracked"
-        assert isinstance(out._array, TrackedArray)
-        # .numpy() hands back a plain host ndarray.
+        # A kernel's output is adopted as it is: a host ndarray, tagged
+        # with the device the op ran on.
+        with tracked_kernels(("Mul",)), repro.execution_mode("sync"):
+            a = repro.constant(np.ones((2, 2), dtype=np.float32))
+            out = repro.multiply(a, a)
+            on_gpu = repro.multiply(a.gpu(), a.gpu())
+        assert out.device.endswith("CPU:0") and on_gpu.device.endswith("GPU:0")
+        assert type(out._array) is np.ndarray
         assert type(np.asarray(out.numpy())) is np.ndarray
 
-    def test_numpy_fallback_for_unimplemented_op(self):
-        # Reshape has no tracked-backend kernel; resolution must fall
-        # back to the numpy kernel rather than fail.
-        context.kernel_backend = "tracked"
-        k = registry.resolve_kernel("Reshape", "CPU")
-        assert k is registry.get_kernel("Reshape", "CPU", backend="numpy")
+    def test_numpy_fallback_for_unimplemented_op(self, boom_op):
+        # TestCountElem has only a CPU kernel: a GPU request resolves to
+        # it under soft placement, and to nothing without.
+        k = registry.resolve_kernel("TestCountElem", "GPU")
+        assert k is registry.get_kernel("TestCountElem", "CPU")
+        with pytest.raises(NotFoundError):
+            registry.resolve_kernel("TestCountElem", "GPU", allow_soft_placement=False)
         x = repro.constant(np.arange(6, dtype=np.float32))
-        out = repro.reshape(x, [2, 3])
-        assert out.shape.as_list() == [2, 3]
+        with repro.execution_mode("sync"), repro.device("/gpu:0"):
+            out = execute("TestCountElem", [x], {})
+        assert CALLS["TestCountElem"] == 1
+        np.testing.assert_array_equal(out.numpy(), x.numpy())
 
     def test_unknown_backend_rejected(self):
-        context.kernel_backend = "numpy"
-        with pytest.raises(Exception):
-            context.kernel_backend = "no-such-backend"
-        assert context.kernel_backend == "numpy"
+        # No kernel is keyed by an unknown device type, soft placement
+        # or not; exact lookup raises too.
+        with pytest.raises(NotFoundError):
+            registry.get_kernel("Add", "no-such-device")
+        with pytest.raises(NotFoundError):
+            registry.resolve_kernel("Add", "no-such-device", allow_soft_placement=False)
+        assert not registry.has_kernel("Add", "no-such-device")
 
     def test_gradients_flow_through_backend(self):
-        context.kernel_backend = "tracked"
         x = repro.constant(np.array([1.0, 2.0, 3.0], dtype=np.float32))
-        with repro.GradientTape() as tape:
-            tape.watch(x)
-            y = repro.reduce_sum(repro.multiply(x, x))
-        (g,) = tape.gradient(y, [x])
-        np.testing.assert_allclose(g.numpy(), 2.0 * x.numpy())
+        with tracked_kernels(("Mul",)) as counts, repro.execution_mode("sync"):
+            with repro.GradientTape() as tape:
+                tape.watch(x)
+                y = repro.reduce_sum(repro.multiply(x, x))
+            forward = counts["Mul"]
+            (g,) = tape.gradient(y, [x])
+            np.testing.assert_allclose(g.numpy(), 2.0 * x.numpy())
+        # The backward pass dispatches the same registered kernels.
+        assert forward == 1 and counts["Mul"] > forward
 
     def test_staged_function_respects_backend(self):
-        context.kernel_backend = "tracked"
-        TRACKED_BACKEND.reset_stats()
-
-        @repro.function
-        def f(a, b):
-            return repro.add(repro.multiply(a, b), a)
-
         x = repro.constant(np.ones((8,), dtype=np.float32))
-        out = f(x, x)
-        np.testing.assert_allclose(out.numpy(), 2.0 * np.ones(8))
-        assert TRACKED_BACKEND.total_calls() >= 1
+        with tracked_kernels() as counts, repro.execution_mode("sync"):
+
+            @repro.function
+            def f(a, b):
+                return repro.add(repro.multiply(a, b), a)
+
+            out = f(x, x)
+            np.testing.assert_allclose(out.numpy(), 2.0 * np.ones(8))
+        # Fused or not, the plan's first step allocates through the
+        # registered Mul kernel (later steps may write in place).
+        assert counts["Mul"] >= 1

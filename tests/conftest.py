@@ -47,8 +47,8 @@ def _reset_context_knobs():
         lazy_mod.flush_all_pending()
         lazy_mod.take_deferred()
     # Every knob back to its environment-derived default, through its
-    # setter, so on_change effects (a kernel-cache clear, a backend
-    # swap) apply as well.
+    # setter, so on_change effects (a kernel-cache clear, a lazy
+    # flush) apply as well.
     context.reset_knobs()
     repro.tensor._specialization_warned_sites.clear()
     # RetraceWarning state is rate-limited per Function; a warning

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.distribute import ClusterSpec, connect_to_cluster, shutdown_cluster
 from repro.framework.errors import InvalidArgumentError, UnavailableError
+from tests.harness.tracking import tracked_kernels
 
 
 @pytest.fixture
@@ -110,20 +111,18 @@ class TestSharedKernelPath:
     thread, so what holds locally holds behind the queue."""
 
     def test_tracked_backend_crosses_the_remote_boundary(self, cluster):
-        from repro.backend.tracked import TRACKED_BACKEND
-        from repro.runtime.context import context
-
-        context.kernel_backend = "tracked"
         x_np = np.arange(4, dtype=np.float32).reshape(2, 2)
         calls = {}
-        for where in ("/cpu:0", "/job:training/task:0/device:CPU:0"):
-            with repro.device(where):
-                x = repro.constant(x_np)
-                TRACKED_BACKEND.reset_stats()
-                out = repro.matmul(x, x) + x
-                calls[where] = dict(TRACKED_BACKEND.primitive_calls)
-            assert out.backend == "tracked"
-            np.testing.assert_allclose(out.cpu().numpy(), x_np @ x_np + x_np)
+        # Sync: a lazy segment may come from the process-wide cache,
+        # bound before the kernels were swapped.
+        with tracked_kernels(("MatMul", "Add")) as counts, repro.execution_mode("sync"):
+            for where in ("/cpu:0", "/job:training/task:0/device:CPU:0"):
+                counts.clear()
+                with repro.device(where):
+                    x = repro.constant(x_np)
+                    out = repro.matmul(x, x) + x
+                calls[where] = dict(counts)
+                np.testing.assert_allclose(out.cpu().numpy(), x_np @ x_np + x_np)
         local, remote = calls.values()
         assert local == remote == {"MatMul": 1, "Add": 1}
         assert "job:training" in out.device

@@ -21,6 +21,7 @@ from repro.graph.graph import Graph
 from repro.ops import nn_ops, registry
 from repro.runtime.context import context
 from tests.conftest import CALLS
+from tests.harness.tracking import tracked_kernels
 
 
 def _fn(build, in_specs=((repro.float32, [2]),), name="t"):
@@ -524,38 +525,35 @@ class TestRegionCodeCache:
         _, again = self._region_of(lambda t: repro.tanh(repro.tanh(t)))
         assert not again.code_cache_hit
 
+
     def test_each_region_binds_its_own_backend(self, cache):
-        from repro.backend.tracked import TRACKED_BACKEND
+        """A region fused while the kernels are swapped shares the code
+        of one fused before, but binds and runs the kernels registered
+        when it was fused; the earlier region keeps its own."""
 
         def build(x):
             return repro.tanh(x * 2.0 + 1.0)
 
         x = np.float32([0.5, -1.5])
-        context.kernel_backend = "numpy"
         fn_np, on_numpy = self._region_of(build)
-        context.kernel_backend = "tracked"
-        try:
+        fn_np.run([repro.constant(x)])
+        with tracked_kernels(("Mul", "Add", "Tanh")) as counts:
             fn_tr, on_tracked = self._region_of(build)
             assert on_tracked.code_cache_hit
             assert on_tracked._compiled.__code__ is on_numpy._compiled.__code__
-            assert (on_numpy.backend, on_tracked.backend) == ("numpy", "tracked")
             kernels = lambda r: [step[1] for step in r.steps]  # noqa: E731
             assert all(
                 a is not b for a, b in zip(kernels(on_numpy), kernels(on_tracked))
             )
-            TRACKED_BACKEND.reset_stats()
             got_tracked = fn_tr.run([repro.constant(x)])[0].numpy()
             # (Add and Tanh overwrite a donated buffer through the shared
             # in-place kernels; the allocating first step is the witness.)
-            assert TRACKED_BACKEND.primitive_calls["Mul"] == 1
-        finally:
-            context.kernel_backend = "numpy"
-        TRACKED_BACKEND.reset_stats()
-        got_numpy = fn_np.run([repro.constant(x)])[0].numpy()
-        assert not TRACKED_BACKEND.primitive_calls
+            assert dict(counts) == {"Mul": 1}
+            counts.clear()
+            got_numpy = fn_np.run([repro.constant(x)])[0].numpy()
+            assert not counts
         np.testing.assert_allclose(got_tracked, np.tanh(x * 2.0 + 1.0), rtol=1e-6)
         np.testing.assert_allclose(got_numpy, got_tracked, rtol=1e-6)
-
 
 class TestCodegenIsTheOnlyExecutor:
     def test_codegen_failure_raises_from_fuse_function(self, monkeypatch):

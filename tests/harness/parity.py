@@ -10,8 +10,8 @@ all three modes and both its outputs and its tape gradients must agree
 to tight tolerances.  Three further columns re-run the staged mode
 under one configuration each — graph fusion forced on, one
 shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor) —
-and one more re-runs sync and staged on each non-default array backend
-(:data:`BACKENDS`).
+and one more re-runs sync and staged with every kernel swapped, through
+the registry, for a counting wrapper.
 
 The corpus is deliberately small programs — elementwise chains, dense
 layers, softmax losses, convolutions, data-dependent control flow, an
@@ -27,28 +27,25 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 import repro
-from repro.backend import list_backends
 from repro.ops import nn_ops
 
+from .tracking import tracked_kernels
+
 __all__ = [
-    "BACKENDS",
     "CORPUS",
     "MODES",
     "Program",
-    "assert_backend_parity",
     "assert_compiled_parity",
     "assert_fused_parity",
     "assert_parity",
     "assert_relaxed_parity",
+    "assert_tracked_parity",
     "run_program",
     "run_program_fused",
     "run_program_relaxed",
 ]
 
 MODES = ("sync", "lazy", "staged")
-
-# Array backends other than the NumPy reference (repro.backend).
-BACKENDS = tuple(b for b in list_backends() if b != "numpy")
 
 # Per-dtype comparison tolerances.  Mode changes may legally reorder
 # float reductions, so exact bit equality is not required; disagreement
@@ -214,20 +211,19 @@ def assert_compiled_parity(program: Program, dtype: str) -> None:
     _assert_matches_sync(program, dtype, "compiled", out, grads_np)
 
 
-def assert_backend_parity(program: Program, dtype: str, backend: str) -> None:
-    """Assert sync and staged runs on ``backend`` match NumPy sync eager
-    (outputs + grads): a backend swaps kernels, never values."""
-    from repro.runtime.context import context
-
-    previous = context.kernel_backend
-    try:
-        context.kernel_backend = backend
-        runs = {mode: run_program(program, mode, dtype) for mode in ("sync", "staged")}
-        context.kernel_backend = "numpy"
-        for mode, (out, grads) in runs.items():
-            _assert_matches_sync(program, dtype, f"{backend} {mode}", out, grads)
-    finally:
-        context.kernel_backend = previous
+def assert_tracked_parity(program: Program, dtype: str) -> None:
+    """Assert sync and staged runs with every kernel swapped for a
+    counting wrapper match sync eager on the original kernels (outputs +
+    grads), and that the wrappers ran: a kernel re-registration reaches
+    both paths and changes no value."""
+    runs = {}
+    with tracked_kernels() as counts:
+        for mode in ("sync", "staged"):
+            counts.clear()
+            runs[mode] = run_program(program, mode, dtype)
+            assert counts, f"{program.name}: tracked {mode} ran no kernel"
+    for mode, (out, grads) in runs.items():
+        _assert_matches_sync(program, dtype, f"tracked {mode}", out, grads)
 
 
 def run_program_relaxed(program: Program, dtype: str):

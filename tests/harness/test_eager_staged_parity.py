@@ -15,14 +15,13 @@ import repro
 from repro.graph import fusion
 from repro.tensor import LazyTensor
 from tests.harness.parity import (
-    BACKENDS,
     CORPUS,
     MODES,
-    assert_backend_parity,
     assert_compiled_parity,
     assert_fused_parity,
     assert_parity,
     assert_relaxed_parity,
+    assert_tracked_parity,
     run_program,
 )
 
@@ -94,15 +93,15 @@ def test_compiled_execution_agrees(program, dtype):
     assert_compiled_parity(program, dtype)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", ["tracked"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("program", CORPUS, ids=_IDS)
-def test_backend_agrees(program, dtype, backend):
-    """Every non-default array backend: sync and staged outputs and
-    gradients match NumPy sync eager."""
+def test_backend_agrees(program, dtype, kernels):
+    """Every kernel re-registered as a counting wrapper: sync and staged
+    outputs and gradients match sync eager on the original kernels."""
     if dtype not in program.dtypes:
         pytest.skip(f"{program.name} not defined for {dtype}")
-    assert_backend_parity(program, dtype, backend)
+    assert_tracked_parity(program, dtype)
 
 
 def test_relaxable_subset_is_large_enough():

@@ -109,11 +109,10 @@ class TestSharedDeviceResolution:
 @pytest.mark.usefixtures("eager_dispatch_mode")
 class TestKernelCache:
     def test_dispatch_populates_cache(self):
-        context.kernel_backend = "numpy"
         dispatch.core.clear_kernel_cache()
         x = repro.constant(1.0)
         repro.add(x, x)
-        key = ("Add", "CPU", (repro.float32, repro.float32), "numpy")
+        key = ("Add", "CPU", (repro.float32, repro.float32))
         assert key in dispatch.core._kernel_cache
         assert dispatch.core._kernel_cache[key] is registry.get_kernel("Add", "CPU")
 
@@ -139,7 +138,6 @@ class TestKernelCache:
 
     def test_registry_resolve_kernel_soft_placement(self):
         # GPU has the shared NumPy kernel; TPU has none and soft-places.
-        context.kernel_backend = "numpy"
         assert registry.resolve_kernel("Add", "TPU") is registry.get_kernel(
             "Add", "CPU"
         )

@@ -15,7 +15,7 @@ import re
 import pytest
 
 import repro
-from repro.framework.errors import InvalidArgumentError, NotFoundError
+from repro.framework.errors import InvalidArgumentError
 from repro.graph.executor import GraphRunner
 from repro.graph.function import placeholder
 from repro.graph.graph import Graph
@@ -36,8 +36,6 @@ def other_value(knob, current):
         return not current
     if knob.kind == "mode":
         return "lazy" if current == "sync" else "sync"
-    if knob.kind == "str":
-        return "tracked" if current == "numpy" else "numpy"
     return 5 if current is None else current + 1
 
 
@@ -61,7 +59,6 @@ ENV_SAMPLES = {
              ("0", False), ("false", False), ("NO", False), ("off", False), ("", False)],
     "int": [("3", 3), (" 17 ", 17)],
     "float": [("1500", 1500.0), ("2.5", 2.5), ("0", None), ("-1", None)],
-    "str": [("tracked", "tracked"), (" tracked ", "tracked"), ("", "numpy")],
     # its variable is a boolean selecting lazy
     "mode": [("1", "lazy"), ("yes", "lazy"), ("0", "sync"), ("", "sync")],
 }
@@ -82,7 +79,6 @@ ENV_GARBAGE = {
     "mode": ["ture", "banana", "lazy"],  # its variable is a boolean
     "int": ["banana", "", "0", "-3", "2.5"],
     "float": ["banana", ""],
-    "str": [],
 }
 
 
@@ -103,7 +99,6 @@ SETTER_REJECTS = {
     "mode": ["turbo", "async", "", None, 1],
     "int": [0, -1, "zero", None],
     "float": [0, 0.0, -1.5, "soon"],
-    "str": [],  # names are checked by the knob's on_change
 }
 
 
@@ -130,7 +125,7 @@ def test_setter_validates(knob):
         assert getattr(context, knob.name) == 250.0
 
 
-# -- on_change: the four side effects ------------------------------------------
+# -- on_change: the two side effects -------------------------------------------
 def _check_executor_mode():
     context.executor_mode = "lazy"
     y = repro.constant([1.0, 2.0]) * 2.0
@@ -147,20 +142,9 @@ def _check_soft_device_placement():
     assert dispatch.core.kernel_cache_size() == 0
 
 
-def _check_kernel_backend():
-    context.kernel_backend = "tracked"
-    assert context._array_backend_obj.name == "tracked"
-    with pytest.raises(NotFoundError, match="bogus"):
-        context.kernel_backend = "bogus"
-    # A failing on_change puts the old value back.
-    assert context.kernel_backend == "tracked"
-    assert context.array_backend().name == "tracked"
-
-
 ON_CHANGE_CHECKS = {
     "executor_mode": _check_executor_mode,
     "soft_device_placement": _check_soft_device_placement,
-    "kernel_backend": _check_kernel_backend,
 }
 
 
@@ -200,16 +184,15 @@ def test_benchmark_knob_discovery_contract():
     for knob in KNOBS:
         assert isinstance(getattr(context, knob.name), (bool, int, float, str, type(None)))
         assert type(context).__dict__[knob.name].__doc__.startswith(knob.doc.strip()[:40])
-    # The dispatch hot path reads these two as plain instance attributes.
+    # The dispatch hot path reads this one as a plain instance attribute.
     assert vars(context)["_executor_mode"] == context.executor_mode
-    assert vars(context)["_kernel_backend"] == context.kernel_backend
 
 
 def test_retired_knobs_are_gone():
     for name in ("relax_retraces", "serving_max_batch", "serving_queue_depth",
                  "serving_timeout_ms", "async_eager", "lazy_eager",
                  "stream_depth", "inter_op_parallelism_threads",
-                 "process_devices"):
+                 "process_devices", "kernel_backend"):
         assert not hasattr(context, name), name
     assert not [name for name in dir(Context) if name.endswith("_from_env")]
 

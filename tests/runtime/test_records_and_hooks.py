@@ -122,7 +122,7 @@ class TestRegistryInvariants:
     def test_every_kernel_has_an_op_def(self):
         from repro.ops import registry
 
-        for op_name, device_type, backend in registry._KERNELS:
+        for op_name, device_type in registry._KERNELS:
             registry.get_op_def(op_name)  # raises if missing
 
     def test_every_gradient_has_an_op_def(self):
