@@ -1,8 +1,7 @@
 """AutoGraph-style lowering of Python control flow (PAPERS.md: arXiv 1810.08061).
 
 ``repro.function`` applies :func:`convert` to the Python function it is
-about to trace (default on; opt out per-function with
-``autograph=False`` or globally with ``REPRO_AUTOGRAPH=0``).  The
+about to trace (default on; ``autograph=False`` opts a function out).  The
 converted function runs identically under eager execution and lowers
 tensor-dependent ``if``/``while``/``for``/``break``/``continue``/early-
 ``return`` onto the staged ``cond``/``while_loop`` ops when traced —

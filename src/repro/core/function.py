@@ -28,7 +28,7 @@ The moving parts, each mirroring a paragraph of §4.6:
   is an exact LRU map over concrete signatures.  On repeated shape-only
   misses of the same dtype/rank pattern, the second level installs a
   single *symbolic* trace whose varying dimensions are generalized to
-  ``None`` (``experimental_relax_shapes`` / ``REPRO_RELAX_SHAPES``);
+  ``None`` (per function, ``experimental_relax_shapes=True``);
   further calls with any compatible shape hit that one trace.  Each
   trace flows through the staged-compilation pipeline
   (:mod:`repro.core.pipeline`): trace → infer → optimize → plan →
@@ -558,14 +558,13 @@ class Function:
         name: Optional[str] = None,
         input_signature: Optional[Sequence[TensorSpec]] = None,
         jit_compile: bool = False,
-        experimental_relax_shapes: Optional[bool] = None,
-        autograph: Optional[bool] = None,
+        experimental_relax_shapes: bool = False,
+        autograph: bool = True,
     ) -> None:
         self._python_function = python_function
         self._autograph = autograph
-        # Converted lazily on the first trace (the knob may change
-        # between construction and first call), then cached: conversion
-        # parses and recompiles source, which must not re-run per trace.
+        # Converted on the first trace, then cached: conversion parses
+        # and recompiles source, which must not re-run per trace.
         self._converted_function: Optional[Callable] = None
         self._jit_compile = bool(jit_compile)
         self._name = name or getattr(python_function, "__name__", "fn")
@@ -949,11 +948,8 @@ class Function:
         return tuple(pattern)
 
     def _relax_enabled(self) -> bool:
-        if self._input_signature is not None:
-            return False  # the signature already pins one relaxed trace
-        if self._experimental_relax_shapes is not None:
-            return self._experimental_relax_shapes
-        return context.relax_shapes
+        # An input_signature already pins one relaxed trace.
+        return self._experimental_relax_shapes and self._input_signature is None
 
     def _maybe_trace(self, args, kwargs):
         """Resolve a call to ``(concrete, tensor_leaves, route)``.
@@ -1081,7 +1077,7 @@ class Function:
             "trace and optimize, before planning). "
             f"Last retrace: {_diff_cache_keys(self._last_trace_key, key)}. "
             "Consider an input_signature, or experimental_relax_shapes=True "
-            "(env REPRO_RELAX_SHAPES=1) to generalize varying dimensions.",
+            "to generalize varying dimensions.",
             RetraceWarning,
             stacklevel=4,
         )
@@ -1158,10 +1154,7 @@ class Function:
 
     def _traced_callable(self) -> Callable:
         """The function to trace: autograph-converted unless opted out."""
-        enabled = (
-            self._autograph if self._autograph is not None else context.autograph
-        )
-        if not enabled:
+        if not self._autograph:
             return self._python_function
         if self._converted_function is None:
             from repro.autograph import convert
@@ -1218,8 +1211,8 @@ def function(
     input_signature: Optional[Sequence[TensorSpec]] = None,
     name: Optional[str] = None,
     jit_compile: bool = False,
-    experimental_relax_shapes: Optional[bool] = None,
-    autograph: Optional[bool] = None,
+    experimental_relax_shapes: bool = False,
+    autograph: bool = True,
 ):
     """Decorator staging a Python function as graph functions (§4.1, §4.6).
 
@@ -1246,9 +1239,9 @@ def function(
     relaxation policy for this function: after one shape-only retrace
     of the same dtype/rank pattern, the varying dimensions are
     generalized to ``None`` and a single symbolic trace serves all
-    compatible shapes.
-    ``False`` disables it; the default ``None`` defers to the global
-    ``context.relax_shapes`` knob (env ``REPRO_RELAX_SHAPES``).
+    compatible shapes.  It is off by default.  ``autograph=False``
+    traces the Python function as written instead of converting it with
+    :func:`repro.autograph.convert` first.
     """
     if func is not None:
         return Function(

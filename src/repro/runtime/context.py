@@ -181,16 +181,6 @@ KNOBS = (
         """,
     ),
     Knob(
-        "relax_shapes", ("REPRO_RELAX_SHAPES",), "bool", False,
-        """Process-wide default for trace-cache shape relaxation (§4.6).
-
-        When on, a ``Function`` that retraces on a shape-only signature
-        change generalizes the varying dimensions to ``None`` and traces
-        one symbolic graph instead (see :mod:`repro.core.function`).
-        Per-function ``experimental_relax_shapes`` overrides it.
-        """,
-    ),
-    Knob(
         "trace_cache_size", ("REPRO_TRACE_CACHE_SIZE",), "int", 256,
         """Per-``Function`` LRU bound on cached exact-signature traces.
 
@@ -208,19 +198,6 @@ KNOBS = (
         the executor's static memory plan donates dying input buffers
         in place.  Applies to traces and execution plans built
         afterwards; planned functions keep the plan they were built with.
-        """,
-    ),
-    Knob(
-        "autograph", ("REPRO_AUTOGRAPH",), "bool", True,
-        """Whether ``function`` rewrites Python control flow at trace time.
-
-        When on, ``repro.function`` passes its Python function through
-        :func:`repro.autograph.convert` before tracing, lowering
-        tensor-dependent
-        ``if``/``while``/``for``/``break``/``continue``/early-``return``
-        onto ``cond``/``while_loop``.  Per-function ``autograph=``
-        overrides it.  Applies to traces started afterwards; converted
-        functions keep their conversion.
         """,
     ),
     Knob(

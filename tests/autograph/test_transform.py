@@ -10,8 +10,7 @@ must *not* change matters as much as what it lowers.  These tests pin:
 - function identity: name, doc, defaults, closure cells, line numbers;
 - clear errors naming the offending symbol and source line when a
   construct cannot be lowered;
-- both opt-out paths (per-function ``autograph=False`` and the
-  ``REPRO_AUTOGRAPH`` context knob);
+- the per-function opt-out (``autograph=False``);
 - the silent-specialization warning on ``bool(concrete tensor)`` inside
   a trace.
 """
@@ -30,7 +29,6 @@ from repro.autograph import (
     is_converted,
 )
 from repro.framework.errors import FailedPreconditionError
-from repro.runtime.context import context
 
 
 # ---------------------------------------------------------------------------
@@ -438,31 +436,6 @@ def test_opt_out_per_function():
         f(repro.constant(1.0))
 
 
-def test_opt_out_via_context_knob():
-    context.autograph = False
-    try:
-        f = repro.function(_tensor_branch)
-        with pytest.raises(FailedPreconditionError, match="repro.cond"):
-            f(repro.constant(1.0))
-    finally:
-        context.autograph = True
-
-
-def test_explicit_opt_in_overrides_context_knob():
-    context.autograph = False
-    try:
-        f = repro.function(_tensor_branch, autograph=True)
-        assert float(f(repro.constant(2.0))) == 4.0
-        assert float(f(repro.constant(-3.0))) == 3.0
-        assert f.trace_count == 1
-    finally:
-        context.autograph = True
-
-
-@pytest.mark.skipif(
-    not context.autograph,
-    reason="the default-on contract; this run opted out (REPRO_AUTOGRAPH=0)",
-)
 def test_default_on_single_trace_serves_both_branches():
     f = repro.function(_tensor_branch)
     assert float(f(repro.constant(2.0))) == 4.0

@@ -394,10 +394,6 @@ class TestTracingSemantics:
         with pytest.raises(FailedPreconditionError):
             leaked["tensor"] + 1.0
 
-    @pytest.mark.skipif(
-        not context.autograph,
-        reason="the default-on contract; this run opted out (REPRO_AUTOGRAPH=0)",
-    )
     def test_data_dependent_python_branch_lowers_by_default(self):
         # Autograph rewrites the tensor-dependent ``if`` onto ``cond``
         # at trace time: one trace serves both branch outcomes.

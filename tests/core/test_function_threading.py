@@ -50,8 +50,7 @@ class TestRouteRace:
         # so serving a route cached for another thread's shape returns
         # a *wrong value*, not an exception.  12 threads, each its own
         # size, hammering the same Function.  Relaxation is explicitly
-        # off: shape-dependent Python needs exact traces, and the test
-        # must pin exact routing under REPRO_RELAX_SHAPES=1 too.
+        # off: shape-dependent Python needs exact traces.
         @repro.function(experimental_relax_shapes=False)
         def scaled(x):
             return x * float(x.shape[0])

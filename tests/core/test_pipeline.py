@@ -264,7 +264,12 @@ class TestEachNodeInferredOnce:
 
 
 class TestStageTimes:
-    def test_finalize_and_execution_stats_report_stage_ms(self):
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_finalize_and_execution_stats_report_stage_ms(self, fusion):
+        from repro.runtime.context import context
+
+        context.graph_fusion = fusion
+
         @repro.function
         def f(x):
             return repro.tanh(x * 2.0 + 1.0)
@@ -275,6 +280,9 @@ class TestStageTimes:
         for key in ("trace_ms", "0:prune_ms", "4:cse_ms", "infer_ms", "plan_ms"):
             assert stage_ms[key] >= 0.0, key
         assert stage_ms["trace_ms"] > 0.0
+        passes = [key.split(":")[1][: -len("_ms")] for key in stage_ms if ":" in key]
+        assert "cse" in passes
+        assert ("fuse" in passes) == fusion, passes
         pipeline, fn, _ = _trace_symbolic()
         report = pipeline.finalize(fn)
         assert report["infer_ms"] >= 0.0 and "1:fold_ms" in report

@@ -103,28 +103,6 @@ class TestRelaxation:
         assert f.trace_count == 3
         assert f.cache_stats()["relaxations"] == 0
 
-    def test_env_knob_enables_globally(self, monkeypatch):
-        context.relax_shapes = True
-
-        @repro.function
-        def f(x):
-            return x * x
-
-        for b in (1, 2, 3, 4):
-            f(_batch(b))
-        assert f.trace_count == 2
-
-    def test_explicit_false_overrides_global(self):
-        context.relax_shapes = True
-
-        @repro.function(experimental_relax_shapes=False)
-        def f(x):
-            return x * x
-
-        for b in (1, 2, 3, 4):
-            f(_batch(b))
-        assert f.trace_count == 4
-
     def test_gradients_through_relaxed_trace(self):
         v = repro.Variable(np.ones((4, 3), np.float32))
 
@@ -142,9 +120,10 @@ class TestRelaxation:
         assert f.trace_count == 2
 
     def test_input_signature_disables_relaxation_policy(self):
-        context.relax_shapes = True
-
-        @repro.function(input_signature=[repro.TensorSpec([None, 4])])
+        @repro.function(
+            input_signature=[repro.TensorSpec([None, 4])],
+            experimental_relax_shapes=True,
+        )
         def f(x):
             return x + 1.0
 

@@ -8,7 +8,7 @@ performance knob; lazy execution makes the same promise for eager
 dispatch.  Each :class:`Program` in :data:`CORPUS` is therefore run in
 all three modes and both its outputs and its tape gradients must agree
 to tight tolerances.  Three further columns re-run the staged mode
-under one configuration each — graph fusion forced on, one
+under one configuration each — graph fusion forced off, one
 shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor) —
 and one more re-runs sync and staged with every kernel swapped, through
 the registry, for a counting wrapper.
@@ -36,13 +36,13 @@ __all__ = [
     "MODES",
     "Program",
     "assert_compiled_parity",
-    "assert_fused_parity",
     "assert_parity",
     "assert_relaxed_parity",
     "assert_tracked_parity",
+    "assert_unfused_parity",
     "run_program",
-    "run_program_fused",
     "run_program_relaxed",
+    "run_program_unfused",
 ]
 
 MODES = ("sync", "lazy", "staged")
@@ -96,10 +96,6 @@ def run_program(program: Program, mode: str, dtype: str):
         raise ValueError(f"unknown mode {mode!r}")
     arrays = program.make_inputs(np.random.default_rng(0))
     dt = getattr(repro, dtype)
-    # autograph=True explicitly (not just the default) so the corpus —
-    # including the plain-Python ``ag_*`` control-flow programs — stays
-    # meaningful under the REPRO_AUTOGRAPH=0 CI leg; the default-on
-    # contract itself is pinned in tests/core/test_function.py.
     fn = (
         repro.function(program.fn, autograph=True)
         if mode == "staged"
@@ -150,33 +146,33 @@ def assert_parity(program: Program, dtype: str) -> None:
         _assert_matches_sync(program, dtype, mode, *run_program(program, mode, dtype))
 
 
-def run_program_fused(program: Program, dtype: str):
-    """Run ``program`` staged with graph fusion + memory planning on.
+def run_program_unfused(program: Program, dtype: str):
+    """Run ``program`` staged with graph fusion + memory planning off.
 
-    Forces ``context.graph_fusion`` for the duration, so the trace is
-    optimized by the ``fuse`` pass and executed through the planner's
-    in-place donation path — the configuration the fused-mode parity
-    axis certifies against sync eager.
+    Forces ``context.graph_fusion`` off for the duration, so the trace
+    skips the ``fuse`` pass and runs as a per-node plan without in-place
+    donation.  The staged column of :func:`assert_parity` is the other
+    side of this axis: fusion is on by default.
     """
     from repro.runtime.context import context
 
     previous = context.graph_fusion
-    context.graph_fusion = True
+    context.graph_fusion = False
     try:
         return run_program(program, "staged", dtype)
     finally:
         context.graph_fusion = previous
 
 
-def assert_fused_parity(program: Program, dtype: str) -> None:
-    """Assert fused staged execution matches sync eager (outputs + grads).
+def assert_unfused_parity(program: Program, dtype: str) -> None:
+    """Assert unfused staged execution matches sync eager (outputs + grads).
 
-    Fusion is a scheduling rewrite: collapsing an elementwise region
-    into one kernel dispatch must not change a single value, including
-    through the staged backward function (which is fused independently).
+    Fusion is a scheduling rewrite, so the value must not depend on
+    it: the unfused plan and the default fused one both match sync eager,
+    including through the staged backward function.
     """
     _assert_matches_sync(
-        program, dtype, "fused staged", *run_program_fused(program, dtype)
+        program, dtype, "unfused staged", *run_program_unfused(program, dtype)
     )
 
 

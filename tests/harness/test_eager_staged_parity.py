@@ -13,15 +13,16 @@ import pytest
 
 import repro
 from repro.graph import fusion
+from repro.runtime.context import context
 from repro.tensor import LazyTensor
 from tests.harness.parity import (
     CORPUS,
     MODES,
     assert_compiled_parity,
-    assert_fused_parity,
     assert_parity,
     assert_relaxed_parity,
     assert_tracked_parity,
+    assert_unfused_parity,
     run_program,
 )
 
@@ -66,18 +67,21 @@ def test_modes_agree(program, dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("program", CORPUS, ids=_IDS)
 def test_fused_staging_agrees(program, dtype):
-    """Graph fusion + memory planning is semantics-preserving: every
-    program's outputs and input gradients must match sync eager."""
+    """Graph fusion + memory planning is semantics-preserving.  The
+    staged column of ``test_modes_agree`` runs fused (the default); this
+    one forces fusion off, so every program's outputs and input
+    gradients must match sync eager on the per-node plan too."""
     if dtype not in program.dtypes:
         pytest.skip(f"{program.name} not defined for {dtype}")
-    assert_fused_parity(program, dtype)
+    assert_unfused_parity(program, dtype)
 
 
 def test_fusion_axis_builds_regions(fused_regions_built):
-    """The fused axis is only worth something if the corpus does build
-    regions — forward and staged backward."""
+    """The fused side of the axis is only worth something if the corpus
+    does build regions — forward and staged backward."""
+    context.graph_fusion = True
     program = next(p for p in CORPUS if p.name == "chain_long")
-    assert_fused_parity(program, "float32")
+    run_program(program, "staged", "float32")
     assert sum(len(stats["regions"]) for _, stats in fused_regions_built) >= 2
 
 

@@ -128,8 +128,7 @@ class TestAutographControlFlowGradients:
     """Central-difference checks over autograph-lowered control flow.
 
     Each body is plain Python `if`/`while`/`for` over tensors, staged
-    through ``repro.function(autograph=True)`` (explicit, so the checks
-    hold under the ``REPRO_AUTOGRAPH=0`` CI leg too) and rewritten onto
+    through ``repro.function(autograph=True)`` and rewritten onto
     Cond / While; the analytic gradient therefore exercises ``_cond_grad`` /
     ``_while_grad`` through lowered traces, and the numeric oracle is
     the same staged forward.  Inputs are chosen away from predicate

@@ -62,10 +62,11 @@ class TestLinalgValues:
         )
 
     def test_trace(self):
-        a = np.random.randn(3, 5, 5)
-        np.testing.assert_allclose(
-            linalg_ops.trace(t64(a)).numpy(), np.trace(a, axis1=-2, axis2=-1)
-        )
+        for shape in [(3, 5, 5), (2, 3, 5)]:  # square, and wide: 3 diagonal entries
+            a = np.random.randn(*shape)
+            np.testing.assert_allclose(
+                linalg_ops.trace(t64(a)).numpy(), np.trace(a, axis1=-2, axis2=-1)
+            )
 
     def test_band_part(self):
         a = np.random.randn(4, 4)

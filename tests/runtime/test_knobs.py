@@ -192,7 +192,8 @@ def test_retired_knobs_are_gone():
     for name in ("relax_retraces", "serving_max_batch", "serving_queue_depth",
                  "serving_timeout_ms", "async_eager", "lazy_eager",
                  "stream_depth", "inter_op_parallelism_threads",
-                 "process_devices", "kernel_backend"):
+                 "process_devices", "kernel_backend", "relax_shapes",
+                 "autograph"):
         assert not hasattr(context, name), name
     assert not [name for name in dir(Context) if name.endswith("_from_env")]
 
