@@ -24,12 +24,13 @@ The moving parts, each mirroring a paragraph of §4.6:
 * **Tape integration** — calling a concrete function under a watching
   tape runs the *forward* variant (outputs + intermediates) and records
   a custom backward that invokes a staged backward function (§4.2).
-* **Shape relaxation** — the trace cache is two-level.  The first level
-  is an exact LRU map over concrete signatures.  On repeated shape-only
-  misses of the same dtype/rank pattern, the second level installs a
-  single *symbolic* trace whose varying dimensions are generalized to
-  ``None`` (per function, ``experimental_relax_shapes=True``);
-  further calls with any compatible shape hit that one trace.  Each
+* **Shape relaxation** — the trace cache (:class:`TraceCache`, which
+  lazy mode shares) is two-level.  The first level is an exact LRU map
+  over concrete signatures.  On a shape-only miss of the same
+  dtype/rank pattern, the second level installs a single *symbolic*
+  trace whose varying dimensions are generalized to ``None`` (per
+  function, ``experimental_relax_shapes=True``); further calls with any
+  compatible shape hit that one trace.  Each
   trace flows through the staged-compilation pipeline
   (:mod:`repro.core.pipeline`): trace → infer → optimize → plan →
   compile, with per-concrete-shape XLA specialization under a symbolic
@@ -50,6 +51,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.framework import dtypes, nest
+from repro.framework.tensor_shape import as_shape
 from repro.framework.errors import (
     FailedPreconditionError,
     InvalidArgumentError,
@@ -61,112 +63,162 @@ from repro.core import tracing
 from repro.core.pipeline import CompilationPipeline
 from repro.core.variables import Variable, variable_creation_observer
 from repro.graph.function import GraphFunction
+from repro.graph.structural import Unhashable, value_key
 
 __all__ = [
     "function",
     "Function",
     "ConcreteFunction",
     "RetraceWarning",
-    "SegmentCache",
+    "TraceCache",
     "reset_retrace_warning_state",
 ]
 
 
-class SegmentCache:
-    """Two-level cache of compiled lazy-trace segments.
+class TraceCache:
+    """The two-level trace cache (§4.6), shared by ``Function`` and lazy mode.
 
-    The lazy executor (:mod:`repro.runtime.lazy`) hashes every flushed
-    segment — op list, attributes, dataflow references, fetch mask, and
-    external-input signature — and looks the artifact up here, reusing
-    the ``Function`` trace cache's two-level policy:
+    Keys are ``(pattern, shapes)``: ``pattern`` is everything that must
+    match exactly (device, dtype and rank per tensor, encoded static
+    values, or a lazy segment's op list), ``shapes`` the tensor shapes.
 
-    * **Exact level**: ``(structural key, concrete external shapes) →
-      artifact``, LRU-ordered and bounded by
-      ``context.trace_cache_size``; evicted artifacts have ``release()``
-      called so their execution plans are dropped.
-    * **Relaxed level**: one shape-relaxed artifact per structural key,
-      installed after :data:`RELAX_RETRACES` shape-only misses of
-      the same structure.  Execution plans are shape-polymorphic, so a
-      single relaxed artifact (placeholder dims generalized to ``None``)
-      serves every concrete shape the structure admits — the
-      steady-state training loop with varying batch sizes compiles
-      once.
+    * **Exact level**: ``(pattern, shapes) → artifact``.
+    * **Relaxed level**: one artifact per pattern, traced at symbolic
+      shapes and served to every call whose shapes are subtypes of them.
+      With ``relax=True``, a miss whose shapes differ from the pattern's
+      first seen shapes traces at their ``most_general`` merge (only the
+      dims that varied become ``None``); a later miss the relaxed shapes
+      do not cover widens them once more.
 
-    Artifacts are planned graph functions, released by
-    ``release_plan()``; the cache never inspects them.  Thread-safe.
+    Both levels share one LRU order bounded by
+    ``context.trace_cache_size``; ``release`` is called on every
+    artifact that leaves the cache.  Thread-safe.
     """
 
-    def __init__(self) -> None:
-        self._exact: collections.OrderedDict = collections.OrderedDict()
-        self._relaxed: dict = {}
-        self._shape_misses: dict = {}
+    def __init__(self, release: Callable) -> None:
+        # (pattern, shapes) for an exact entry, (pattern, None) for the
+        # relaxed one; most recently used last.
+        self._entries: collections.OrderedDict = collections.OrderedDict()
+        self._relaxed: dict = {}  # pattern -> shapes its entry was traced at
+        self._seen: dict = {}  # pattern -> first shapes that missed
+        self._release = release
         self._lock = threading.Lock()
-        self._stats = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "relaxations": 0,
-        }
+        self._stats = {"hits": 0, "misses": 0, "relaxations": 0, "evictions": 0}
 
-    def lookup(self, structural_key, shapes) -> tuple:
-        """Return ``(artifact or None, build_relaxed)``.
+    def __len__(self) -> int:
+        return len(self._entries)
 
-        ``build_relaxed`` asks the caller to compile the miss with
-        relaxed (``None``-dimension) external specs and insert it via
-        ``insert(..., relaxed=True)``: the structure has now missed on
-        shapes alone :data:`RELAX_RETRACES` times.
+    def artifacts(self) -> list:
+        with self._lock:
+            return list(self._entries.values())
+
+    def touch(self, slot, artifact) -> bool:
+        """Count a hit on ``artifact`` if ``slot`` still holds it.
+
+        ``slot`` is one ``lookup`` returned.  A relaxed slot can be
+        widened, or evicted and re-installed at other shapes, so a
+        caller that remembered ``(slot, artifact)`` checks here that the
+        artifact it would serve is still the slot's.
         """
         with self._lock:
-            artifact = self._exact.get((structural_key, shapes))
-            if artifact is not None:
-                self._exact.move_to_end((structural_key, shapes))
-                self._stats["hits"] += 1
-                return artifact, False
-            artifact = self._relaxed.get(structural_key)
-            if artifact is not None:
-                self._stats["hits"] += 1
-                return artifact, False
-            self._stats["misses"] += 1
-            seen = self._shape_misses.get(structural_key, 0) + 1
-            self._shape_misses[structural_key] = seen
-            return None, seen > RELAX_RETRACES
+            if self._entries.get(slot) is not artifact:
+                return False
+            self._entries.move_to_end(slot)
+            self._stats["hits"] += 1
+            return True
 
-    def insert(self, structural_key, shapes, artifact, relaxed: bool = False) -> None:
-        """Add a compiled artifact, evicting LRU entries past the bound."""
+    def lookup(self, pattern, shapes: tuple, relax: bool = False) -> tuple:
+        """``(artifact, slot, None)`` on a hit, ``(None, slot, relaxed)`` on a miss.
+
+        On a miss the caller builds the artifact, at ``relaxed`` when it
+        is not None (a symbolic trace) and at ``shapes`` otherwise, then
+        stores it with ``insert(slot, artifact, relaxed)``.
+        """
         with self._lock:
-            if relaxed:
-                old = self._relaxed.pop(structural_key, None)
-                if old is not None:
-                    old.release_plan()
-                self._relaxed[structural_key] = artifact
-                self._shape_misses.pop(structural_key, None)
+            slot = (pattern, shapes)
+            artifact = self._entries.get(slot)
+            if artifact is None:
+                relaxed = self._relaxed.get(pattern)
+                if relaxed is not None and all(
+                    s.is_subtype_of(r) for s, r in zip(shapes, relaxed)
+                ):
+                    slot = (pattern, None)
+                    artifact = self._entries[slot]
+            if artifact is not None:
+                self._entries.move_to_end(slot)
+                self._stats["hits"] += 1
+                return artifact, slot, None
+            self._stats["misses"] += 1
+            if not relax:
+                return None, slot, None
+            base = relaxed
+            if base is None:
+                base = self._seen.setdefault(pattern, shapes)
+                if len(self._seen) > context.trace_cache_size:
+                    del self._seen[next(iter(self._seen))]
+            merged = tuple(b.most_general(s) for b, s in zip(base, shapes))
+            if merged == shapes:  # nothing varied: an exact trace
+                return None, slot, None
+            return None, (pattern, None), merged
+
+    def lookup_specs(self, pattern, shapes: tuple) -> tuple:
+        """``lookup`` for shapes a caller asked for, not ones it was called with.
+
+        Serves only an artifact built at exactly ``shapes``: the exact
+        entry, or the relaxed one when it was traced at them.  On a
+        miss, symbolic ``shapes`` become the pattern's relaxed entry if
+        it has none.
+        """
+        with self._lock:
+            slot = (pattern, shapes)
+            if slot not in self._entries and self._relaxed.get(pattern) == shapes:
+                slot = (pattern, None)
+            artifact = self._entries.get(slot)
+            if artifact is not None:
+                self._entries.move_to_end(slot)
+                self._stats["hits"] += 1
+                return artifact, slot, None
+            self._stats["misses"] += 1
+            if pattern in self._relaxed or all(s.is_fully_defined for s in shapes):
+                return None, slot, None
+            return None, (pattern, None), shapes
+
+    def insert(self, slot, artifact, relaxed: Optional[tuple] = None) -> None:
+        """Store an artifact in ``slot``; evict past the bound.
+
+        ``relaxed`` is the third value ``lookup`` returned for the slot.
+        """
+        with self._lock:
+            pattern, exact = slot
+            if exact is None:
+                self._relaxed[pattern] = relaxed
+                self._seen.pop(pattern, None)
                 self._stats["relaxations"] += 1
-                return
-            self._exact[(structural_key, shapes)] = artifact
-            limit = context.trace_cache_size
-            while len(self._exact) > limit:
-                _, evicted = self._exact.popitem(last=False)
-                evicted.release_plan()
+            old = self._entries.pop(slot, None)
+            if old is not None and old is not artifact:
+                self._release(old)
+            self._entries[slot] = artifact
+            while len(self._entries) > context.trace_cache_size:
+                (pattern, exact), evicted = self._entries.popitem(last=False)
+                if exact is None:
+                    del self._relaxed[pattern]
+                self._release(evicted)
                 self._stats["evictions"] += 1
 
     def clear(self) -> None:
         with self._lock:
-            for artifact in self._exact.values():
-                artifact.release_plan()
-            for artifact in self._relaxed.values():
-                artifact.release_plan()
-            self._exact.clear()
+            for artifact in self._entries.values():
+                self._release(artifact)
+            self._entries.clear()
             self._relaxed.clear()
-            self._shape_misses.clear()
+            self._seen.clear()
             for key in self._stats:
                 self._stats[key] = 0
 
     def stats(self) -> dict:
-        """Hit/miss/eviction/relaxation counters plus current size."""
+        """Hit/miss/relaxation/eviction counters plus the current size."""
         with self._lock:
-            stats = dict(self._stats)
-            stats["size"] = len(self._exact) + len(self._relaxed)
-            return stats
+            return dict(self._stats, size=len(self._entries))
 
 
 class RetraceWarning(UserWarning):
@@ -178,11 +230,6 @@ class RetraceWarning(UserWarning):
     that differed so the offending argument is identifiable.
     """
 
-
-#: Shape-only misses of one dtype/rank pattern (``Function``) or segment
-#: structure (``SegmentCache``) tolerated before the varying dimensions
-#: generalize to ``None``: the second distinct shape traces symbolically.
-RELAX_RETRACES = 1
 
 #: Sliding window of recent calls inspected for retrace churn.
 _RETRACE_WINDOW = 10
@@ -223,24 +270,27 @@ def reset_retrace_warning_state() -> None:
             fn._last_trace_key = None
 
 
-def _describe_key_leaf(leaf) -> str:
-    if isinstance(leaf, tuple) and leaf and leaf[0] == "tensor":
-        dtype, shape = leaf[1], leaf[2]
-        return f"tensor<{getattr(dtype, 'name', dtype)}, shape={shape}>"
-    return repr(leaf)
+def _key_leaves(key: tuple) -> list:
+    """One description per argument leaf of a ``(pattern, shapes)`` key."""
+    pattern, shapes = key
+    shapes = iter(shapes)
+    leaves = []
+    for leaf in pattern[1:]:
+        if type(leaf) is tuple and leaf[0] == "tensor":
+            leaf = f"tensor<{leaf[1].name}, shape={next(shapes)}>"
+        leaves.append(leaf)
+    return leaves
 
 
 def _diff_cache_keys(prev: tuple, new: tuple) -> str:
     """Human-readable first difference between two trace-cache keys."""
-    if prev[0] != new[0]:
-        return f"device changed: {prev[0]!r} -> {new[0]!r}"
-    for i, (a, b) in enumerate(zip(prev[1:], new[1:])):
+    if prev[0][0] != new[0][0]:
+        return f"device changed: {prev[0][0]!r} -> {new[0][0]!r}"
+    prev, new = _key_leaves(prev), _key_leaves(new)
+    for i, (a, b) in enumerate(zip(prev, new)):
         if a != b:
-            return (
-                f"argument leaf #{i} changed: "
-                f"{_describe_key_leaf(a)} -> {_describe_key_leaf(b)}"
-            )
-    return f"argument count changed: {len(prev) - 1} -> {len(new) - 1}"
+            return f"argument leaf #{i} changed: {a} -> {b}"
+    return f"argument count changed: {len(prev)} -> {len(new)}"
 
 
 class ConcreteFunction:
@@ -504,29 +554,27 @@ class ConcreteFunction:
         )
 
 
-def _leaf_key(leaf):
-    """Cache-key encoding for one argument leaf (binding-time analysis).
+class _Identity:
+    """Key leaf for an unhashable static argument: equal only to itself.
 
-    Tensors become abstract types; variables specialize by identity (they
-    are bound into the trace by reference); other Python values by value
-    when hashable, by identity otherwise — "non-tensor values are encoded
-    by object identity" (§4.6).
+    Holds the object, so its address cannot be reused by a new object
+    while the key is cached (§4.6: "non-tensor values are encoded by
+    object identity").
     """
-    if isinstance(leaf, TensorBase):
-        return ("tensor", leaf.dtype, leaf.shape)
-    if isinstance(leaf, TensorSpec):
-        # A spec leaf (get_concrete_function/save) keys exactly like a
-        # tensor of that abstract type, symbolic dims included.
-        return ("tensor", leaf.dtype, leaf.shape)
-    if isinstance(leaf, Variable):
-        return ("variable", id(leaf))
-    if isinstance(leaf, np.ndarray):
-        return ("tensor", dtypes.as_dtype(leaf.dtype), tuple(leaf.shape))
-    try:
-        hash(leaf)
-    except TypeError:
-        return ("id", id(leaf))
-    return ("value", type(leaf).__name__, leaf)
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Identity and other.obj is self.obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __repr__(self) -> str:
+        return f"<{type(self.obj).__name__} object at {id(self.obj):#x}>"
 
 
 def _is_tensor_leaf(leaf) -> bool:
@@ -537,16 +585,6 @@ def _is_tensor_leaf(leaf) -> bool:
 
 def _contains_spec(structure) -> bool:
     return any(isinstance(leaf, TensorSpec) for leaf in nest.flatten(structure))
-
-
-class _RelaxedTrace:
-    """A symbolic trace plus the (possibly widened) specs it was traced at."""
-
-    __slots__ = ("specs", "concrete")
-
-    def __init__(self, specs: list, concrete: ConcreteFunction) -> None:
-        self.specs = specs
-        self.concrete = concrete
 
 
 class Function:
@@ -573,27 +611,13 @@ class Function:
         )
         self._experimental_relax_shapes = experimental_relax_shapes
         self._pipeline = CompilationPipeline()
-        # Level 1: exact concrete signatures, LRU-ordered (most recently
-        # used last).  Bounded by ``context.trace_cache_size``.
-        self._cache: collections.OrderedDict = collections.OrderedDict()
-        # Level 2: one symbolic trace per dtype/rank pattern, installed
-        # by the relaxation policy.  Bounded by pattern diversity.
-        self._relaxed: dict = {}
-        # Shape-only misses per pattern, with the running most-general
-        # merge of the concrete specs seen so far.
-        self._pattern_seen: dict = {}
-        # Level 0: (device, dtype/shape per arg) -> where the full
-        # binding-time analysis routed that call.  Serves the common
-        # steady-state call — all-positional eager tensors, no kwargs —
-        # without flatten/bind/key construction (§4.6's lookup cost).
+        self._traces = TraceCache(ConcreteFunction.release)
+        # Level 0: (device, dtype/shape per arg) -> the cache slot the
+        # full binding-time analysis routed that call to.  Serves the
+        # common steady-state call — all-positional eager tensors, no
+        # kwargs — without flatten/bind/key construction (§4.6's lookup
+        # cost).
         self._fast_keys: dict = {}
-        self._stats = {
-            "hits": 0,
-            "misses": 0,
-            "traces": 0,
-            "relaxations": 0,
-            "evictions": 0,
-        }
         self._recent_traces: collections.deque = collections.deque(
             maxlen=_RETRACE_WINDOW
         )
@@ -632,14 +656,11 @@ class Function:
         counts actual traces of the Python function (a state-creating
         first call contributes two, per the two-trace contract);
         ``relaxations`` counts symbolic traces installed or widened by
-        the relaxation policy; ``evictions`` counts exact traces dropped
-        by the LRU bound.  ``size`` is the current number of live traces
+        the relaxation policy; ``evictions`` counts traces dropped by
+        the LRU bound.  ``size`` is the current number of live traces
         across both levels.
         """
-        with self._lock:
-            stats = dict(self._stats)
-            stats["size"] = len(self._cache) + len(self._relaxed)
-            return stats
+        return dict(self._traces.stats(), traces=self._trace_count)
 
     def execution_stats(self, profile=None) -> dict:
         """Graph-execution statistics for every live trace.
@@ -707,12 +728,8 @@ class Function:
                 "input_bytes_is_lower_bound": input_lb,
             }
 
-        with self._lock:
-            concretes = list(self._cache.values()) + [
-                entry.concrete for entry in self._relaxed.values()
-            ]
         traces = []
-        for concrete in concretes:
+        for concrete in self._traces.artifacts():
             trace = describe("forward", concrete.graph_function)
             trace["trace"] = concrete.name
             with concrete._shapes_lock:
@@ -814,28 +831,19 @@ class Function:
     def _lookup_fast(self, fast_key) -> Optional[ConcreteFunction]:
         """Serve a previously-routed call shape without rebuilding keys.
 
-        Routes point into the exact or relaxed cache rather than at a
-        concrete directly, so eviction and relaxed-trace widening keep
-        working: a dangling route simply falls back to the slow path,
-        which re-records it.
+        A route is the cache slot that served the call and a weak
+        reference to the concrete it held.  Eviction, or a relaxed trace
+        widened or re-installed at other shapes, leaves the route stale:
+        the call falls back to the slow path, which re-records it.
         """
         with self._lock:
             route = self._fast_keys.get(fast_key)
             if route is None:
                 return None
-            kind, key = route
-            if kind == "exact":
-                concrete = self._cache.get(key)
-                if concrete is None:
-                    return None
-                self._cache.move_to_end(key)
-            else:
-                entry = self._relaxed.get(key)
-                if entry is None:
-                    return None
-                concrete = entry.concrete
+            concrete = route[1]()
+            if concrete is None or not self._traces.touch(route[0], concrete):
+                return None
             self._call_index += 1
-            self._stats["hits"] += 1
             self._recent_traces.append(False)
             return concrete
 
@@ -857,9 +865,10 @@ class Function:
 
         TensorSpec leaves stand in for tensors at their declared
         dtype/shape; any concrete tensor leaves mixed in are abstracted
-        to their specs.  A symbolic spec installs the resulting trace in
-        the relaxed cache level too, so later *calls* with compatible
-        concrete shapes are served by the same trace.
+        to their specs.  Only a trace at exactly these specs is served.  A
+        symbolic spec installs the resulting trace as the pattern's
+        relaxed entry (unless it has one), so later *calls* with
+        compatible concrete shapes are served by the same trace.
         """
         if self._input_signature is not None:
             raise InvalidArgumentError(
@@ -878,20 +887,11 @@ class Function:
         key = self._cache_key(flat)
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
-            if concrete is not None:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
-                return concrete
-            self._stats["misses"] += 1
-            concrete = self._trace(args, kwargs, [], override_specs=specs)
-            self._insert_exact(key, concrete)
-            self._last_trace_key = key
-            if any(not s.is_fully_defined for s in specs):
-                pk = self._pattern_key(key)
-                if pk not in self._relaxed:
-                    self._relaxed[pk] = _RelaxedTrace(list(specs), concrete)
-                    self._stats["relaxations"] += 1
+            concrete, slot, relaxed = self._traces.lookup_specs(*key)
+            if concrete is None:
+                concrete = self._trace(args, kwargs, [], override_specs=specs)
+                self._traces.insert(slot, concrete, relaxed)
+                self._last_trace_key = key
         return concrete
 
     # -- binding-time analysis ----------------------------------------------
@@ -925,37 +925,33 @@ class Function:
         return flat, tensor_leaves
 
     def _cache_key(self, flat_leaves) -> tuple:
-        key = [context.current_device_name()]
-        for leaf in flat_leaves:
-            key.append(_leaf_key(leaf))
-        return tuple(key)
+        """``(pattern, shapes)``: device and per-leaf pattern, tensor shapes.
 
-    def _pattern_key(self, key: tuple) -> tuple:
-        """The cache key with tensor leaves abstracted to (dtype, rank).
-
-        Two exact keys with the same pattern differ only in tensor
-        *shapes* — exactly the retraces the relaxation policy is allowed
-        to collapse into one symbolic trace.
+        Tensors key by dtype and rank, their shapes split out so the
+        trace cache can relax them; other values by
+        :func:`~repro.graph.structural.value_key`, or by identity when
+        they have no by-value key.
         """
-        pattern = [key[0]]  # device
-        for leaf in key[1:]:
-            if isinstance(leaf, tuple) and leaf and leaf[0] == "tensor":
-                dtype, shape = leaf[1], leaf[2]
-                rank = shape.rank if hasattr(shape, "rank") else len(shape)
-                pattern.append(("tensor", dtype, rank))
-            else:
-                pattern.append(leaf)
-        return tuple(pattern)
-
-    def _relax_enabled(self) -> bool:
-        # An input_signature already pins one relaxed trace.
-        return self._experimental_relax_shapes and self._input_signature is None
+        pattern = [context.current_device_name()]
+        shapes = []
+        for leaf in flat_leaves:
+            if _is_tensor_leaf(leaf):
+                shape = as_shape(leaf.shape)
+                pattern.append(("tensor", dtypes.as_dtype(leaf.dtype), shape.rank))
+                shapes.append(shape)
+                continue
+            try:
+                pattern.append(value_key(leaf))
+            except Unhashable:
+                pattern.append(_Identity(leaf))
+        return tuple(pattern), tuple(shapes)
 
     def _maybe_trace(self, args, kwargs):
         """Resolve a call to ``(concrete, tensor_leaves, route)``.
 
-        ``route`` names the cache slot that served the call (for the
-        level-0 fast-key map) or is None when the call is not routable.
+        ``route`` is the cache slot that served the call and a weak
+        reference to its concrete (for the level-0 fast-key map), or None
+        when the call is not routable.
         It is *returned*, never stored on the instance: concurrent
         callers each get their own route, so one thread's miss cannot
         cross-wire another thread's fast-key recording.
@@ -967,96 +963,24 @@ class Function:
         key = self._cache_key(flat_leaves)
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
-            if concrete is not None:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
-                self._recent_traces.append(False)
-                return concrete, tensor_leaves, ("exact", key)
-            if self._relax_enabled() or self._relaxed:
-                concrete = self._lookup_relaxed(key, args, kwargs, tensor_leaves)
-                if concrete is not None:
-                    return concrete, tensor_leaves, ("relaxed", self._pattern_key(key))
-            self._stats["misses"] += 1
-            self._recent_traces.append(True)
-            self._maybe_warn_retrace(key)
-            concrete = self._trace(args, kwargs, tensor_leaves)
-            self._insert_exact(key, concrete)
-            self._last_trace_key = key
-        return concrete, tensor_leaves, ("exact", key)
-
-    def _lookup_relaxed(
-        self, key, args, kwargs, tensor_leaves
-    ) -> Optional[ConcreteFunction]:
-        """Second cache level: serve, widen, or install a symbolic trace.
-
-        Called under the lock on an exact-cache miss.  Returns None when
-        the relaxation policy decides an exact trace should happen
-        instead (pattern not yet seen often enough).
-        """
-        pk = self._pattern_key(key)
-        entry = self._relaxed.get(pk)
-        if entry is not None:
-            if len(tensor_leaves) == len(entry.specs) and all(
-                t.shape.is_subtype_of(spec.shape)
-                for t, spec in zip(tensor_leaves, entry.specs)
-            ):
-                self._stats["hits"] += 1
-                self._recent_traces.append(False)
-                return entry.concrete
-            if not self._relax_enabled():
-                # The entry was installed explicitly (a symbolic
-                # get_concrete_function); incompatible shapes take a
-                # normal exact trace rather than widening it.
-                return None
-            # Incompatible with the current symbolic specs (e.g. a dim
-            # that had been stable so far started varying): widen and
-            # retrace once; the evicted trace releases its artifacts.
-            widened = [
-                spec.most_general(TensorSpec.from_tensor(t))
-                for spec, t in zip(entry.specs, tensor_leaves)
-            ]
-            self._stats["misses"] += 1
-            self._recent_traces.append(True)
-            concrete = self._trace(args, kwargs, tensor_leaves, override_specs=widened)
-            entry.concrete.release()
-            self._relaxed[pk] = _RelaxedTrace(widened, concrete)
-            self._stats["relaxations"] += 1
-            return concrete
-        if not self._relax_enabled():
-            return None
-        seen = self._pattern_seen.get(pk)
-        current = [TensorSpec.from_tensor(t) for t in tensor_leaves]
-        if seen is None:
-            # First sighting of this pattern: remember it; the caller
-            # performs a normal exact trace.
-            self._pattern_seen[pk] = [0, current]
-            return None
-        seen[0] += 1
-        seen[1] = [old.most_general(new) for old, new in zip(seen[1], current)]
-        if seen[0] < RELAX_RETRACES:
-            return None
-        # K shape-only retraces of this pattern: generalize the varying
-        # dimensions to None and trace once, symbolically.
-        relaxed_specs = seen[1]
-        self._stats["misses"] += 1
-        self._recent_traces.append(True)
-        concrete = self._trace(
-            args, kwargs, tensor_leaves, override_specs=relaxed_specs
-        )
-        self._relaxed[pk] = _RelaxedTrace(relaxed_specs, concrete)
-        self._stats["relaxations"] += 1
-        del self._pattern_seen[pk]
-        return concrete
-
-    def _insert_exact(self, key, concrete: ConcreteFunction) -> None:
-        """Add to the exact level, evicting LRU entries past the bound."""
-        self._cache[key] = concrete
-        limit = context.trace_cache_size
-        while len(self._cache) > limit:
-            _, evicted = self._cache.popitem(last=False)
-            evicted.release()
-            self._stats["evictions"] += 1
+            concrete, slot, relaxed = self._traces.lookup(
+                *key, relax=self._experimental_relax_shapes
+            )
+            self._recent_traces.append(concrete is None)
+            if concrete is None:
+                specs = None
+                if relaxed is not None:  # a relaxed (or widened) trace
+                    specs = [
+                        TensorSpec(shape, t.dtype)
+                        for shape, t in zip(relaxed, tensor_leaves)
+                    ]
+                else:
+                    self._maybe_warn_retrace(key)
+                concrete = self._trace(args, kwargs, tensor_leaves, override_specs=specs)
+                self._traces.insert(slot, concrete, relaxed)
+                if specs is None:
+                    self._last_trace_key = key
+        return concrete, tensor_leaves, (slot, weakref.ref(concrete))
 
     def _maybe_warn_retrace(self, key: tuple) -> None:
         """Rate-limited churn warning, naming the differing key leaf."""
@@ -1104,19 +1028,15 @@ class Function:
                     f"input signature entry {spec}"
                 )
             tensors.append(t)
-        key = ("signature", context.current_device_name())
+        key = (("signature", context.current_device_name()), ())
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
+            concrete, slot, _ = self._traces.lookup(*key)
             if concrete is None:
-                self._stats["misses"] += 1
                 concrete = self._trace(
                     tuple(tensors), {}, tensors, override_specs=list(specs)
                 )
-                self._cache[key] = concrete
-            else:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
+                self._traces.insert(slot, concrete)
         return concrete, tensors, None
 
     # -- tracing -----------------------------------------------------------
@@ -1132,7 +1052,7 @@ class Function:
         with variable_creation_observer(created.append):
             concrete = self._trace_once(args, kwargs, specs)
         if created:
-            if self._trace_count > 1 or self._cache or self._relaxed:
+            if self._trace_count > 1 or len(self._traces):
                 raise FailedPreconditionError(
                     f"Function {self._name!r} created new variables on a "
                     "non-initial trace. State must only be created the first "
@@ -1164,7 +1084,6 @@ class Function:
 
     def _trace_once(self, args, kwargs, specs) -> ConcreteFunction:
         self._trace_count += 1
-        self._stats["traces"] += 1
         marked_args, marked_kwargs = self._mark_tensors(args, kwargs)
         name = f"{self._name}_{context.unique_id()}"
         start = time.perf_counter()
@@ -1201,7 +1120,7 @@ class Function:
     def __repr__(self) -> str:
         return (
             f"<repro.function {self._name!r} with "
-            f"{len(self._cache) + len(self._relaxed)} traces>"
+            f"{len(self._traces)} traces>"
         )
 
 

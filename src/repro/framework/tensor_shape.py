@@ -176,17 +176,6 @@ class TensorShape:
             )
         )
 
-    def relaxed(self) -> "TensorShape":
-        """This shape with every dimension forgotten (rank preserved).
-
-        The fully-symbolic signature the trace cache falls back to when
-        repeated widening fails to converge: any same-rank tensor is a
-        subtype of the relaxed shape.
-        """
-        if self._dims is None:
-            return self
-        return TensorShape._from_dims((None,) * len(self._dims))
-
     @property
     def num_unknown(self) -> Optional[int]:
         """How many dimensions are unknown (None for unknown rank)."""

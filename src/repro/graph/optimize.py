@@ -26,11 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.framework import dtypes
-from repro.framework.dtypes import DType
-from repro.framework.tensor_shape import TensorShape
 from repro.ops import registry
-from repro.tensor import Tensor, TensorSpec
+from repro.tensor import Tensor
 from repro.graph.graph import Graph, Node, SymbolicTensor
+from repro.graph.structural import Unhashable, value_key
 
 __all__ = ["optimize_function", "DEFAULT_PASSES"]
 
@@ -38,40 +37,6 @@ DEFAULT_PASSES = ("prune", "fold", "arithmetic", "dedup_reads", "cse", "prune")
 
 # Never materialize folded constants bigger than this.
 _MAX_FOLD_ELEMENTS = 1 << 20
-
-
-def _attr_key(attrs: dict):
-    if not attrs:
-        return ()
-    items = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if k == "_remat_scope":
-            # Rematerialization scope (see repro.core.recompute): nodes
-            # replayed into a backward section are tagged so CSE can
-            # dedup *within* one recomputed region but never merge a
-            # recomputed node with its identical forward original (or
-            # with another scope's copy) — that would silently undo the
-            # checkpoint and re-extend the intermediate's lifetime.
-            items.append((k, ("remat", str(v))))
-        elif isinstance(v, np.ndarray):
-            items.append((k, ("ndarray", v.shape, str(v.dtype), v.tobytes())))
-        elif isinstance(v, TensorShape):
-            # Explicit encoding so a symbolic shape ([2, None]) can
-            # never collide with a repr-equal Python value; two nodes
-            # merge only when their (possibly unknown) dims agree
-            # exactly — with the same inputs that is sound, since equal
-            # symbolic attrs denote the same runtime shapes.
-            items.append((k, ("shape", v.dims)))
-        elif isinstance(v, TensorSpec):
-            items.append((k, ("spec", v.shape.dims, v.dtype.name)))
-        elif isinstance(v, DType):
-            items.append((k, ("dtype", v.name)))
-        elif callable(v) or hasattr(v, "graph"):
-            items.append((k, ("object", id(v))))
-        else:
-            items.append((k, repr(v)))
-    return tuple(items)
 
 
 class _Replacements:
@@ -255,11 +220,13 @@ def arithmetic_simplify(fn) -> int:
 def cse(fn) -> int:
     """Merge identical stateless operations.
 
-    Nodes spliced in by gradient checkpointing carry a ``_remat_scope``
-    attr that participates in the signature: a recomputed node never
-    merges with the forward node it shadows, so the checkpoint's memory
-    behavior survives this pass (duplicates *within* one scope still
-    merge — they share the tag).
+    A node's signature is its op, inputs, device and attrs keyed by
+    :func:`~repro.graph.structural.value_key`; a node with an
+    unhashable attr is never merged.  Nodes spliced in by gradient
+    checkpointing carry a ``_remat_scope`` attr, so a recomputed node
+    never merges with the forward node it shadows and the checkpoint's
+    memory behavior survives this pass (duplicates *within* one scope
+    still merge — they share the tag).
     """
     graph: Graph = fn.graph
     seen: dict = {}
@@ -271,12 +238,15 @@ def cse(fn) -> int:
         op_def = node.op_def
         if op_def.is_stateful or op_def.has_side_effects or node.op_name == "Placeholder":
             continue
-        sig = (
-            node.op_name,
-            tuple(map(id, node.inputs)),
-            _attr_key(node.attrs),
-            node.device,
-        )
+        try:
+            sig = (
+                node.op_name,
+                tuple(map(id, node.inputs)),
+                value_key(node.attrs),
+                node.device,
+            )
+        except Unhashable:
+            continue
         existing = seen.get(sig)
         if existing is None:
             seen[sig] = node

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
+from repro.graph.structural import value_key
 from repro.runtime.executor import execute
 from repro.tensor import TensorBase, convert_to_tensor
 
@@ -29,7 +30,7 @@ _SCALAR_CACHE_LIMIT = 512
 
 
 def _cached_scalar(value, dtype) -> TensorBase:
-    key = (type(value).__name__, value, dtype)
+    key = (value_key(value), dtype)
     t = _scalar_cache.get(key)
     if t is None:
         t = convert_to_tensor(value, dtype=dtype)

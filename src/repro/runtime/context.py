@@ -182,11 +182,13 @@ KNOBS = (
     ),
     Knob(
         "trace_cache_size", ("REPRO_TRACE_CACHE_SIZE",), "int", 256,
-        """Per-``Function`` LRU bound on cached exact-signature traces.
+        """LRU bound on every trace cache, both levels counted.
 
-        Keeps shape-diverse serving traffic from growing the cache (and
-        the compiled artifacts hanging off each trace) without limit.
-        Applies to new caches and to existing ones on their next insert.
+        Bounds each ``Function``'s exact and relaxed traces together,
+        and the lazy segment cache's compiled segments likewise.  Keeps
+        shape-diverse serving traffic from growing a cache (and the
+        compiled artifacts hanging off each trace) without limit.
+        Applies on each cache's next insert.
         """,
     ),
     Knob(

@@ -19,16 +19,19 @@ previously recorded work).  A segment also auto-flushes at
 ``SEGMENT_LIMIT`` (256) recorded ops, bounding the memory pinned by the
 recording.
 
-**Flush = hash → cache → compile → run.**  The flush hashes the
-recorded segment (op list, attributes, dataflow references, fetch mask,
-external-input signature) and looks it up in a process-wide
-:class:`~repro.core.function.SegmentCache` — the same two-level
-exact/relaxed LRU policy as the ``Function`` trace cache.  On a miss
-the segment is lowered through
+**Flush = hash → cache → compile → run.**  The flush keys the recorded
+segment with :func:`~repro.graph.structural.segment_key` (op list,
+attributes, dataflow references, fetch mask and external-input dtypes
+and ranks, with the external shapes split out) and looks it up in a
+process-wide :class:`~repro.core.function.TraceCache`, the class behind
+every ``Function``'s trace cache, with relaxation on: when a segment
+recurs at a new external shape, the dims that varied become ``None``
+and one relaxed artifact serves every shape they cover.  On a miss the
+segment is lowered through
 :meth:`~repro.core.pipeline.CompilationPipeline.compile_segment`
 (optimize → fuse → plan), so a steady-state training loop hits a
 compiled, fused, memory-planned artifact on every step.  A segment
-whose attrs cannot be hashed compiles and runs uncached.  Only *live*
+with an unhashable attr compiles and runs uncached.  Only *live*
 outputs (Python references still exist — user variables, tape entries)
 are fetched; dead intermediates are fused away or freed by the plan.
 The compiled artifact is the only executor.
@@ -47,9 +50,8 @@ import threading
 import weakref
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.framework.errors import NotFoundError
+from repro.graph.structural import segment_key
 from repro.ops import registry
 from repro.runtime import records
 from repro.runtime.context import context
@@ -226,15 +228,19 @@ class LazyTrace:
         fetches = [t._ref[1:] for t in live]
         cache_hit = False
         try:
-            key = self._segment_key(recs, fetches)
-            artifact, relaxed = None, False
-            if key is not None:  # else unhashable attrs: run uncached
-                artifact, relaxed = _segment_cache.lookup(*key)
+            key = segment_key(recs, fetches, self.ext)
+            if key is None:  # an unhashable attr: run uncached
+                artifact = self._compile(recs, fetches, [t.shape for t in self.ext])
+            else:
+                artifact, slot, relaxed = _segment_cache.lookup(*key, relax=True)
                 cache_hit = artifact is not None
-            if artifact is None:
-                artifact = self._compile(recs, fetches, relaxed)
-                if key is not None:
-                    _segment_cache.insert(*key, artifact, relaxed=relaxed)
+                if artifact is None:
+                    if relaxed is None:
+                        artifact = self._compile(recs, fetches, key[1])
+                    else:
+                        artifact = self._compile(recs, fetches, relaxed)
+                        _stats["relaxed_segments"] += 1
+                    _segment_cache.insert(slot, artifact, relaxed)
             values = artifact.run(self.ext)
         except BaseException as exc:  # noqa: BLE001 - deferred, interrupts re-raised
             # The segment fails as a unit, as a staged call does: every
@@ -262,89 +268,14 @@ class LazyTrace:
         if prof is not None:
             prof.add_lazy_flush(len(recs), cache_hit)
 
-    def _compile(self, recs, fetches, relaxed: bool):
-        specs = []
-        for t in self.ext:
-            spec = TensorSpec.from_tensor(t)
-            specs.append(spec.relaxed() if relaxed else spec)
-        fn = _pipeline.compile_segment(
+    def _compile(self, recs, fetches, shapes):
+        """Lower the segment with its external inputs at ``shapes``."""
+        return _pipeline.compile_segment(
             f"lazy_segment_{context.unique_id()}",
-            specs,
+            [TensorSpec(shape, t._dtype) for shape, t in zip(shapes, self.ext)],
             [(rec.op_name, rec.attrs, rec.in_refs) for rec in recs],
             fetches,
         )
-        if relaxed:
-            _stats["relaxed_segments"] += 1
-        return fn
-
-    def _segment_key(self, recs, fetches):
-        """``(structural_key, shapes)`` for the cache, or None if unhashable."""
-        struct = []
-        for rec in recs:
-            akey = _attrs_key(rec.attrs)
-            if akey is _UNHASHABLE:
-                return None
-            struct.append((rec.op_name, akey, rec.in_refs))
-        ext_struct = []
-        shapes = []
-        for t in self.ext:
-            shape = t.shape
-            ext_struct.append((t._dtype, shape.rank))
-            shapes.append(shape)
-        return (
-            (tuple(struct), tuple(fetches), tuple(ext_struct)),
-            tuple(shapes),
-        )
-
-
-# -- segment hashing helpers ------------------------------------------------
-
-_UNHASHABLE = object()
-
-#: Attribute ndarrays up to this size hash by content; larger ones make
-#: the segment uncacheable (hashing them every flush would cost more
-#: than the compiled artifact saves).
-_MAX_HASHED_ATTR_BYTES = 256
-
-
-def _attrs_key(attrs: dict):
-    if not attrs:
-        return ()
-    items = []
-    for key in sorted(attrs):
-        value = _attr_value_key(attrs[key])
-        if value is _UNHASHABLE:
-            return _UNHASHABLE
-        items.append((key, value))
-    return tuple(items)
-
-
-def _attr_value_key(value):
-    if isinstance(value, np.ndarray):
-        if value.nbytes <= _MAX_HASHED_ATTR_BYTES:
-            return ("nd", value.dtype.str, value.shape, value.tobytes())
-        return _UNHASHABLE
-    if isinstance(value, (list, tuple)):
-        parts = []
-        for item in value:
-            part = _attr_value_key(item)
-            if part is _UNHASHABLE:
-                return _UNHASHABLE
-            parts.append(part)
-        return (type(value).__name__, tuple(parts))
-    if isinstance(value, dict):
-        parts = []
-        for key in sorted(value):
-            part = _attr_value_key(value[key])
-            if part is _UNHASHABLE:
-                return _UNHASHABLE
-            parts.append((key, part))
-        return ("dict", tuple(parts))
-    try:
-        hash(value)
-    except TypeError:
-        return _UNHASHABLE
-    return value
 
 
 # -- module singletons -------------------------------------------------------
@@ -356,9 +287,10 @@ def _make_pipeline():
 
 
 def _make_cache():
-    from repro.core.function import SegmentCache
+    from repro.core.function import TraceCache
+    from repro.graph.function import GraphFunction
 
-    return SegmentCache()
+    return TraceCache(GraphFunction.release_plan)
 
 
 def _profiler_mod():

@@ -528,10 +528,6 @@ class TensorSpec:
         """True when the spec pins every dimension (an exact signature)."""
         return self.shape.is_fully_defined
 
-    def relaxed(self) -> "TensorSpec":
-        """This spec with all dimensions forgotten (rank and dtype kept)."""
-        return TensorSpec(self.shape.relaxed(), self.dtype, self.name)
-
     def is_compatible_with(self, t) -> bool:
         if not isinstance(t, (TensorBase, TensorSpec)):
             return False

@@ -26,14 +26,13 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-import numpy as np
-
 from repro.framework.errors import UnimplementedError
 from repro.ops import registry
 from repro.runtime import dispatch
 from repro.runtime.device import Device
 from repro.tensor import TensorSpec
 from repro.graph.function import GraphFunction
+from repro.graph.structural import Unhashable, value_key
 from repro.xla.compiler import executable_for
 
 __all__ = ["install", "uninstall", "compile_cache_stats"]
@@ -51,24 +50,15 @@ def _signature(inputs) -> tuple:
     return tuple((t.dtype, t.shape.as_tuple()) for t in inputs)
 
 
-def _attr_cache_key(attrs: dict) -> tuple:
-    items = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if isinstance(v, np.ndarray):
-            items.append((k, ("ndarray", v.shape, str(v.dtype), v.tobytes())))
-        elif callable(v) or hasattr(v, "graph"):
-            # Sound as a key: the cached one-op function's node holds
-            # ``v``, so its address is not reused while the entry lives.
-            items.append((k, ("object", id(v))))
-        else:
-            items.append((k, repr(v)))
-    return tuple(items)
-
-
 def _single_op_function(op_name: str, inputs, attrs: dict) -> GraphFunction:
-    """Build (or fetch) the one-op function for an eager TPU dispatch."""
-    key = (op_name, _signature(inputs), _attr_cache_key(attrs))
+    """Build (or fetch) the one-op function for an eager TPU dispatch.
+
+    An op with an unhashable attr builds its function uncached.
+    """
+    try:
+        key = (op_name, _signature(inputs), value_key(attrs))
+    except Unhashable:
+        key = None
     with _cache_lock:
         fn = _op_cache.get(key)
     if fn is not None:
@@ -87,7 +77,8 @@ def _single_op_function(op_name: str, inputs, attrs: dict) -> GraphFunction:
         outputs = (outputs,) if outputs is not None else ()
     fn = GraphFunction(f"tpu_{op_name}", graph, inputs=phs, outputs=list(outputs))
     with _cache_lock:
-        fn = _op_cache.setdefault(key, fn)
+        if key is not None:
+            fn = _op_cache.setdefault(key, fn)
         _stats["op_compiles"] += 1
     return fn
 

@@ -9,9 +9,11 @@ state-creation contract under concurrency).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -405,3 +407,138 @@ class TestConcurrentTracing:
         assert f.trace_count == 2
         assert len(f._created_variables) == 1
         np.testing.assert_allclose(f(x).numpy(), np.ones(4), rtol=1e-6)
+
+
+class TestStaticValueKeys:
+    """Non-tensor arguments key through the one value encoder: bit-exact
+    floats, and identity keys that hold their object."""
+
+    def test_signed_zero_gets_its_own_trace(self):
+        @repro.function
+        def f(x, s):
+            return x * s
+
+        x = repro.constant([1.0, 2.0])
+        assert not np.signbit(f(x, 0.0).numpy()).any()
+        out = f(x, -0.0).numpy()
+        assert np.signbit(out).all()
+        assert f.trace_count == 2
+
+    def test_nan_argument_traces_once(self):
+        @repro.function
+        def f(x, s):
+            return x * s
+
+        x = repro.constant([1.0, 2.0])
+        for _ in range(4):
+            assert np.isnan(f(x, float("nan")).numpy()).all()
+        assert f.trace_count == 1
+
+    def test_identity_key_holds_its_argument(self):
+        @dataclasses.dataclass
+        class Cfg:  # eq=True makes it unhashable: keyed by identity
+            scale: float
+
+        @repro.function
+        def f(x, cfg):
+            return x * cfg.scale
+
+        x = repro.constant([1.0, 2.0])
+        refs = []
+        for scale in (3.0, 5.0, 7.0, 11.0):
+            cfg = Cfg(scale)
+            refs.append(weakref.ref(cfg))
+            np.testing.assert_allclose(f(x, cfg).numpy(), [scale, 2 * scale])
+            del cfg
+        # Every cached trace keeps its argument alive, so no later
+        # argument can take over a dead one's address and its trace.
+        assert all(ref() is not None for ref in refs)
+        assert f.trace_count == 4
+
+
+@pytest.mark.filterwarnings("ignore::repro.core.function.RetraceWarning")
+class TestOneBound:
+    def test_relaxation_stays_inside_the_bound(self):
+        # 50 patterns at one shape, cycled through a cache of 8: every
+        # call re-misses after eviction at an unchanged shape, which is
+        # never a reason to relax.
+        context.trace_cache_size = 8
+
+        @repro.function(experimental_relax_shapes=True)
+        def f(x, k):
+            return x + float(k)
+
+        x = _batch(2)
+        for step in range(199):
+            k = step % 50
+            np.testing.assert_allclose(f(x, k).numpy(), x.numpy() + k)
+        stats = f.cache_stats()
+        assert stats["size"] <= 8
+        assert stats["relaxations"] == 0
+
+    def test_relaxed_entries_count_toward_the_bound(self):
+        context.trace_cache_size = 2
+
+        @repro.function(experimental_relax_shapes=True)
+        def f(x, k):
+            return repro.reduce_sum(x) * float(k)
+
+        for k in range(3):
+            f(_batch(2), k)
+            f(_batch(3), k)  # relaxed trace for pattern k
+        stats = f.cache_stats()
+        assert stats["relaxations"] == 3
+        assert stats["size"] == 2
+
+
+    def test_route_into_a_reused_relaxed_slot_retraces(self):
+        # The fast call path's route for (3, 4) must not follow the
+        # pattern's relaxed slot once it was evicted and re-installed at
+        # shapes that no longer cover (3, 4).
+        context.trace_cache_size = 2
+
+        @repro.function(experimental_relax_shapes=True)
+        def f(x):
+            return x * 2.0
+
+        def x32(*shape):
+            return repro.constant(np.ones(shape, np.float32))
+
+        def x64(*shape):
+            return repro.constant(np.ones(shape, np.float64))
+
+        f(x32(2, 4))
+        f(x32(3, 4))  # relaxed to (None, 4); routes (3, 4) there
+        f(x64(2, 4))
+        f(x64(3, 4))  # evicts the float32 relaxed trace
+        f(x32(2, 8))
+        f(x32(3, 8))  # the float32 relaxed trace again, at (None, 8)
+        out = f(x32(3, 4))
+        np.testing.assert_allclose(out.numpy(), np.full((3, 4), 2.0))
+
+
+class TestSpecLookup:
+    def test_defined_spec_after_relaxation_traces_at_that_spec(self):
+        @repro.function(experimental_relax_shapes=True)
+        def f(x):
+            return x * 2.0
+
+        f(_batch(2))
+        f(_batch(3))  # relaxed to (None, 4)
+        spec = repro.TensorSpec([5, 4], repro.float32)
+        concrete = f.get_concrete_function(spec)
+        assert list(concrete.graph_function.input_specs) == [spec]
+        assert f.get_concrete_function(spec) is concrete
+
+    def test_symbolic_spec_serves_later_calls(self):
+        @repro.function
+        def f(x):
+            return x * 2.0
+
+        spec = repro.TensorSpec([None, 4], repro.float32)
+        concrete = f.get_concrete_function(spec)
+        assert list(concrete.graph_function.input_specs) == [spec]
+        assert f.get_concrete_function(spec) is concrete
+        for b in (1, 5):
+            np.testing.assert_allclose(f(_batch(b)).numpy(), _batch(b).numpy() * 2)
+        assert f.trace_count == 1

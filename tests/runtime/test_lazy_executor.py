@@ -11,6 +11,7 @@ delivered exactly once — also when many threads record and observe at
 once.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -44,6 +45,29 @@ def table_op():
     yield "TestAddTable"
     registry.unregister_kernel("TestAddTable", ("CPU",))
     del registry._OPS["TestAddTable"]
+
+
+@dataclasses.dataclass
+class _Table:
+    """An attr value with no by-value key: a dataclass with eq is unhashable."""
+
+    values: np.ndarray
+
+    def sum(self):
+        return self.values.sum()
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Record every segment lowering from here on."""
+    compiles = []
+    compile_segment = lazy._pipeline.compile_segment
+
+    def counted(*args):
+        compiles.append(args)
+        return compile_segment(*args)
+
+    monkeypatch.setattr(lazy._pipeline, "compile_segment", counted)
+    return compiles
 
 
 def _snapshot():
@@ -211,6 +235,61 @@ class TestSegmentCache:
         assert "lazy eager:" in prof.summary()
 
 
+class TestSharedTraceCache:
+    """The segment cache is a ``TraceCache``: one LRU bound over both
+    levels, relaxation only when a dim varies, and widening that keeps
+    the stable dims."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_segment_cache(self):
+        lazy.reset_lazy_stats(clear_cache=True)
+
+    def test_signed_zero_attr_keeps_its_sign(self, lazy_mode):
+        assert not np.signbit(repro.fill([2], 0.0, "float32").numpy()).any()
+        out = repro.fill([2], -0.0, "float32").numpy()
+        with repro.execution_mode("sync"):
+            expected = repro.fill([2], -0.0, "float32").numpy()
+        assert np.signbit(expected).all()
+        assert np.signbit(out).all()
+
+    def test_bound_holds_and_unchanged_shapes_never_relax(self, lazy_mode):
+        # 50 segment structures at one shape, cycled through a cache of 8.
+        context.trace_cache_size = 8
+        for step in range(199):
+            y = repro.constant(np.ones(4, np.float32))
+            for _ in range(step % 50 + 1):
+                y = y + 1.0
+            np.testing.assert_allclose(y.numpy(), np.full(4, step % 50 + 2.0))
+        stats = lazy.segment_cache().stats()
+        assert stats["size"] <= 8
+        assert stats["relaxations"] == 0
+
+    def test_widening_keeps_stable_dims(self, lazy_mode, monkeypatch):
+        compiles = _count_compiles(monkeypatch)
+
+        def program(x):
+            return repro.tanh(x * 2.0 + 1.0).numpy()
+
+        def external_dims():
+            return compiles[-1][1][0].shape.dims
+
+        rng = np.random.default_rng(0)
+        for shape, dims in [
+            ((2, 4), (2, 4)),
+            ((3, 4), (None, 4)),  # relaxed: the stable dim stays
+            ((3, 5), (None, None)),  # widened once
+            ((6, 7), (None, None)),  # served by the widened artifact
+        ]:
+            x_np = rng.standard_normal(shape).astype(np.float32)
+            out = program(repro.constant(x_np))
+            with repro.execution_mode("sync"):
+                expected = program(repro.constant(x_np))
+            np.testing.assert_allclose(out, expected, rtol=1e-6)
+            assert external_dims() == dims
+        assert len(compiles) == 3
+        assert lazy.segment_cache().stats()["relaxations"] == 2
+
+
 class TestDeferredErrors:
     def test_error_carries_op_name_and_type(self, lazy_mode):
         x = repro.constant([1.0, 2.0, 3.0])
@@ -292,16 +371,9 @@ class TestDeferredErrors:
     def test_unhashable_attrs_compile_uncached_per_flush(
         self, lazy_mode, table_op, monkeypatch
     ):
-        compiles = []
-        compile_segment = lazy._pipeline.compile_segment
-
-        def counted(*args):
-            compiles.append(args)
-            return compile_segment(*args)
-
-        monkeypatch.setattr(lazy._pipeline, "compile_segment", counted)
+        compiles = _count_compiles(monkeypatch)
         size = lazy.segment_cache().stats()["size"]
-        table = np.ones(256, np.float32)  # 1 KiB: too big to hash
+        table = _Table(np.ones(256, np.float32))  # eq without hash
         for step in range(3):
             x = repro.constant([1.0, 2.0])
             y = execute(table_op, [x * 2.0], {"table": table})
@@ -309,6 +381,15 @@ class TestDeferredErrors:
             np.testing.assert_allclose(y.numpy(), [258.0, 260.0])
             assert len(compiles) == step + 1
         assert lazy.segment_cache().stats()["size"] == size
+
+    def test_large_ndarray_attr_hits_the_cache(self, lazy_mode, table_op, monkeypatch):
+        compiles = _count_compiles(monkeypatch)
+        for _ in range(3):
+            x = repro.constant([1.0, 2.0])
+            table = np.ones(256, np.float32)  # 1 KiB, a fresh array each step
+            y = execute(table_op, [x * 2.0], {"table": table})
+            np.testing.assert_allclose(y.numpy(), [258.0, 260.0])
+        assert len(compiles) == 1
 
     def test_tape_gradient_is_a_delivery_point(self, lazy_mode):
         # Gradient computation flushes the recorded forward segment, so

@@ -120,6 +120,13 @@ class TestOperators:
         x = repro.constant([1.5])
         assert (x * 2).dtype is dtypes.float32
 
+    def test_literal_cache_keeps_the_sign_of_zero(self):
+        # Python literals become cached constant tensors; -0.0 == 0.0,
+        # so only a bit-exact key keeps them apart.
+        x = repro.constant([1.0, 2.0])
+        assert np.signbit((x * -0.0).numpy()).all()
+        assert not np.signbit((x * 0.0).numpy()).any()
+
     def test_pow_neg_abs(self):
         x = repro.constant([-2.0, 3.0])
         np.testing.assert_allclose((x ** 2.0).numpy(), [4.0, 9.0])
