@@ -112,21 +112,6 @@ class TraceCache:
         with self._lock:
             return list(self._entries.values())
 
-    def touch(self, slot, artifact) -> bool:
-        """Count a hit on ``artifact`` if ``slot`` still holds it.
-
-        ``slot`` is one ``lookup`` returned.  A relaxed slot can be
-        widened, or evicted and re-installed at other shapes, so a
-        caller that remembered ``(slot, artifact)`` checks here that the
-        artifact it would serve is still the slot's.
-        """
-        with self._lock:
-            if self._entries.get(slot) is not artifact:
-                return False
-            self._entries.move_to_end(slot)
-            self._stats["hits"] += 1
-            return True
-
     def lookup(self, pattern, shapes: tuple, relax: bool = False) -> tuple:
         """``(artifact, slot, None)`` on a hit, ``(None, slot, relaxed)`` on a miss.
 
@@ -237,10 +222,6 @@ _RETRACE_WINDOW = 10
 _RETRACE_THRESHOLD = 5
 #: Minimum calls between two warnings for the same Function.
 _RETRACE_WARN_INTERVAL = 32
-
-#: Bound on the level-0 (fast call path) route map; cleared wholesale
-#: when exceeded — routes re-record lazily on the next slow-path call.
-_FAST_KEY_LIMIT = 1024
 
 #: How many distinct concrete input-shape tuples a symbolic trace
 #: remembers for per-specialization memory-plan reporting.
@@ -612,12 +593,6 @@ class Function:
         self._experimental_relax_shapes = experimental_relax_shapes
         self._pipeline = CompilationPipeline()
         self._traces = TraceCache(ConcreteFunction.release)
-        # Level 0: (device, dtype/shape per arg) -> the cache slot the
-        # full binding-time analysis routed that call to.  Serves the
-        # common steady-state call — all-positional eager tensors, no
-        # kwargs — without flatten/bind/key construction (§4.6's lookup
-        # cost).
-        self._fast_keys: dict = {}
         self._recent_traces: collections.deque = collections.deque(
             maxlen=_RETRACE_WINDOW
         )
@@ -636,6 +611,14 @@ class Function:
             self._signature = inspect.signature(python_function)
         except (TypeError, ValueError):
             self._signature = None
+        # A call passing this many positionals to an all-positional
+        # signature is already bound, so ``_canonicalize`` skips ``bind``.
+        self._positional_arity = None
+        if self._signature is not None and all(
+            p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            for p in self._signature.parameters.values()
+        ):
+            self._positional_arity = len(self._signature.parameters)
         _LIVE_FUNCTIONS.add(self)
 
     # -- public surface -------------------------------------------------------
@@ -791,61 +774,8 @@ class Function:
         return bound
 
     def __call__(self, *args, **kwargs):
-        concrete = None
-        fast_key = None
-        if not kwargs and self._input_signature is None:
-            fast_key = self._fast_call_key(args)
-            if fast_key is not None:
-                concrete = self._lookup_fast(fast_key)
-                if concrete is not None:
-                    return concrete(*args)
-        concrete, flat_tensors, route = self._maybe_trace(args, kwargs)
-        if (
-            fast_key is not None
-            and route is not None
-            and len(flat_tensors) == len(args)
-            and all(t is a for t, a in zip(flat_tensors, args))
-        ):
-            with self._lock:
-                if len(self._fast_keys) > _FAST_KEY_LIMIT:
-                    self._fast_keys.clear()
-                self._fast_keys[fast_key] = route
+        concrete, flat_tensors = self._maybe_trace(args, kwargs)
         return concrete(*flat_tensors)
-
-    @staticmethod
-    def _fast_call_key(args) -> Optional[tuple]:
-        """Cheap exact key for an all-eager-Tensor positional call.
-
-        Anything else — variables, ndarrays, nested structures, pending
-        tensors (whose shape may not be resolved yet) — returns None and
-        takes the full binding-time analysis path.
-        """
-        parts = [context.current_device_name()]
-        for a in args:
-            if type(a) is not Tensor:
-                return None
-            parts.append(a._dtype)
-            parts.append(a._array.shape)
-        return tuple(parts)
-
-    def _lookup_fast(self, fast_key) -> Optional[ConcreteFunction]:
-        """Serve a previously-routed call shape without rebuilding keys.
-
-        A route is the cache slot that served the call and a weak
-        reference to the concrete it held.  Eviction, or a relaxed trace
-        widened or re-installed at other shapes, leaves the route stale:
-        the call falls back to the slow path, which re-records it.
-        """
-        with self._lock:
-            route = self._fast_keys.get(fast_key)
-            if route is None:
-                return None
-            concrete = route[1]()
-            if concrete is None or not self._traces.touch(route[0], concrete):
-                return None
-            self._call_index += 1
-            self._recent_traces.append(False)
-            return concrete
 
     def get_concrete_function(self, *args, **kwargs) -> ConcreteFunction:
         """The monomorphic function this call signature binds to.
@@ -857,7 +787,7 @@ class Function:
         """
         if _contains_spec(args) or _contains_spec(kwargs):
             return self._concrete_from_specs(args, kwargs)
-        concrete, _, _ = self._maybe_trace(args, kwargs)
+        concrete, _ = self._maybe_trace(args, kwargs)
         return concrete
 
     def _concrete_from_specs(self, args, kwargs) -> ConcreteFunction:
@@ -896,14 +826,16 @@ class Function:
 
     # -- binding-time analysis ----------------------------------------------
     def _canonicalize(self, args, kwargs):
-        if self._signature is not None:
-            try:
-                bound = self._signature.bind(*args, **kwargs)
-            except TypeError:
-                return args, kwargs
-            bound.apply_defaults()
-            return tuple(bound.arguments.values()), {}
-        return args, kwargs
+        if self._signature is None or (
+            not kwargs and len(args) == self._positional_arity
+        ):
+            return args, kwargs
+        try:
+            bound = self._signature.bind(*args, **kwargs)
+        except TypeError:
+            return args, kwargs
+        bound.apply_defaults()
+        return tuple(bound.arguments.values()), {}
 
     def _split_leaves(self, args, kwargs):
         """Separate tensor leaves from static Python leaves."""
@@ -947,15 +879,7 @@ class Function:
         return tuple(pattern), tuple(shapes)
 
     def _maybe_trace(self, args, kwargs):
-        """Resolve a call to ``(concrete, tensor_leaves, route)``.
-
-        ``route`` is the cache slot that served the call and a weak
-        reference to its concrete (for the level-0 fast-key map), or None
-        when the call is not routable.
-        It is *returned*, never stored on the instance: concurrent
-        callers each get their own route, so one thread's miss cannot
-        cross-wire another thread's fast-key recording.
-        """
+        """Resolve a call to ``(concrete, tensor_leaves)`` (§4.6's lookup)."""
         args, kwargs = self._canonicalize(args, kwargs)
         if self._input_signature is not None:
             return self._trace_with_signature(args, kwargs)
@@ -980,7 +904,7 @@ class Function:
                 self._traces.insert(slot, concrete, relaxed)
                 if specs is None:
                     self._last_trace_key = key
-        return concrete, tensor_leaves, (slot, weakref.ref(concrete))
+        return concrete, tensor_leaves
 
     def _maybe_warn_retrace(self, key: tuple) -> None:
         """Rate-limited churn warning, naming the differing key leaf."""
@@ -1037,7 +961,7 @@ class Function:
                     tuple(tensors), {}, tensors, override_specs=list(specs)
                 )
                 self._traces.insert(slot, concrete)
-        return concrete, tensors, None
+        return concrete, tensors
 
     # -- tracing -----------------------------------------------------------
     def _trace(

@@ -59,9 +59,6 @@ def _flatten_into(structure, out: list) -> None:
     if isinstance(structure, dict):
         for _, v in _sorted_items(structure):
             _flatten_into(v, out)
-    elif _is_namedtuple(structure):
-        for v in structure:
-            _flatten_into(v, out)
     elif isinstance(structure, (list, tuple)):
         for v in structure:
             _flatten_into(v, out)

@@ -699,6 +699,15 @@ def _max_pool_grad_grad_kernel(inputs, attrs, device):
     return (uw * mask / ties).sum(axis=(-2, -1)).astype(u.dtype)
 
 
+@register_gradient("MaxPoolGradGrad")
+def _max_pool_grad_grad_grad(op, grad):
+    # Linear in u with the mask held fixed; its transpose is MaxPoolGrad.
+    from repro.runtime.executor import execute
+
+    x, out, _ = op.inputs
+    return [None, None, execute("MaxPoolGrad", [x, out, grad], dict(op.attrs))]
+
+
 register_op("AvgPool", infer_fn=_pool_infer)
 
 

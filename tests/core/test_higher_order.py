@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.ops import nn_ops
 
 
 def _second_order(fn, x):
@@ -125,3 +126,64 @@ class TestForwardOverReverseThroughStaged:
         np.testing.assert_allclose(
             forward.numpy(), g.numpy() * v.numpy(), rtol=1e-10
         )
+
+
+def _pool_loss(padding):
+    return lambda t: repro.reduce_sum(nn_ops.max_pool2d(t, 2, 2, padding) ** 2)
+
+
+# name -> (objective over its primals, primal shapes); every objective is
+# piecewise polynomial, so central differences of the gradient are exact
+# up to rounding wherever the max-pool argmax stays put.
+_HVP_CASES = {
+    "max_pool2d_valid": (_pool_loss("VALID"), [(1, 4, 4, 2)]),
+    "max_pool2d_same": (_pool_loss("SAME"), [(1, 5, 5, 2)]),
+    "conv2d": (
+        lambda x, w: repro.reduce_sum(nn_ops.conv2d(x, w, 1, "SAME") ** 2),
+        [(1, 4, 4, 2), (3, 3, 2, 3)],
+    ),
+    "gather": (
+        lambda p: repro.reduce_sum(repro.gather(p, [2, 0, 2, 1]) ** 2),
+        [(3, 4)],
+    ),
+}
+
+
+def _gradient(f, primals):
+    with repro.GradientTape() as tape:
+        for p in primals:
+            tape.watch(p)
+        loss = f(*primals)
+    return [g.numpy() for g in tape.gradient(loss, primals)]
+
+
+class TestHvpThroughNnOps:
+    """Forward-over-reverse ``hvp`` needs each op's gradient-of-gradient
+    to be differentiable once more (``forwardprop``'s double-backward)."""
+
+    @pytest.mark.parametrize("case", sorted(_HVP_CASES))
+    def test_hvp_matches_gradient_differences(self, case):
+        f, shapes = _HVP_CASES[case]
+        rng = np.random.default_rng(0)
+        xs = [rng.standard_normal(s) for s in shapes]
+        vs = [rng.standard_normal(s) for s in shapes]
+        got = repro.hvp(
+            f,
+            [repro.constant(x, dtype=repro.float64) for x in xs],
+            [repro.constant(v, dtype=repro.float64) for v in vs],
+        )
+        eps = 1e-5
+
+        def shifted(sign):
+            return _gradient(
+                f,
+                [
+                    repro.constant(x + sign * eps * v, dtype=repro.float64)
+                    for x, v in zip(xs, vs)
+                ],
+            )
+
+        for g, plus, minus in zip(got, shifted(1.0), shifted(-1.0)):
+            np.testing.assert_allclose(
+                g.numpy(), (plus - minus) / (2 * eps), rtol=1e-6, atol=1e-8
+            )

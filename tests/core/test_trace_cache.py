@@ -206,23 +206,31 @@ class TestLRUCache:
         assert stats["size"] == 2
 
 
-class TestFastCallPath:
-    """Level 0 of the cache: steady-state all-tensor positional calls
-    skip flatten/bind/key construction entirely.  The route map points
-    into the exact/relaxed levels, so eviction and widening stay
-    correct — a dangling route falls back to the slow path."""
+class TestOneCallPath:
+    """Every call binds, keys and looks up in the one ``TraceCache``:
+    repeats hit once per call, whatever the argument form, and eviction
+    and widening are seen by the next call."""
 
-    def test_repeat_call_served_without_rekeying(self):
+    @pytest.mark.parametrize("form", ["positional", "keyword", "nested"])
+    def test_repeat_call_served_without_rekeying(self, form):
         @repro.function
         def f(a, b):
             return a * b + 1.0
 
+        @repro.function
+        def g(pair):
+            return pair[0] * pair[1] + 1.0
+
         x, y = repro.constant([1.0, 2.0]), repro.constant([3.0, 4.0])
-        f(x, y)
-        assert f._fast_keys  # the route was recorded
-        before = f.cache_stats()
-        out = f(x, y)
-        after = f.cache_stats()
+        fn, call = {
+            "positional": (f, lambda: f(x, y)),
+            "keyword": (f, lambda: f(b=y, a=x)),
+            "nested": (g, lambda: g((x, y))),
+        }[form]
+        call()
+        before = fn.cache_stats()
+        out = call()
+        after = fn.cache_stats()
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
         np.testing.assert_allclose(out.numpy(), [4.0, 9.0])
@@ -247,7 +255,6 @@ class TestFastCallPath:
         x = repro.constant([3.0, 3.0])
         f(v, x)
         f(v, x)
-        assert not f._fast_keys  # no route for variable args
         assert f.cache_stats()["hits"] == 1  # still serves level 1
         np.testing.assert_allclose(f(v, x).numpy(), [3.0, 6.0])
 
