@@ -24,8 +24,8 @@ The moving parts, each mirroring a paragraph of §4.6:
 * **Tape integration** — calling a concrete function under a watching
   tape runs the *forward* variant (outputs + intermediates) and records
   a custom backward that invokes a staged backward function (§4.2).
-* **Shape relaxation** — the trace cache (:class:`TraceCache`, which
-  lazy mode shares) is two-level.  The first level is an exact LRU map
+* **Shape relaxation** — the trace cache (:class:`TraceCache`, the
+  class of the pipeline's artifact cache too) is two-level.  The first level is an exact LRU map
   over concrete signatures.  On a shape-only miss of the same
   dtype/rank pattern, the second level installs a single *symbolic*
   trace whose varying dimensions are generalized to ``None`` (per
@@ -34,7 +34,8 @@ The moving parts, each mirroring a paragraph of §4.6:
   trace flows through the staged-compilation pipeline
   (:mod:`repro.core.pipeline`): trace → infer → optimize → plan →
   compile, with per-concrete-shape XLA specialization under a symbolic
-  trace.
+  trace.  A trace whose structure equals one already compiled in this
+  process reuses that artifact and skips optimize → plan.
 """
 
 from __future__ import annotations
@@ -50,20 +51,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.framework import dtypes, nest
-from repro.framework.tensor_shape import as_shape
+from repro.framework import nest
 from repro.framework.errors import (
     FailedPreconditionError,
     InvalidArgumentError,
 )
 from repro.runtime import records
 from repro.runtime.context import context
-from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
+from repro.tensor import TensorBase, TensorSpec, convert_to_tensor
 from repro.core import tracing
-from repro.core.pipeline import CompilationPipeline
+from repro.core.pipeline import CompilationPipeline, TraceCache
 from repro.core.variables import Variable, variable_creation_observer
 from repro.graph.function import GraphFunction
-from repro.graph.structural import Unhashable, value_key
+from repro.graph.structural import Identity, Unhashable, value_key
 
 __all__ = [
     "function",
@@ -73,137 +73,6 @@ __all__ = [
     "TraceCache",
     "reset_retrace_warning_state",
 ]
-
-
-class TraceCache:
-    """The two-level trace cache (§4.6), shared by ``Function`` and lazy mode.
-
-    Keys are ``(pattern, shapes)``: ``pattern`` is everything that must
-    match exactly (device, dtype and rank per tensor, encoded static
-    values, or a lazy segment's op list), ``shapes`` the tensor shapes.
-
-    * **Exact level**: ``(pattern, shapes) → artifact``.
-    * **Relaxed level**: one artifact per pattern, traced at symbolic
-      shapes and served to every call whose shapes are subtypes of them.
-      With ``relax=True``, a miss whose shapes differ from the pattern's
-      first seen shapes traces at their ``most_general`` merge (only the
-      dims that varied become ``None``); a later miss the relaxed shapes
-      do not cover widens them once more.
-
-    Both levels share one LRU order bounded by
-    ``context.trace_cache_size``; ``release`` is called on every
-    artifact that leaves the cache.  Thread-safe.
-    """
-
-    def __init__(self, release: Callable) -> None:
-        # (pattern, shapes) for an exact entry, (pattern, None) for the
-        # relaxed one; most recently used last.
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-        self._relaxed: dict = {}  # pattern -> shapes its entry was traced at
-        self._seen: dict = {}  # pattern -> first shapes that missed
-        self._release = release
-        self._lock = threading.Lock()
-        self._stats = {"hits": 0, "misses": 0, "relaxations": 0, "evictions": 0}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def artifacts(self) -> list:
-        with self._lock:
-            return list(self._entries.values())
-
-    def lookup(self, pattern, shapes: tuple, relax: bool = False) -> tuple:
-        """``(artifact, slot, None)`` on a hit, ``(None, slot, relaxed)`` on a miss.
-
-        On a miss the caller builds the artifact, at ``relaxed`` when it
-        is not None (a symbolic trace) and at ``shapes`` otherwise, then
-        stores it with ``insert(slot, artifact, relaxed)``.
-        """
-        with self._lock:
-            slot = (pattern, shapes)
-            artifact = self._entries.get(slot)
-            if artifact is None:
-                relaxed = self._relaxed.get(pattern)
-                if relaxed is not None and all(
-                    s.is_subtype_of(r) for s, r in zip(shapes, relaxed)
-                ):
-                    slot = (pattern, None)
-                    artifact = self._entries[slot]
-            if artifact is not None:
-                self._entries.move_to_end(slot)
-                self._stats["hits"] += 1
-                return artifact, slot, None
-            self._stats["misses"] += 1
-            if not relax:
-                return None, slot, None
-            base = relaxed
-            if base is None:
-                base = self._seen.setdefault(pattern, shapes)
-                if len(self._seen) > context.trace_cache_size:
-                    del self._seen[next(iter(self._seen))]
-            merged = tuple(b.most_general(s) for b, s in zip(base, shapes))
-            if merged == shapes:  # nothing varied: an exact trace
-                return None, slot, None
-            return None, (pattern, None), merged
-
-    def lookup_specs(self, pattern, shapes: tuple) -> tuple:
-        """``lookup`` for shapes a caller asked for, not ones it was called with.
-
-        Serves only an artifact built at exactly ``shapes``: the exact
-        entry, or the relaxed one when it was traced at them.  On a
-        miss, symbolic ``shapes`` become the pattern's relaxed entry if
-        it has none.
-        """
-        with self._lock:
-            slot = (pattern, shapes)
-            if slot not in self._entries and self._relaxed.get(pattern) == shapes:
-                slot = (pattern, None)
-            artifact = self._entries.get(slot)
-            if artifact is not None:
-                self._entries.move_to_end(slot)
-                self._stats["hits"] += 1
-                return artifact, slot, None
-            self._stats["misses"] += 1
-            if pattern in self._relaxed or all(s.is_fully_defined for s in shapes):
-                return None, slot, None
-            return None, (pattern, None), shapes
-
-    def insert(self, slot, artifact, relaxed: Optional[tuple] = None) -> None:
-        """Store an artifact in ``slot``; evict past the bound.
-
-        ``relaxed`` is the third value ``lookup`` returned for the slot.
-        """
-        with self._lock:
-            pattern, exact = slot
-            if exact is None:
-                self._relaxed[pattern] = relaxed
-                self._seen.pop(pattern, None)
-                self._stats["relaxations"] += 1
-            old = self._entries.pop(slot, None)
-            if old is not None and old is not artifact:
-                self._release(old)
-            self._entries[slot] = artifact
-            while len(self._entries) > context.trace_cache_size:
-                (pattern, exact), evicted = self._entries.popitem(last=False)
-                if exact is None:
-                    del self._relaxed[pattern]
-                self._release(evicted)
-                self._stats["evictions"] += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            for artifact in self._entries.values():
-                self._release(artifact)
-            self._entries.clear()
-            self._relaxed.clear()
-            self._seen.clear()
-            for key in self._stats:
-                self._stats[key] = 0
-
-    def stats(self) -> dict:
-        """Hit/miss/relaxation/eviction counters plus the current size."""
-        with self._lock:
-            return dict(self._stats, size=len(self._entries))
 
 
 class RetraceWarning(UserWarning):
@@ -275,27 +144,26 @@ def _diff_cache_keys(prev: tuple, new: tuple) -> str:
 
 
 class ConcreteFunction:
-    """A single traced instantiation: fixed signature, executable graph."""
+    """A single traced instantiation; its graph function may be shared with equal traces."""
 
     def __init__(
         self,
         name: str,
-        graph: "tracing.FuncGraph",
-        flat_outputs: list,
+        graph_function: GraphFunction,
+        captured_externals: list,
         output_structure,
         num_explicit_inputs: int,
         jit_compile: bool = False,
         pipeline: Optional[CompilationPipeline] = None,
+        trace_ms: float = 0.0,
+        artifact_reused: bool = False,
     ) -> None:
         self.name = name
-        self.func_graph = graph
-        self.captured_externals = list(graph.captured_externals)
-        self.graph_function = GraphFunction(
-            name=name,
-            graph=graph,
-            inputs=list(graph.inputs) + list(graph.capture_placeholders),
-            outputs=flat_outputs,
-        )
+        self.graph_function = graph_function
+        self.func_graph = graph_function.graph
+        self.captured_externals = captured_externals
+        self.trace_ms = trace_ms
+        self.artifact_reused = artifact_reused
         self.output_structure = output_structure
         self.num_explicit_inputs = num_explicit_inputs
         self.jit_compile = jit_compile
@@ -406,23 +274,15 @@ class ConcreteFunction:
         return plan
 
     def release(self) -> None:
-        """Drop derived artifacts so an evicted trace frees its memory.
+        """Drop the forward/backward graphs and per-shape memory plans (rebuilt lazily).
 
-        Clears the forward/backward gradient graphs, the rematerializing
-        backward, and the execution plan together with the executables
-        compiled from it (``graph_function.executables``).  All are
-        rebuilt lazily if the trace is ever called again, so releasing
-        is safe even while callers hold a reference.
+        The shared ``graph_function``'s plan goes only when the artifact cache evicts it.
         """
         with self._shapes_lock:
             self._specialized_plans.clear()
         with self._fb_lock:
             if not isinstance(self._forward_backward, Exception):
                 self._forward_backward = None
-        gf = self.graph_function
-        gf.release_plan()
-        if hasattr(gf, "_remat_backward"):
-            del gf._remat_backward
 
     def _call_with_tape(self, full_inputs: list) -> list:
         """Run the forward variant and record a staged backward (§4.2)."""
@@ -535,33 +395,9 @@ class ConcreteFunction:
         )
 
 
-class _Identity:
-    """Key leaf for an unhashable static argument: equal only to itself.
-
-    Holds the object, so its address cannot be reused by a new object
-    while the key is cached (§4.6: "non-tensor values are encoded by
-    object identity").
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj) -> None:
-        self.obj = obj
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _Identity and other.obj is self.obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __repr__(self) -> str:
-        return f"<{type(self.obj).__name__} object at {id(self.obj):#x}>"
-
-
-def _is_tensor_leaf(leaf) -> bool:
-    # TensorSpec counts: a spec leaf stands in for a tensor argument at
-    # trace time (get_concrete_function with symbolic shapes).
-    return isinstance(leaf, (TensorBase, np.ndarray, Tensor, TensorSpec))
+# TensorSpec counts: a spec leaf stands in for a tensor argument at
+# trace time (get_concrete_function with symbolic shapes).
+_TENSOR_LEAVES = (TensorBase, np.ndarray, TensorSpec)
 
 
 def _contains_spec(structure) -> bool:
@@ -652,9 +488,10 @@ class Function:
         cache levels), each reporting the fusion outcome (node counts
         before/after the ``fuse`` pass, fused-region sizes from largest
         to smallest, how many regions reused a cached code object), the
-        wall-clock cost of each compilation stage (``stage_ms``: ``trace_ms``, one
-        ``<i>:<pass>_ms`` per optimize pass including ``fuse``,
-        ``infer_ms``, ``plan_ms``), and the executor's static memory plan (peak
+        wall-clock cost of each compilation stage (``stage_ms``: this trace's
+        ``trace_ms``, then the artifact's ``<i>:<pass>_ms`` per optimize pass
+        including ``fuse``, ``infer_ms``, ``plan_ms``; ``artifact_reused``
+        says whether an equal trace compiled them), and the executor's static memory plan (peak
         planned live bytes, in-place donation count, plus the byte size
         of the trace's own input signature — inputs are caller-held and
         count zero inside the plan).  A symbolic (shape-relaxed) trace
@@ -715,6 +552,8 @@ class Function:
         for concrete in self._traces.artifacts():
             trace = describe("forward", concrete.graph_function)
             trace["trace"] = concrete.name
+            trace["stage_ms"]["trace_ms"] = concrete.trace_ms
+            trace["artifact_reused"] = concrete.artifact_reused
             with concrete._shapes_lock:
                 seen_shapes = list(concrete._seen_shapes)
             if seen_shapes:
@@ -806,15 +645,8 @@ class Function:
                 "get_concrete_function() without spec arguments"
             )
         args, kwargs = self._canonicalize(args, kwargs)
-        flat = nest.flatten((list(args), kwargs))
-        specs = []
-        for leaf in flat:
-            if isinstance(leaf, TensorSpec):
-                specs.append(leaf)
-            elif _is_tensor_leaf(leaf):
-                t = leaf if isinstance(leaf, TensorBase) else convert_to_tensor(leaf)
-                specs.append(TensorSpec.from_tensor(t))
-        key = self._cache_key(flat)
+        key, leaves = self._call_key(args, kwargs, specs_allowed=True)
+        specs = [t if isinstance(t, TensorSpec) else TensorSpec.from_tensor(t) for t in leaves]
         with self._lock:
             self._call_index += 1
             concrete, slot, relaxed = self._traces.lookup_specs(*key)
@@ -837,54 +669,43 @@ class Function:
         bound.apply_defaults()
         return tuple(bound.arguments.values()), {}
 
-    def _split_leaves(self, args, kwargs):
-        """Separate tensor leaves from static Python leaves."""
-        flat = nest.flatten((list(args), kwargs))
-        tensor_leaves = []
-        for leaf in flat:
-            if isinstance(leaf, TensorSpec):
-                raise InvalidArgumentError(
-                    f"Function {self._name!r} was called with a TensorSpec "
-                    f"argument ({leaf}); specs select traces via "
-                    "get_concrete_function()/save(), they cannot be executed"
-                )
-            if _is_tensor_leaf(leaf):
-                tensor_leaves.append(
-                    leaf
-                    if isinstance(leaf, TensorBase)
-                    else convert_to_tensor(leaf)
-                )
-        return flat, tensor_leaves
+    def _call_key(self, args, kwargs, specs_allowed: bool = False):
+        """One walk over a call's leaves: ``((pattern, shapes), tensor_leaves)``.
 
-    def _cache_key(self, flat_leaves) -> tuple:
-        """``(pattern, shapes)``: device and per-leaf pattern, tensor shapes.
-
-        Tensors key by dtype and rank, their shapes split out so the
-        trace cache can relax them; other values by
-        :func:`~repro.graph.structural.value_key`, or by identity when
-        they have no by-value key.
+        Tensors key by dtype and rank, shapes split out for relaxation; other
+        values by ``value_key``, else identity.  Specs count only if allowed.
         """
         pattern = [context.current_device_name()]
         shapes = []
-        for leaf in flat_leaves:
-            if _is_tensor_leaf(leaf):
-                shape = as_shape(leaf.shape)
-                pattern.append(("tensor", dtypes.as_dtype(leaf.dtype), shape.rank))
-                shapes.append(shape)
+        tensors = []
+        for leaf in nest.flatten((args, kwargs) if kwargs else args):
+            if not isinstance(leaf, _TENSOR_LEAVES):
+                try:
+                    pattern.append(value_key(leaf))
+                except Unhashable:
+                    pattern.append(Identity(leaf))
                 continue
-            try:
-                pattern.append(value_key(leaf))
-            except Unhashable:
-                pattern.append(_Identity(leaf))
-        return tuple(pattern), tuple(shapes)
+            if isinstance(leaf, TensorSpec):
+                if not specs_allowed:
+                    raise InvalidArgumentError(
+                        f"Function {self._name!r} was called with a TensorSpec "
+                        f"argument ({leaf}); specs select traces via "
+                        "get_concrete_function()/save(), they cannot be executed"
+                    )
+            elif not isinstance(leaf, TensorBase):
+                leaf = convert_to_tensor(leaf)
+            shape = leaf.shape
+            pattern.append(("tensor", leaf.dtype, shape.rank))
+            shapes.append(shape)
+            tensors.append(leaf)
+        return (tuple(pattern), tuple(shapes)), tensors
 
     def _maybe_trace(self, args, kwargs):
         """Resolve a call to ``(concrete, tensor_leaves)`` (§4.6's lookup)."""
         args, kwargs = self._canonicalize(args, kwargs)
         if self._input_signature is not None:
             return self._trace_with_signature(args, kwargs)
-        flat_leaves, tensor_leaves = self._split_leaves(args, kwargs)
-        key = self._cache_key(flat_leaves)
+        key, tensor_leaves = self._call_key(args, kwargs)
         with self._lock:
             self._call_index += 1
             concrete, slot, relaxed = self._traces.lookup(
@@ -1018,24 +839,26 @@ class Function:
             structured_args=(marked_args, marked_kwargs),
         )
         trace_ms = (time.perf_counter() - start) * 1e3
-        concrete = ConcreteFunction(
+        traced = GraphFunction(name, graph, graph.inputs + graph.capture_placeholders, flat_outputs)
+        traced.stage_ms["trace_ms"] = trace_ms
+        artifact, reused = self._pipeline.compile_trace(traced, len(specs))
+        self._last_trace_ms = (time.perf_counter() - start) * 1e3
+        return ConcreteFunction(
             name=name,
-            graph=graph,
-            flat_outputs=flat_outputs,
+            graph_function=artifact,
+            captured_externals=graph.captured_externals,
             output_structure=structure,
             num_explicit_inputs=len(specs),
             jit_compile=self._jit_compile,
             pipeline=self._pipeline,
+            trace_ms=trace_ms,
+            artifact_reused=reused,
         )
-        concrete.graph_function.stage_ms["trace_ms"] = trace_ms
-        self._pipeline.finalize(concrete.graph_function)
-        self._last_trace_ms = (time.perf_counter() - start) * 1e3
-        return concrete
 
     @staticmethod
     def _mark_tensors(args, kwargs):
         def mark(leaf):
-            return tracing.TENSOR_MARKER if _is_tensor_leaf(leaf) else leaf
+            return tracing.TENSOR_MARKER if isinstance(leaf, _TENSOR_LEAVES) else leaf
 
         marked_args = nest.map_structure(mark, list(args))
         marked_kwargs = nest.map_structure(mark, kwargs)

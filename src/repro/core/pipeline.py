@@ -33,16 +33,170 @@ makes those stages explicit, ordered, and reusable:
 This is the binding-time structure LazyTensor-style systems converge
 on: bind Python early (one trace), bind shapes late (per-shape
 artifacts only where a backend demands them).
+
+**One artifact cache** (:func:`artifact_cache`) holds the planned graph
+function of every lazy segment (by ``segment_key``, relaxed) and trace
+(by ``trace_key`` plus the context the stages read), so a fresh trace
+equal to a compiled one skips optimize → fuse → plan.
 """
 
 from __future__ import annotations
 
+import collections
+import threading
 import time
 from typing import Callable, Optional, Sequence
 
+from repro.graph.structural import trace_key
+from repro.runtime.context import context
 from repro.tensor import TensorSpec
 
-__all__ = ["CompilationPipeline", "refine_shapes"]
+__all__ = ["CompilationPipeline", "TraceCache", "artifact_cache", "refine_shapes"]
+
+
+class TraceCache:
+    """The two-level trace cache (§4.6): every ``Function``'s, and the artifact cache.
+
+    Keys are ``(pattern, shapes)``: ``pattern`` is everything that must
+    match exactly (device, dtype and rank per tensor, encoded static
+    values, or a lazy segment's or a trace's structure), ``shapes`` the
+    tensor shapes.
+
+    * **Exact level**: ``(pattern, shapes) → artifact``.
+    * **Relaxed level**: one artifact per pattern, traced at symbolic
+      shapes and served to every call whose shapes are subtypes of them.
+      With ``relax=True``, a miss whose shapes differ from the pattern's
+      first seen shapes traces at their ``most_general`` merge (only the
+      dims that varied become ``None``); a later miss the relaxed shapes
+      do not cover widens them once more.
+
+    Both levels share one LRU order bounded by
+    ``context.trace_cache_size``; ``release`` is called on every
+    artifact that leaves the cache.  Thread-safe.
+    """
+
+    def __init__(self, release: Callable) -> None:
+        # (pattern, shapes) for an exact entry, (pattern, None) for the
+        # relaxed one; most recently used last.
+        self._entries: collections.OrderedDict = collections.OrderedDict()
+        self._relaxed: dict = {}  # pattern -> shapes its entry was traced at
+        self._seen: dict = {}  # pattern -> first shapes that missed
+        self._release = release
+        self._lock = threading.Lock()
+        self._stats = {"hits": 0, "misses": 0, "relaxations": 0, "evictions": 0}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def artifacts(self) -> list:
+        with self._lock:
+            return list(self._entries.values())
+
+    def lookup(self, pattern, shapes: tuple, relax: bool = False) -> tuple:
+        """``(artifact, slot, None)`` on a hit, ``(None, slot, relaxed)`` on a miss.
+
+        On a miss the caller builds the artifact, at ``relaxed`` when it
+        is not None (a symbolic trace) and at ``shapes`` otherwise, then
+        stores it with ``insert(slot, artifact, relaxed)``.
+        """
+        with self._lock:
+            slot = (pattern, shapes)
+            artifact = self._entries.get(slot)
+            if artifact is None:
+                relaxed = self._relaxed.get(pattern)
+                if relaxed is not None and all(
+                    s.is_subtype_of(r) for s, r in zip(shapes, relaxed)
+                ):
+                    slot = (pattern, None)
+                    artifact = self._entries[slot]
+            if artifact is not None:
+                self._entries.move_to_end(slot)
+                self._stats["hits"] += 1
+                return artifact, slot, None
+            self._stats["misses"] += 1
+            if not relax:
+                return None, slot, None
+            base = relaxed
+            if base is None:
+                base = self._seen.setdefault(pattern, shapes)
+                if len(self._seen) > context.trace_cache_size:
+                    del self._seen[next(iter(self._seen))]
+            merged = tuple(b.most_general(s) for b, s in zip(base, shapes))
+            if merged == shapes:  # nothing varied: an exact trace
+                return None, slot, None
+            return None, (pattern, None), merged
+
+    def lookup_specs(self, pattern, shapes: tuple) -> tuple:
+        """``lookup`` for shapes a caller asked for, not ones it was called with.
+
+        Serves only an artifact built at exactly ``shapes``: the exact
+        entry, or the relaxed one when it was traced at them.  On a
+        miss, symbolic ``shapes`` become the pattern's relaxed entry if
+        it has none.
+        """
+        with self._lock:
+            slot = (pattern, shapes)
+            if slot not in self._entries and self._relaxed.get(pattern) == shapes:
+                slot = (pattern, None)
+            artifact = self._entries.get(slot)
+            if artifact is not None:
+                self._entries.move_to_end(slot)
+                self._stats["hits"] += 1
+                return artifact, slot, None
+            self._stats["misses"] += 1
+            if pattern in self._relaxed or all(s.is_fully_defined for s in shapes):
+                return None, slot, None
+            return None, (pattern, None), shapes
+
+    def insert(self, slot, artifact, relaxed: Optional[tuple] = None):
+        """Store an artifact in ``slot``, evict past the bound; returns the slot's artifact.
+
+        ``relaxed`` is the third value ``lookup`` returned for the slot.  An
+        equal artifact another thread stored first stays and is returned.
+        """
+        with self._lock:
+            pattern, exact = slot
+            old = self._entries.pop(slot, None)
+            if old is not None and (exact is not None or self._relaxed[pattern] == relaxed):
+                artifact = old  # lost a race: keep the one that may be running
+            elif exact is None:
+                if old is not None:  # widened: replaces the narrower artifact
+                    self._release(old)
+                self._relaxed[pattern] = relaxed
+                self._seen.pop(pattern, None)
+                self._stats["relaxations"] += 1
+            self._entries[slot] = artifact
+            while len(self._entries) > context.trace_cache_size:
+                (pattern, exact), evicted = self._entries.popitem(last=False)
+                if exact is None:
+                    del self._relaxed[pattern]
+                self._release(evicted)
+                self._stats["evictions"] += 1
+            return artifact
+
+    def clear(self) -> None:
+        with self._lock:
+            for artifact in self._entries.values():
+                self._release(artifact)
+            self._entries.clear()
+            self._relaxed.clear()
+            self._seen.clear()
+            for key in self._stats:
+                self._stats[key] = 0
+
+    def stats(self) -> dict:
+        """Hit/miss/relaxation/eviction counters plus the current size."""
+        with self._lock:
+            return dict(self._stats, size=len(self._entries))
+
+
+# Lazy segments and traces: a trace's pattern starts "trace", never a segment's.
+_artifacts = TraceCache(lambda fn: fn.release_plan())
+
+
+def artifact_cache() -> TraceCache:
+    """The process-wide artifact cache (lazy segments and traced functions)."""
+    return _artifacts
 
 
 def refine_shapes(fn) -> int:
@@ -118,6 +272,25 @@ class CompilationPipeline:
         return tracing.trace_into_graph(
             python_fn, input_specs, name=name, structured_args=structured_args
         )
+
+    # -- stages 2-4 behind the artifact cache --------------------------------
+    def compile_trace(self, fn, num_explicit: int) -> tuple:
+        """``(artifact, reused)``: a compiled trace equal to ``fn``, or ``fn`` finalized.
+
+        A trace with an unhashable attr is finalized uncached.
+        """
+        key = trace_key(fn, num_explicit)
+        artifact = slot = None
+        if key is not None:
+            key = ("trace", key, context.graph_fusion, context.current_device_name(), self.passes)
+            artifact, slot, _ = _artifacts.lookup(key, ())
+        if artifact is None:
+            self.finalize(fn)
+            artifact = fn if slot is None else _artifacts.insert(slot, fn)
+        if artifact is not fn:  # unlink the dropped trace: freed now, not at a full collection
+            for node in fn.graph.nodes:
+                node.graph = node.outputs = None
+        return artifact, artifact is not fn
 
     # -- stages 2+3: infer + optimize -------------------------------------
     def finalize(self, fn) -> dict:

@@ -96,7 +96,7 @@ class FuncGraph(Graph):
             if g is t.graph:
                 return self.capture(t)
         raise FailedPreconditionError(
-            f"Symbolic tensor {t.name!r} (from graph {t.graph.name!r}) used in "
+            f"Symbolic tensor {t.name!r} (from graph {getattr(t.graph, 'name', None)!r}) used in "
             f"trace {self.name!r}, but its graph is not an enclosing trace. "
             "Symbolic tensors cannot outlive their graph-building context."
         )

@@ -119,10 +119,11 @@ class GraphFunction:
         return runner
 
     def release_plan(self) -> None:
-        """Drop the cached execution plan and the executables compiled
-        from this graph (both rebuilt on next use)."""
+        """Drop the cached execution plan, the executables compiled from
+        it and the rematerializing backward (all rebuilt on next use)."""
         self._runner = None
         self.executables.clear()
+        self.__dict__.pop("_remat_backward", None)
 
     def run(self, args: Sequence[Tensor]) -> list[Tensor]:
         """Execute the graph on concrete inputs; returns concrete outputs.

@@ -312,7 +312,7 @@ class Graph:
 
     def _capture_symbolic(self, t: SymbolicTensor) -> SymbolicTensor:
         raise FailedPreconditionError(
-            f"Tensor {t.name!r} belongs to graph {t.graph.name!r} and cannot "
+            f"Tensor {t.name!r} belongs to graph {getattr(t.graph, 'name', None)!r} and cannot "
             f"be used in unrelated graph {self.name!r}"
         )
 

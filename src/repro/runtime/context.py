@@ -185,7 +185,7 @@ KNOBS = (
         """LRU bound on every trace cache, both levels counted.
 
         Bounds each ``Function``'s exact and relaxed traces together,
-        and the lazy segment cache's compiled segments likewise.  Keeps
+        and the artifact cache's compiled segments and traces likewise.  Keeps
         shape-diverse serving traffic from growing a cache (and the
         compiled artifacts hanging off each trace) without limit.
         Applies on each cache's next insert.

@@ -22,9 +22,10 @@ recording.
 **Flush = hash → cache → compile → run.**  The flush keys the recorded
 segment with :func:`~repro.graph.structural.segment_key` (op list,
 attributes, dataflow references, fetch mask and external-input dtypes
-and ranks, with the external shapes split out) and looks it up in a
-process-wide :class:`~repro.core.function.TraceCache`, the class behind
-every ``Function``'s trace cache, with relaxation on: when a segment
+and ranks, with the external shapes split out) and looks it up in the
+pipeline's process-wide artifact cache
+(:func:`~repro.core.pipeline.artifact_cache`, which traced functions
+share), with relaxation on: when a segment
 recurs at a new external shape, the dims that varied become ``None``
 and one relaxed artifact serves every shape they cover.  On a miss the
 segment is lowered through
@@ -240,7 +241,7 @@ class LazyTrace:
                     else:
                         artifact = self._compile(recs, fetches, relaxed)
                         _stats["relaxed_segments"] += 1
-                    _segment_cache.insert(slot, artifact, relaxed)
+                    artifact = _segment_cache.insert(slot, artifact, relaxed)
             values = artifact.run(self.ext)
         except BaseException as exc:  # noqa: BLE001 - deferred, interrupts re-raised
             # The segment fails as a unit, as a staged call does: every
@@ -281,16 +282,9 @@ class LazyTrace:
 # -- module singletons -------------------------------------------------------
 
 def _make_pipeline():
-    from repro.core.pipeline import CompilationPipeline
+    from repro.core import pipeline
 
-    return CompilationPipeline()
-
-
-def _make_cache():
-    from repro.core.function import TraceCache
-    from repro.graph.function import GraphFunction
-
-    return TraceCache(GraphFunction.release_plan)
+    return pipeline.CompilationPipeline(), pipeline.artifact_cache()
 
 
 def _profiler_mod():
@@ -299,12 +293,11 @@ def _profiler_mod():
     return profiler
 
 
-_pipeline = _make_pipeline()
-_segment_cache = _make_cache()
+_pipeline, _segment_cache = _make_pipeline()
 
 
 def segment_cache():
-    """The process-wide segment cache (tests, diagnostics)."""
+    """The process-wide artifact cache segments live in (tests, diagnostics)."""
     return _segment_cache
 
 
@@ -320,7 +313,7 @@ _stats = {
 
 
 def lazy_stats() -> dict:
-    """Recording/flush counters plus the segment cache's hit/miss stats."""
+    """Recording/flush counters plus the (shared) artifact cache's stats."""
     stats = dict(_stats)
     for key, value in _segment_cache.stats().items():
         stats[f"cache_{key}"] = value

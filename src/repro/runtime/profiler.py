@@ -145,7 +145,7 @@ class Profile:
         self.fused_covered_ops = 0
         # Lazy-mode flush accounting: every segment flush reports how
         # many recorded ops it covered and whether it hit the
-        # trace-hash segment cache.
+        # artifact cache.
         self.lazy_flushes = 0
         self.lazy_cache_hits = 0
         self.lazy_recorded_ops = 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.pipeline import CompilationPipeline, refine_shapes
+from repro.core.pipeline import CompilationPipeline, artifact_cache, refine_shapes
 from repro.core.tracing import TENSOR_MARKER
 from repro.framework.errors import UnimplementedError
 from repro.graph.function import GraphFunction
@@ -161,7 +161,12 @@ class TestPerShapeCompiledCache:
             repro.constant(np.ones((4, 3), np.float32))
         )
         assert concrete.graph_function.executables
+        # The graph function is the artifact cache's, shared by every
+        # trace of this structure: evicting one trace leaves it, and the
+        # artifact cache's release clears its per-shape executables.
         concrete.release()
+        assert concrete.graph_function.executables
+        artifact_cache().clear()
         assert not concrete.graph_function.executables
 
 
@@ -258,6 +263,9 @@ class TestEachNodeInferredOnce:
         gf = concrete.graph_function
         assert fusion.has_fused_nodes(gf)
         assert gf.output_specs[0].shape.dims == (None, 4)
+        # Edited in place below: take it out of the shared artifact cache
+        # so no later trace of this program is served the edited graph.
+        artifact_cache().clear()
         gf.inputs[0].spec = TensorSpec([8, 4], repro.float32)
         assert refine_shapes(gf) >= 1
         assert gf.output_specs[0].shape.dims == (8, 4)

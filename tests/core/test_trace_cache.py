@@ -245,7 +245,7 @@ class TestOneCallPath:
         assert float(f(b=y, a=x)) == 3.0
         assert f.trace_count == 1
 
-    def test_variable_argument_bypasses_fast_path(self):
+    def test_variable_argument_hits_the_trace_cache(self):
         v = repro.Variable([1.0, 2.0])
 
         @repro.function
@@ -266,16 +266,16 @@ class TestOneCallPath:
             return x + 1.0
 
         f(_batch(1))
-        f(_batch(1))  # primes the fast route
+        f(_batch(1))  # a cache hit
         f(_batch(2))  # evicts the batch-1 trace
         traces = f.trace_count
-        out = f(_batch(1))  # dangling route: must retrace, not crash
+        out = f(_batch(1))  # evicted: must retrace, not crash
         assert f.trace_count == traces + 1
         np.testing.assert_allclose(
             out.numpy(), np.arange(4, dtype=np.float32).reshape(1, 4) + 1.0
         )
 
-    def test_fast_path_serves_relaxed_traces(self):
+    def test_repeats_hit_the_relaxed_trace(self):
         @repro.function(experimental_relax_shapes=True)
         def f(x):
             return repro.reduce_sum(x * 2.0)
@@ -284,8 +284,8 @@ class TestOneCallPath:
             f(_batch(b))
         traces = f.trace_count
         hits = f.cache_stats()["hits"]
-        # Repeats of an already-routed shape hit level 0 and still land
-        # on the symbolic trace.
+        # Repeats of an already-seen shape hit the relaxed level and
+        # still land on the symbolic trace.
         for _ in range(3):
             assert float(f(_batch(3))) == pytest.approx(
                 float(np.sum(np.arange(12) * 2.0))
@@ -293,13 +293,13 @@ class TestOneCallPath:
         assert f.trace_count == traces
         assert f.cache_stats()["hits"] == hits + 3
 
-    def test_gradient_tape_records_through_fast_path(self):
+    def test_gradient_tape_records_through_a_cached_trace(self):
         @repro.function
         def f(x):
             return repro.reduce_sum(repro.square(x))
 
         x = repro.constant([1.5, -2.0])
-        f(x)  # primes the route
+        f(x)  # traces; the taped call below is a cache hit
         with repro.GradientTape() as tape:
             tape.watch(x)
             y = f(x)

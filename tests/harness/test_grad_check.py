@@ -123,6 +123,42 @@ class TestOpGradients:
             np.random.randn(4, 3),
         )
 
+    def test_unstack(self):
+        # The middle slice never reaches the objective: the Unpack rule
+        # fills its missing gradient with zeros.
+        def f(x):
+            first, _, last = repro.unstack(x, axis=1)
+            return first * last
+
+        check_gradient(f, np.random.randn(4, 3))
+
+    def test_band_part(self):
+        check_gradient(
+            lambda x: repro.square(repro.linalg.band_part(x, 1, 0)),
+            np.random.randn(4, 4),
+        )
+
+    def test_matrix_triangular_solve(self):
+        # Lower-triangular with a dominant diagonal: well conditioned,
+        # and the kernel never reads the upper triangle.
+        a = np.tril(np.random.randn(3, 3)) + 3.0 * np.eye(3)
+        check_gradients(
+            lambda a, b: repro.linalg.matrix_triangular_solve(a, b, lower=True),
+            [a, np.random.randn(3, 2)],
+        )
+
+    def test_sort_gradient_of_gradient(self):
+        # The inner gradient routes x back through sort's permutation (a
+        # TakeAlongAxis), so the outer gradient goes through that op's
+        # rule.  The values are far apart next to eps: no order flips.
+        def f(x):
+            with repro.GradientTape() as inner:
+                inner.watch(x)
+                y = repro.reduce_sum(repro.sort(x) * x)
+            return inner.gradient(y, x) * x
+
+        check_gradient(f, np.array([0.3, -1.2, 2.5, 0.9, -0.4]))
+
 
 class TestAutographControlFlowGradients:
     """Central-difference checks over autograph-lowered control flow.

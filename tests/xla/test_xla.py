@@ -8,6 +8,7 @@ import pytest
 import repro
 import repro.xla  # installs the TPU hook
 from repro.framework.errors import UnimplementedError
+from repro.core.pipeline import artifact_cache
 from repro.graph import fusion
 from repro.runtime.context import context
 from repro.xla import compiler, hlo, tpu
@@ -250,7 +251,9 @@ class TestOneExecutableCache:
         before = live_executables()
         wrong = [k for k in range(200) if call(k).tolist() != [float(k), 2.0 * k]]
         assert not wrong  # an id()-keyed cache serves a dead function's program
-        # Every function is gone, so every executable must be too.
+        # Every function is gone; once the artifact cache lets go of the
+        # graph functions it holds, every executable must be gone too.
+        artifact_cache().clear()
         assert live_executables() <= before
 
     def test_relaxed_trace_specializes_per_shape_on_tpu(self):
@@ -277,7 +280,8 @@ class TestOneExecutableCache:
         assert set(relaxed.graph_function.executables) == {
             ((4, 3),), ((6, 3),), ((3, 3),)
         }
-        relaxed.release()
+        relaxed.release()  # the graph function is the artifact cache's
+        artifact_cache().clear()
         assert not relaxed.graph_function.executables
 
     def test_uncompilable_function_is_remembered_and_raises_on_tpu(self):
