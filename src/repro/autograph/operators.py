@@ -130,6 +130,35 @@ def retval(value):
     return value
 
 
+def _unset_return(value) -> bool:
+    """Whether ``value`` is the return-value slot before any ``return`` ran."""
+    return isinstance(value, Undefined) and value.symbol_name == "return value"
+
+
+def _stand_in(value, opts):
+    """Zeros typed like ``value``'s tensor leaves.
+
+    Staged control flow threads the return slot out of a construct that
+    returns on some paths only; the stand-in fills it on the others.  It
+    is never returned: the slot is read only where the return flag says
+    a ``return`` ran.
+    """
+    from repro.framework import nest
+    from repro.ops import array_ops
+
+    def zeros(leaf):
+        leaf = convert_to_tensor(leaf)
+        if not leaf.shape.is_fully_defined:
+            raise AutographError(
+                f"The value returned inside the tensor-dependent control flow "
+                f"at {_loc(opts)} has shape {leaf.shape}, not fully known "
+                "while tracing; return after the loop or conditional instead."
+            )
+        return array_ops.zeros(leaf.shape.as_list(), leaf.dtype)
+
+    return nest.map_structure(zeros, value)
+
+
 # ---------------------------------------------------------------------------
 # Boolean operators (short-circuit preserved for Python operands)
 # ---------------------------------------------------------------------------
@@ -208,11 +237,19 @@ def if_stmt(
     init_state = tuple(get_state())
     body_set = frozenset(body_vars)
     orelse_set = frozenset(orelse_vars)
+    # The return slot of a `return` in one branch only, mapped to whether
+    # that branch is the true one.  The other branch gives it a stand-in.
+    returning = {
+        name: name in body_set
+        for name, init in zip(symbol_names, init_state)
+        if _unset_return(init) and (name in body_set) != (name in orelse_set)
+    }
     # A symbol can ride the Cond only if it has a value on *both* paths:
     # either it was defined before the `if`, or both branches assign it.
     threaded = [
         not isinstance(init, Undefined)
         or (name in body_set and name in orelse_set)
+        or name in returning
         for name, init in zip(symbol_names, init_state)
     ]
     threaded_names = [n for n, t in zip(symbol_names, threaded) if t]
@@ -231,6 +268,9 @@ def if_stmt(
             for name, value, thread in zip(symbol_names, out, threaded):
                 if not thread:
                     continue
+                if name in returning and isinstance(value, Undefined):
+                    other = templates["false" if branch_label == "true" else "true"]
+                    value = _stand_in(dict(zip(threaded_names, other))[name], opts)
                 if isinstance(value, Undefined):
                     raise AutographError(
                         f"Symbol {name!r} may be undefined after the "
@@ -257,9 +297,16 @@ def if_stmt(
         return run_branch
 
     try:
-        results = control_flow.cond(
-            pred, make_branch(body, "true"), make_branch(orelse, "false")
-        )
+        if False in returning.values():
+            # The returning branch is traced first: its value types the
+            # other branch's stand-in.
+            results = control_flow.cond(
+                not_(pred), make_branch(orelse, "false"), make_branch(body, "true")
+            )
+        else:
+            results = control_flow.cond(
+                pred, make_branch(body, "true"), make_branch(orelse, "false")
+            )
     except InvalidArgumentError as exc:
         raise AutographError(
             f"Could not lower the conditional at {_loc(opts)} to a staged "
@@ -303,6 +350,7 @@ def _stage_while(test, body, get_state, set_state, symbol_names, opts, init_stat
     from repro.framework import nest
     from repro.ops import control_flow
 
+    init_state = _seed_return_slot(body, get_state, set_state, init_state, opts)
     # Only symbols live before the loop are loop-carried state; symbols
     # first assigned inside the body are per-iteration temporaries (as
     # in Python, where reading one before assignment is an error).
@@ -382,6 +430,36 @@ def _stage_while(test, body, get_state, set_state, symbol_names, opts, init_stat
     if not isinstance(final, (list, tuple)):
         final = (final,)
     set_state(merge(final))
+
+
+def _seed_return_slot(body, get_state, set_state, init_state, opts):
+    """``init_state`` with an unset return slot that ``body`` assigns
+    replaced by a stand-in, so a ``return`` inside the loop rides it out.
+
+    The stand-in's type is the returned value's, found by tracing the
+    body once into a scratch graph (its Python runs once more at trace
+    time, as when a conditional's branches are traced).
+    """
+    from repro.core import tracing
+    from repro.framework import nest
+
+    slots = [i for i, value in enumerate(init_state) if _unset_return(value)]
+    if not slots:
+        return init_state
+    (k,) = slots
+
+    def probe():
+        set_state(list(init_state))
+        body()
+        value = get_state()[k]
+        return None if isinstance(value, Undefined) else value
+
+    _, outputs, structure = tracing.trace_into_graph(probe, [], name="return_probe")
+    set_state(list(init_state))
+    if structure is None:
+        return init_state
+    value = nest.map_structure(lambda leaf: outputs[leaf], structure)
+    return init_state[:k] + (_stand_in(value, opts),) + init_state[k + 1 :]
 
 
 def while_stmt(

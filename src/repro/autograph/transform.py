@@ -105,11 +105,6 @@ class _AssignedNames(_ScopedVisitor):
         self._add_target(node.target)
         self.visit(node.value)
 
-    def visit_AnnAssign(self, node):  # noqa: N802
-        if node.value is not None:
-            self._add_target(node.target)
-            self.visit(node.value)
-
     def visit_NamedExpr(self, node):  # noqa: N802
         self._add_target(node.target)
         self.visit(node.value)
@@ -134,9 +129,6 @@ class _AssignedNames(_ScopedVisitor):
 
     def visit_ClassDef(self, node):  # noqa: N802
         self._add(node.name)
-
-    def visit_Lambda(self, node):  # noqa: N802
-        pass
 
 
 #: Prefix for generated *machinery* (state accessors, body closures);
@@ -172,6 +164,23 @@ class _DeclaredNames(_ScopedVisitor):
     def visit_Nonlocal(self, node):  # noqa: N802
         self.names.update(node.names)
         self.nonlocals_.update(node.names)
+
+
+class _StripAnnotations(ast.NodeTransformer):
+    """``x: T = v`` -> ``x = v``, and a bare ``x: T`` -> ``pass`` (this
+    scope only).  Python never evaluates a local annotation, and a
+    lowered body declares the names it assigns ``nonlocal``, which an
+    annotated name cannot be."""
+
+    def visit_FunctionDef(self, node):  # noqa: N802
+        return node
+
+    visit_AsyncFunctionDef = visit_Lambda = visit_ClassDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):  # noqa: N802
+        if node.value is None:
+            return ast.copy_location(ast.Pass(), node)
+        return ast.copy_location(ast.Assign(targets=[node.target], value=node.value), node)
 
 
 def _contains(stmts, node_types) -> bool:
@@ -300,11 +309,13 @@ class _ReturnLowering:
         fnode.body = prelude + body + epilogue
 
     def _lower_return(self, node: ast.Return, in_loop: bool) -> list:
-        value = node.value if node.value is not None else _const(None)
-        out = [
-            _assign(self.do_return, _const(True)),
-            _assign(self.retval, value),
-        ]
+        out = [_assign(self.do_return, _const(True))]
+        # A bare ``return`` (or ``return None``) leaves the slot unset, so
+        # staged control flow has no value to thread for it.
+        if node.value is not None and not (
+            isinstance(node.value, ast.Constant) and node.value.value is None
+        ):
+            out.append(_assign(self.retval, node.value))
         if in_loop:
             out.append(ast.Break())
         for stmt in out:
@@ -374,7 +385,7 @@ class _ReturnLowering:
             isinstance(last, ast.Assign)
             and len(last.targets) == 1
             and isinstance(last.targets[0], ast.Name)
-            and last.targets[0].id == self.retval
+            and last.targets[0].id in (self.do_return, self.retval)
         ):
             return True
         if isinstance(last, ast.If):
@@ -542,16 +553,11 @@ class _BoolOpRewriter(ast.NodeTransformer):
     """``and``/``or``/``not`` -> short-circuit-preserving operator calls.
 
     Applied to test expressions only; elsewhere Python semantics stand.
-    Does not descend into nested lambdas/defs.
+    Does not descend into nested lambdas (an expression holds no ``def``).
     """
 
     def visit_Lambda(self, node):  # noqa: N802
         return node
-
-    def visit_FunctionDef(self, node):  # noqa: N802
-        return node
-
-    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_BoolOp(self, node):  # noqa: N802
         self.generic_visit(node)
@@ -897,6 +903,7 @@ def _prepare(fn: Callable):
     # Nothing to lower?  Leave the function alone entirely.
     if not _contains(fnode.body, _CONTROL_NODES):
         return None
+    fnode.body = [_StripAnnotations().visit(stmt) for stmt in fnode.body]
 
     declared = _DeclaredNames()
     for stmt in fnode.body:

@@ -83,9 +83,6 @@ class _GradAccumulator:
     def add(self, key: int, grad) -> None:
         self._partials.setdefault(key, []).append(grad)
 
-    def has(self, key: int) -> bool:
-        return key in self._partials
-
     def get(self, key: int):
         parts = self._partials.get(key)
         if parts is None:

@@ -192,10 +192,6 @@ class CheckpointStatus:
         self._pending.discard(node_id)
         self._restored.add(node_id)
 
-    @property
-    def num_restored(self) -> int:
-        return len(self._restored)
-
     def assert_consumed(self) -> "CheckpointStatus":
         """Raise unless every value in the checkpoint has been applied."""
         if self._pending:

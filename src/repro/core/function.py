@@ -459,10 +459,6 @@ class Function:
 
     # -- public surface -------------------------------------------------------
     @property
-    def python_function(self) -> Callable:
-        return self._python_function
-
-    @property
     def trace_count(self) -> int:
         """How many times the Python function has been traced (for tests)."""
         return self._trace_count

@@ -139,9 +139,6 @@ class Variable:
             {"dtype": self._dtype, "shape": self._shape.as_tuple()},
         )
 
-    def value(self):
-        return self.read_value()
-
     def numpy(self) -> np.ndarray:
         """The current value as a NumPy array (no op dispatch)."""
         return self._storage
@@ -149,10 +146,6 @@ class Variable:
     def _as_tensor(self):
         """Hook for convert_to_tensor: variables convert by reading."""
         return self.read_value()
-
-    @property
-    def constant_value(self):
-        return None
 
     # -- writes --------------------------------------------------------------
     def _assign_op(self, op_name: str, value):

@@ -66,8 +66,6 @@ class ClusterSpec:
         self.task_address(job, task)
         return f"/job:{job}/replica:0/task:{task}/device:{device_type.upper()}:{index}"
 
-    def as_dict(self) -> dict[str, list[str]]:
-        return {job: list(tasks) for job, tasks in self._jobs.items()}
-
     def __repr__(self) -> str:
-        return f"ClusterSpec({self.as_dict()!r})"
+        jobs = {job: list(tasks) for job, tasks in self._jobs.items()}
+        return f"ClusterSpec({jobs!r})"

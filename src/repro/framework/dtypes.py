@@ -163,16 +163,6 @@ def as_dtype(value) -> DType:
     raise TypeError(f"NumPy dtype {np_dtype} has no corresponding repro DType")
 
 
-def default_float() -> DType:
-    """The dtype inferred for Python floats (matches TF: float32)."""
-    return float32
-
-
-def default_int() -> DType:
-    """The dtype inferred for Python ints (matches TF: int32)."""
-    return int32
-
-
 def result_type(a: DType, b: DType) -> DType:
     """Binary-op result dtype.
 

@@ -69,10 +69,6 @@ class TensorShape:
     def dims(self) -> Optional[tuple[DimValue, ...]]:
         return self._dims
 
-    @property
-    def ndims(self) -> Optional[int]:
-        return self.rank
-
     def __len__(self) -> int:
         if self._dims is None:
             raise ValueError("Cannot take len() of a shape with unknown rank")
@@ -176,13 +172,6 @@ class TensorShape:
             )
         )
 
-    @property
-    def num_unknown(self) -> Optional[int]:
-        """How many dimensions are unknown (None for unknown rank)."""
-        if self._dims is None:
-            return None
-        return sum(1 for d in self._dims if d is None)
-
     def concatenate(self, other) -> "TensorShape":
         other = as_shape(other)
         if self._dims is None or other._dims is None:
@@ -224,9 +213,6 @@ class TensorShape:
 
     def __add__(self, other) -> "TensorShape":
         return self.concatenate(other)
-
-    def __radd__(self, other) -> "TensorShape":
-        return as_shape(other).concatenate(self)
 
 
 def as_shape(value) -> TensorShape:

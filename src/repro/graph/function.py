@@ -141,12 +141,13 @@ class GraphFunction:
     def optimize(self, passes: Optional[Sequence[str]] = None) -> dict:
         """Run grappler-style optimization passes in place.
 
-        Returns a per-pass report (nodes removed/rewritten), used by the
-        ablation benchmarks.
+        Everything built from the graph before the rewrite is released
+        first (:meth:`release_plan`).  Returns a per-pass report (nodes
+        removed/rewritten), used by the ablation benchmarks.
         """
         from repro.graph.optimize import optimize_function
 
-        self._runner = None  # plan must be rebuilt after rewriting
+        self.release_plan()
         return optimize_function(self, passes)
 
     def definition(self) -> dict:

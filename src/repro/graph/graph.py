@@ -357,9 +357,6 @@ class Graph:
     def ops_by_type(self, op_name: str) -> list[Node]:
         return [n for n in self.nodes if n.op_name == op_name]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __repr__(self) -> str:
         return f"<Graph {self.name!r} with {len(self.nodes)} nodes>"
 

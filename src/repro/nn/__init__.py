@@ -12,8 +12,6 @@ a matter of decorating two functions" (§6).
 
 from repro.nn import initializers
 from repro.nn.layers import (
-    Activation,
-    AvgPool2D,
     BatchNormalization,
     Conv2D,
     Dense,
@@ -56,11 +54,9 @@ __all__ = [
     "Conv2D",
     "BatchNormalization",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAveragePooling2D",
     "Dropout",
     "Flatten",
-    "Activation",
     "SGD",
     "Adam",
     "Optimizer",

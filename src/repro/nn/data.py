@@ -41,10 +41,6 @@ class Dataset:
         self._shuffle_seed = shuffle_seed
         self._repeat = repeat
 
-    @staticmethod
-    def from_arrays(*arrays: np.ndarray) -> "Dataset":
-        return Dataset(list(arrays))
-
     def batch(self, batch_size: int) -> "Dataset":
         return Dataset(self._arrays, batch_size, self._shuffle_seed, self._repeat)
 

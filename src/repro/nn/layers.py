@@ -28,11 +28,9 @@ __all__ = [
     "Conv2D",
     "BatchNormalization",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAveragePooling2D",
     "Dropout",
     "Flatten",
-    "Activation",
 ]
 
 
@@ -265,20 +263,6 @@ class MaxPool2D(Layer):
         return nn_ops.max_pool2d(x, self.pool_size, self.strides, self.padding)
 
 
-class AvgPool2D(Layer):
-    """Spatial average pooling."""
-
-    def __init__(self, pool_size=2, strides=None, padding: str = "VALID",
-                 name: Optional[str] = None) -> None:
-        super().__init__(name=name)
-        self.pool_size = pool_size
-        self.strides = strides
-        self.padding = padding
-
-    def call(self, x, training: bool = False):
-        return nn_ops.avg_pool2d(x, self.pool_size, self.strides, self.padding)
-
-
 class GlobalAveragePooling2D(Layer):
     """Mean over the spatial dimensions of an NHWC tensor."""
 
@@ -312,14 +296,3 @@ class Flatten(Layer):
                 )
             trailing *= d
         return array_ops.reshape(x, [-1, trailing])
-
-
-class Activation(Layer):
-    """Wrap a unary op as a layer."""
-
-    def __init__(self, fn: Callable, name: Optional[str] = None) -> None:
-        super().__init__(name=name)
-        self.fn = fn
-
-    def call(self, x, training: bool = False):
-        return self.fn(x)

@@ -32,10 +32,6 @@ class LSTMCell(Layer):
         super().__init__(name=name)
         self.units = int(units)
 
-    @property
-    def state_size(self) -> int:
-        return 2  # (h, c)
-
     def build(self, input_shape) -> None:
         in_dim = input_shape[-1]
         if in_dim is None:
@@ -84,10 +80,6 @@ class GRUCell(Layer):
     def __init__(self, units: int, name: Optional[str] = None) -> None:
         super().__init__(name=name)
         self.units = int(units)
-
-    @property
-    def state_size(self) -> int:
-        return 1
 
     def build(self, input_shape) -> None:
         in_dim = input_shape[-1]

@@ -39,8 +39,6 @@ __all__ = [
     "subtract",
     "multiply",
     "divide",
-    "floordiv",
-    "mod",
     "pow",
     "negative",
     "abs",
@@ -689,16 +687,6 @@ def multiply(x, y):
 def divide(x, y):
     """Elementwise true division."""
     return _binary("RealDiv", x, y)
-
-
-def floordiv(x, y):
-    """Elementwise floored division (no gradient)."""
-    return _binary("FloorDiv", x, y)
-
-
-def mod(x, y):
-    """Elementwise modulo (no gradient)."""
-    return _binary("Mod", x, y)
 
 
 def pow(x, y):  # noqa: A001 - mirrors tf.pow

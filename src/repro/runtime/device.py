@@ -217,10 +217,6 @@ class Device:
         return self._name
 
     @property
-    def spec(self) -> DeviceSpec:
-        return self._spec
-
-    @property
     def device_type(self) -> str:
         return self._spec.device_type  # type: ignore[return-value]
 
@@ -315,10 +311,6 @@ class Device:
             if self._bytes_in_use > self._peak_bytes:
                 self._peak_bytes = self._bytes_in_use
         return array
-
-    def deallocate(self, nbytes: int) -> None:
-        with self._lock:
-            self._bytes_in_use = max(0, self._bytes_in_use - nbytes)
 
     def memory_stats(self) -> dict:
         with self._lock:

@@ -110,15 +110,7 @@ class TensorBase:
     # Ensure e.g. np.ndarray + Tensor defers to Tensor.__radd__.
     __array_priority__ = 100
 
-    # -- metadata (implemented by subclasses) -------------------------------
-    @property
-    def dtype(self) -> dtypes.DType:
-        raise NotImplementedError
-
-    @property
-    def shape(self) -> TensorShape:
-        raise NotImplementedError
-
+    # -- metadata (subclasses define ``dtype`` and ``shape``) ---------------
     @property
     def ndim(self) -> Optional[int]:
         return self.shape.rank
@@ -408,9 +400,6 @@ class Tensor(TensorBase):
             f"shape={tuple(self._array.shape)}, dtype={self._dtype.name})"
         )
 
-    def __str__(self) -> str:
-        return self.__repr__()
-
 
 class LazyTensor(Tensor):
     """A tensor recorded — not yet executed — in a pending lazy trace.
@@ -514,11 +503,6 @@ class TensorSpec:
         self.dtype = dtypes.as_dtype(dtype)
         self.name = name
 
-    @property
-    def constant_value(self):
-        """Specs never carry a value; present for shape-inference duck typing."""
-        return None
-
     @staticmethod
     def from_tensor(t: TensorBase, name: Optional[str] = None) -> "TensorSpec":
         return TensorSpec(t.shape, t.dtype, name=name)
@@ -532,11 +516,6 @@ class TensorSpec:
         if not isinstance(t, (TensorBase, TensorSpec)):
             return False
         return t.dtype == self.dtype and TensorShape(t.shape).is_subtype_of(self.shape)
-
-    def most_general(self, other: "TensorSpec") -> "TensorSpec":
-        if self.dtype != other.dtype:
-            raise InvalidArgumentError("Cannot generalize specs of different dtypes")
-        return TensorSpec(self.shape.most_general(other.shape), self.dtype, self.name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorSpec):

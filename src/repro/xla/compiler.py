@@ -80,10 +80,6 @@ class CompiledExecutable:
         self._roots = [index[root] for root in computation.roots]
         self._cost_us: dict = {}  # device -> launch overhead + Σ program_cost_us
 
-    @property
-    def name(self) -> str:
-        return self.computation.name
-
     def execute(self, arrays: Sequence[np.ndarray], device: Device) -> list[np.ndarray]:
         """Run the program; charges one launch on the device's clock."""
         s = [None] * self._size
@@ -122,7 +118,7 @@ class CompiledExecutable:
 
     def __repr__(self) -> str:
         return (
-            f"<CompiledExecutable {self.name!r}: "
+            f"<CompiledExecutable {self.computation.name!r}: "
             f"{self.num_launch_instructions} instructions, "
             f"{self.computation.total_flops:.0f} flops>"
         )

@@ -10,12 +10,17 @@ must *not* change matters as much as what it lowers.  These tests pin:
 - function identity: name, doc, defaults, closure cells, line numbers;
 - clear errors naming the offending symbol and source line when a
   construct cannot be lowered;
+- statements nested in staged bodies (``for``, ``with``, annotated and
+  walrus assignments, ``global``) and returns from inside a staged
+  conditional or loop, each matching eager on every data outcome;
 - the per-function opt-out (``autograph=False``);
 - the silent-specialization warning on ``bool(concrete tensor)`` inside
   a trace.
 """
 
+import ast
 import functools
+import textwrap
 import traceback
 
 import numpy as np
@@ -28,6 +33,8 @@ from repro.autograph import (
     converted_code,
     is_converted,
 )
+from repro.autograph.operators import Undefined
+from repro.autograph.transform import _assigned_names
 from repro.framework.errors import FailedPreconditionError
 
 
@@ -417,6 +424,189 @@ def test_non_tensor_loop_state_raises_with_symbol_and_location():
     msg = str(err.value)
     assert "'label'" in msg
     assert "test_transform.py" in msg
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        bool,
+        iter,
+        lambda u: u(),
+        lambda u: u.attr,
+        lambda u: u + 1.0,
+        lambda u: 1.0 - u,
+        lambda u: u[0],
+        lambda u: u < 1.0,
+    ],
+    ids=["bool", "iter", "call", "getattr", "add", "rsub", "getitem", "lt"],
+)
+def test_every_use_of_an_undefined_symbol_raises(use):
+    with pytest.raises(AutographError, match="'y'.*may be undefined"):
+        use(Undefined("y"))
+
+
+# ---------------------------------------------------------------------------
+# Statements nested in staged bodies, and returns out of them
+# ---------------------------------------------------------------------------
+
+_SCALE = 3.0
+
+
+def _for_with_annotation_in_if(x):
+    def halve(v):
+        half: float = 0.5  # a nested scope keeps its annotations
+        return v * half
+
+    if repro.reduce_sum(x) > 0.0:
+        acc: repro.Tensor = x * 0.0
+        for w in (1.0, 2.0, 3.0):
+            acc = acc + x * w
+        with repro.device("/cpu:0"):
+            y = halve(acc) * 4.0
+    else:
+        acc: repro.Tensor = x
+        for w in (1.0, 2.0):
+            acc = acc - w
+        with repro.device("/cpu:0"):
+            y = acc - 1.0
+    return y
+
+
+def _for_with_annotation_in_while(x):
+    n = repro.constant(0)
+    while n < 3:
+        total: repro.Tensor = x * 0.0
+        for w in (0.5, 0.25):
+            total = total + x * w
+        with repro.device("/cpu:0"):
+            x = total + 1.0
+        n = n + 1
+    return x
+
+
+def _walrus_and_global_in_if(x):
+    global _SCALE
+    if repro.reduce_sum(x) > 0.0:
+        y = (t := x * _SCALE) + t
+    else:
+        y = x
+    return y
+
+
+def _return_in_nested_if(x):
+    if repro.reduce_sum(x) > 0.0:
+        if repro.reduce_sum(x) > 3.0:
+            return x
+    return -x
+
+
+def _return_in_while(x):
+    i = repro.constant(0)
+    while i < 5:
+        x = x * 2.0
+        if repro.reduce_sum(x) > 10.0:
+            return x
+        i = i + 1
+    return x - 1.0
+
+
+def _return_from_else_in_while(x):
+    i = repro.constant(0)
+    while i < 4:
+        if repro.reduce_sum(x) < 6.0:
+            x = x + 1.0
+        else:
+            return x * 3.0
+        i = i + 1
+    return x
+
+
+def _tuple_return_in_tensor_for(x):
+    for row in x:
+        if repro.reduce_sum(row) > 2.0:
+            return row * 10.0, row
+    return x[0], x[1]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        _for_with_annotation_in_if,
+        _for_with_annotation_in_while,
+        _walrus_and_global_in_if,
+        _return_in_nested_if,
+        _return_in_while,
+        _return_from_else_in_while,
+        _tuple_return_in_tensor_for,
+    ],
+)
+def test_nested_statements_and_returns_match_eager(fn):
+    staged = repro.function(fn)
+    inputs = ([[1.0, 2.0], [0.5, 0.5]], [[-1.0, -2.0], [3.0, 0.0]], [[0.1, 0.2], [0.0, 0.1]])
+    for values in inputs:
+        x = repro.constant(np.array(values, np.float32))
+        expected = repro.nest.flatten(fn(x))
+        got = repro.nest.flatten(staged(x))
+        assert len(got) == len(expected)
+        for e, g in zip(expected, got):
+            np.testing.assert_allclose(g.numpy(), e.numpy(), rtol=1e-6)
+    assert staged.trace_count == 1
+
+
+def _bare_return_in_if(x, sink):
+    if repro.reduce_sum(x) > 0.0:
+        sink.assign(x)
+        return
+    sink.assign(-x)
+
+
+def _bare_return_in_while(x, sink):
+    i = repro.constant(0)
+    while i < 3:
+        if repro.reduce_sum(x) > 5.0:
+            sink.assign(x)
+            return
+        x = x + 1.0
+        i = i + 1
+    sink.assign(-x)
+
+
+@pytest.mark.parametrize("fn", [_bare_return_in_if, _bare_return_in_while])
+def test_bare_return_threads_no_value(fn):
+    staged = repro.function(fn)
+    eager_sink = repro.Variable([0.0, 0.0])
+    staged_sink = repro.Variable([0.0, 0.0])
+    for values in ([1.0, 2.0], [-1.0, -2.0], [3.0, 4.0]):
+        x = repro.constant(np.array(values, np.float32))
+        assert fn(x, eager_sink) is None
+        assert staged(x, staged_sink) is None
+        np.testing.assert_allclose(staged_sink.numpy(), eager_sink.numpy())
+    assert staged.trace_count == 1
+
+
+def test_assigned_names_cover_every_binding_form():
+    stmts = ast.parse(
+        textwrap.dedent(
+            """
+            a = 1
+            b += 1
+            for c in d:
+                e = c
+            with f() as g:
+                h = 1
+            class K:
+                inner = 1
+            def fn():
+                local = 1
+            m = (n := 2)
+            lam = lambda arg: arg
+            o.attr = 1
+            """
+        )
+    ).body
+    assert _assigned_names(stmts, frozenset()) == [
+        "a", "b", "c", "e", "g", "h", "K", "fn", "m", "n", "lam"
+    ]
 
 
 # ---------------------------------------------------------------------------

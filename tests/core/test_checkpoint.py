@@ -83,7 +83,8 @@ class TestContainers:
     def test_list_edges_are_numbered(self, tmp_path):
         class Holder(Trackable):
             def __init__(self):
-                self.items = [repro.Variable(1.0), repro.Variable(2.0)]
+                self.items = [repro.Variable(1.0)]
+                self.items.append(repro.Variable(2.0))
 
         h = Holder()
         h.items[1].assign(9.0)
@@ -103,6 +104,7 @@ class TestContainers:
         fresh = Holder()
         Checkpoint(root=fresh).restore(path).assert_consumed()
         assert float(fresh.table["b"]) == 5.0
+        assert [key for key, _ in fresh.table.items()] == ["a", "b"]
 
     def test_shared_objects_saved_once(self, tmp_path):
         shared = repro.Variable([1.0, 2.0])

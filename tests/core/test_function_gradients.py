@@ -117,6 +117,19 @@ class TestStagedVsEagerParity:
         # Side effect ran exactly once (the forward pass).
         assert float(counter.read_value()) == 1.0
 
+    def test_op_without_a_gradient_fails_at_the_gradient_not_the_call(self):
+        @repro.function
+        def f(x):
+            return (x // 2.0) * x  # FloorDiv has no gradient
+
+        x = repro.constant([3.0, 5.0])
+        with repro.GradientTape() as tape:
+            tape.watch(x)
+            y = f(x)
+        np.testing.assert_allclose(y.numpy(), [3.0, 10.0])
+        with pytest.raises(repro.errors.UnimplementedError, match="FloorDiv"):
+            tape.gradient(y, x)
+
 
 class TestHigherOrderThroughFunctions:
     def test_second_order(self):

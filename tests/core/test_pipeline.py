@@ -169,6 +169,22 @@ class TestPerShapeCompiledCache:
         artifact_cache().clear()
         assert not concrete.graph_function.executables
 
+    def test_optimize_releases_what_was_built_from_the_graph(self):
+        from repro.core.backprop import build_rematerializing_backward
+        from repro.xla.compiler import executable_for
+
+        pipeline, fn, _ = _trace_symbolic()
+        pipeline.finalize(fn)
+        x = repro.constant(np.ones((2, 4), np.float32))
+        fn.run([x])
+        executable_for(fn, [x])
+        fn._remat_backward = build_rematerializing_backward(fn)
+        assert fn._runner is not None and fn.executables
+        fn.optimize()
+        assert fn._runner is None
+        assert not fn.executables
+        assert "_remat_backward" not in vars(fn)
+
 
 def _count_infer_calls(monkeypatch):
     """Patch ``OpDef.infer`` to count invocations; returns the counter."""
@@ -247,25 +263,20 @@ class TestEachNodeInferredOnce:
         from repro.graph import fusion
         from repro.runtime.context import context
 
-        previous = context.graph_fusion
+        # Finalized outside the artifact cache: a graph function the
+        # cache holds is shared by every equal trace and is never edited.
         context.graph_fusion = True
-        try:
-
-            @repro.function(input_signature=[TensorSpec([None, 4], repro.float32)])
-            def f(x):
-                return repro.tanh(x * 2.0 + 1.0) * x
-
-            concrete = f.get_concrete_function(
-                repro.constant(np.ones((3, 4), np.float32))
-            )
-        finally:
-            context.graph_fusion = previous
-        gf = concrete.graph_function
+        pipeline = CompilationPipeline()
+        graph, outs, _ = pipeline.trace(
+            lambda x: repro.tanh(x * 2.0 + 1.0) * x,
+            [TensorSpec([None, 4], repro.float32)],
+            name="f",
+            structured_args=((TENSOR_MARKER,), {}),
+        )
+        gf = GraphFunction("f", graph, list(graph.inputs), outs)
+        pipeline.finalize(gf)
         assert fusion.has_fused_nodes(gf)
         assert gf.output_specs[0].shape.dims == (None, 4)
-        # Edited in place below: take it out of the shared artifact cache
-        # so no later trace of this program is served the edited graph.
-        artifact_cache().clear()
         gf.inputs[0].spec = TensorSpec([8, 4], repro.float32)
         assert refine_shapes(gf) >= 1
         assert gf.output_specs[0].shape.dims == (8, 4)

@@ -83,8 +83,12 @@ class TestConversion:
         v = repro.Variable(4.0)
         assert float(v + 1.0) == 5.0
         assert float(1.0 + v) == 5.0
+        assert float(v - 1.0) == 3.0
+        assert float(1.0 - v) == -3.0
         assert float(v * 2.0) == 8.0
+        assert float(2.0 * v) == 8.0
         assert float(v / 2.0) == 2.0
+        assert float(2.0 / v) == 0.5
         assert float(-v) == -4.0
         assert float(v ** 2.0) == 16.0
 
@@ -92,6 +96,7 @@ class TestConversion:
         v = repro.Variable(np.eye(2, dtype=np.float32))
         x = repro.constant([[1.0], [2.0]])
         np.testing.assert_allclose((v @ x).numpy(), [[1.0], [2.0]])
+        np.testing.assert_allclose(([[1.0, 2.0]] @ v).numpy(), [[1.0, 2.0]])
 
     def test_indexing(self):
         v = repro.Variable([1.0, 2.0, 3.0])

@@ -79,6 +79,7 @@ class TestBuilding:
             with repro.device("/gpu:0"):
                 y = x + 1.0
         assert y.node.device == "/gpu:0"
+        assert y.device == "/gpu:0"
 
     def test_get_node(self):
         g = Graph("t")
@@ -90,4 +91,6 @@ class TestBuilding:
         x = placeholder(g, repro.float32, [4, 5])
         with g.as_default():
             s = repro.shape(x)
+            r = repro.rank(x)
         np.testing.assert_array_equal(s.constant_value, [4, 5])
+        assert r.constant_value == 2

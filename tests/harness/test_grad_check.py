@@ -11,7 +11,12 @@ import pytest
 
 import repro
 from repro.ops import nn_ops
-from tests.harness.grad_check import check_gradient, check_gradients, numeric_gradient
+from tests.harness.grad_check import (
+    check_gradient,
+    check_gradients,
+    check_jvp,
+    numeric_gradient,
+)
 
 
 class TestChecker:
@@ -158,6 +163,28 @@ class TestOpGradients:
             return inner.gradient(y, x) * x
 
         check_gradient(f, np.array([0.3, -1.2, 2.5, 0.9, -0.4]))
+
+    @pytest.mark.parametrize("op", ["sign", "floor", "ceil", "round"])
+    def test_piecewise_constant_ops_pass_no_gradient(self, op):
+        # Away from the jumps these ops are locally constant, so only
+        # the outer factor of x carries a derivative.
+        fn = getattr(repro, op)
+        check_gradient(lambda x: x * fn(x), np.array([-1.7, -0.3, 0.2, 1.4, 2.6]))
+
+    def test_identity_jvp(self):
+        check_jvp(lambda x: repro.identity(x) * x, np.random.randn(4))
+
+    def test_staged_py_func_with_an_unused_output(self):
+        # Only the first output reaches the result: the PyFunc rule
+        # feeds zeros for the other output's missing gradient.
+        @repro.function
+        def f(x):
+            y, _ = repro.py_func(
+                lambda v: (v * v, v * 3.0), [x], Tout=[repro.float64, repro.float64]
+            )
+            return y
+
+        check_gradient(f, np.random.randn(3))
 
 
 class TestAutographControlFlowGradients:

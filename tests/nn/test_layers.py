@@ -18,7 +18,8 @@ class TestDense:
         np.testing.assert_allclose(out.numpy(), np.full((3, 4), 2.0))
 
     def test_lazy_build(self):
-        layer = nn.Dense(4)
+        layer = nn.Dense(4, name="head")
+        assert layer.name == "head"
         assert not layer.built
         layer(repro.constant(np.ones((1, 5), np.float32)))
         assert layer.built
@@ -173,9 +174,9 @@ class TestL2HMC:
         dyn = nn.l2hmc.L2HMCDynamics(2, energy, num_steps=3)
         sampler = nn.l2hmc.L2HMCSampler(dyn)
         x = repro.random_normal([6, 2])
-        loss, x_next = sampler.loss_and_samples(x)
-        assert loss.shape.rank == 0
-        assert x_next.shape.as_list() == [6, 2]
+        for loss, x_next in (sampler.loss_and_samples(x), sampler(x)):
+            assert loss.shape.rank == 0
+            assert x_next.shape.as_list() == [6, 2]
 
     def test_acceptance_probabilities_valid(self):
         energy = nn.l2hmc.gaussian_mixture_energy([[0.0, 0.0]])

@@ -117,6 +117,8 @@ class TestMetrics:
         assert float(acc.result()) == pytest.approx(2 / 3)
         acc.update_state(repro.constant(np.array([0])), repro.constant(np.float32([[9.0, 0.0]])))
         assert float(acc.result()) == pytest.approx(3 / 4)
+        acc.reset_state()
+        assert float(acc.result()) == 0.0
 
     def test_metrics_update_inside_staged_function(self):
         m = nn.Mean()

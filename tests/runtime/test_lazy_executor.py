@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.ops import registry
+from repro.ops.common import constant_or_none
 from repro.runtime import lazy
 from repro.runtime.context import context
 from repro.runtime.executor import execute
@@ -114,6 +115,11 @@ class TestRecording:
     def test_shape_query_does_not_flush(self, lazy_mode):
         y = repro.constant(np.zeros((4, 5), np.float32)) * 2.0
         assert tuple(y.shape) == (4, 5)
+        assert not y.is_ready()
+
+    def test_shape_inference_reads_no_value_from_a_pending_tensor(self, lazy_mode):
+        y = repro.constant([1.0, 2.0]) * 3.0
+        assert constant_or_none(y) is None
         assert not y.is_ready()
 
     def test_observation_flushes_whole_segment(self, lazy_mode):
@@ -442,6 +448,17 @@ class TestConcurrentSubmission:
             np.testing.assert_allclose(
                 got, expected_base * k + k + 5 * expected_base
             )
+
+    def test_pending_value_of_another_threads_trace(self, lazy_mode):
+        x = repro.constant([1.0, 2.0]) * 3.0
+        results = {}
+
+        def worker() -> None:
+            results["y"] = (x + 1.0).numpy()
+
+        _run_threads([threading.Thread(target=worker)])
+        np.testing.assert_allclose(results["y"], [4.0, 7.0])
+        assert x.is_ready()
 
     def test_threads_with_private_chains_and_gradients(self, lazy_mode):
         errors: list[BaseException] = []

@@ -71,7 +71,7 @@ class TestCoalescingCorrectness:
             # burst, so the burst coalesces deterministically.
             model = server.load("m", path, batch_window_ms=200.0)
             inputs = [x_batch(n, seed=n) for n in (1, 3, 1, 2, 1)]
-            futures = [model.submit(x) for x in inputs]
+            futures = [server.submit("m", x) for x in inputs]
             for x, future in zip(inputs, futures):
                 np.testing.assert_allclose(
                     future.result(timeout=30.0).numpy(),

@@ -115,6 +115,10 @@ class TestOperators:
         np.testing.assert_allclose((1.0 - x).numpy(), [-1.0])
         np.testing.assert_allclose((3.0 * x).numpy(), [6.0])
         np.testing.assert_allclose((8.0 / x).numpy(), [4.0])
+        np.testing.assert_allclose((7.0 // x).numpy(), [3.0])
+        np.testing.assert_allclose((7.0 % x).numpy(), [1.0])
+        np.testing.assert_allclose((3.0 ** x).numpy(), [9.0])
+        np.testing.assert_allclose(([[3.0]] @ repro.reshape(x, [1, 1])).numpy(), [[6.0]])
 
     def test_weak_int_literal_adopts_float_dtype(self):
         x = repro.constant([1.5])
@@ -142,8 +146,10 @@ class TestOperators:
         x = repro.constant([1.0, 5.0])
         np.testing.assert_array_equal((x > 2.0).numpy(), [False, True])
         np.testing.assert_array_equal((x <= 1.0).numpy(), [True, False])
+        np.testing.assert_array_equal((x >= 5.0).numpy(), [False, True])
         np.testing.assert_array_equal((x == 5.0).numpy(), [False, True])
         np.testing.assert_array_equal((x != 5.0).numpy(), [True, False])
+        np.testing.assert_array_equal(repro.not_equal(x, 5.0).numpy(), [True, False])
 
     def test_mismatched_dtypes_raise(self):
         with pytest.raises(InvalidArgumentError):
@@ -154,6 +160,7 @@ class TestOperators:
         b = repro.constant([True, True])
         np.testing.assert_array_equal((a & b).numpy(), [True, False])
         np.testing.assert_array_equal((a | b).numpy(), [True, True])
+        np.testing.assert_array_equal(repro.logical_or(a, ~b).numpy(), [True, False])
         np.testing.assert_array_equal((~a).numpy(), [False, True])
 
     def test_floordiv_mod(self):

@@ -1,5 +1,6 @@
 """XLA-sim: lowering, fusion, compiled execution, and the TPU bridge."""
 
+import contextlib
 import gc
 
 import numpy as np
@@ -227,6 +228,33 @@ class TestTPUBridge:
                 y = f(x)
             g = tape.gradient(y, v)
         assert float(g) == pytest.approx(12.0)
+
+
+class TestNestedFunctionCompiled:
+    """Listing 8 compiled: a function called from a compiled function
+    lowers to one call instruction of the outer program."""
+
+    @pytest.mark.parametrize("device", [None, "/tpu:0"], ids=["jit_compile", "tpu"])
+    def test_matches_eager(self, device):
+        from repro.ops import nn_ops
+
+        @repro.function
+        def inner(a):
+            return nn_ops.relu(a)
+
+        def outer(a, b):
+            return inner(repro.matmul(a, b)) * 2.0 + 1.0
+
+        a = repro.eye(3)
+        b = repro.diag(repro.constant([-1.0, 1.0, 2.0]))
+        expected = outer(a, b).numpy()
+        staged = repro.function(outer, jit_compile=device is None)
+        with repro.device(device) if device else contextlib.nullcontext():
+            out = staged(a, b)
+            gf = staged.get_concrete_function(a, b).graph_function
+        np.testing.assert_allclose(out.numpy(), expected)
+        (exe,) = gf.executables.values()
+        assert "PartitionedCall" in [i.opcode for i in exe.computation.instructions]
 
 
 class TestOneExecutableCache:
