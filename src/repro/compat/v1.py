@@ -18,9 +18,8 @@ measured: per-step Python overhead, not different kernels.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.framework import dtypes as _dtypes
 from repro.framework import nest
 from repro.framework.errors import InvalidArgumentError
 from repro.tensor import Tensor, TensorBase, convert_to_tensor

@@ -7,6 +7,11 @@ Two layers live here:
   the computation it performs is itself recordable (higher-order
   gradients) and stageable (paper §4.2).
 
+* :func:`build_tape_backward` — the same sweep over an eager tape's
+  records, run once symbolically with every tape value a placeholder,
+  so a tape structure seen again runs its backward as one planned
+  graph function instead of op by op.
+
 * The **staged forward/backward machinery** for graph functions.
   "The first time a graph function is called when a tape is both active
   and watching one of its inputs, we build a 'forward' version of this
@@ -21,18 +26,20 @@ Two layers live here:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.framework import dtypes
 from repro.framework.errors import InternalError, InvalidArgumentError, UnimplementedError
 from repro.ops import registry
-from repro.tensor import Tensor, TensorBase, TensorSpec
+from repro.tensor import TensorBase, TensorSpec
 from repro.graph.function import GraphFunction, placeholder
-from repro.graph.graph import SymbolicTensor
+from repro.core.tracing import ReplayGraph
 
 __all__ = [
     "imperative_grad",
+    "build_tape_backward",
     "build_forward_backward",
     "graph_function_backward",
     "ForwardBackward",
@@ -117,11 +124,7 @@ def imperative_grad(
     Returns:
         One gradient (or None) per source.
     """
-    if unconnected_gradients not in ("none", "zero"):
-        raise InvalidArgumentError(
-            f"unconnected_gradients must be 'none' or 'zero', got "
-            f"{unconnected_gradients!r}"
-        )
+    check_unconnected(unconnected_gradients)
     # Async/lazy eager modes: the recorded forward ops may still be in
     # flight (or merely recorded).  Replay must not start until they
     # (and any deferred error) have landed — gradient computation is a
@@ -134,8 +137,25 @@ def imperative_grad(
 
         if _runtime_context.executor_mode != "sync" and _runtime_context.executing_eagerly():
             _runtime_context.sync()
+    acc = _sweep(reversed(op_records), targets, [id(t) for t in targets], output_gradients)
+    results = [acc.get(_tensor_id(source)) for source in sources]
+    return fill_unconnected(results, sources, unconnected_gradients)
+
+
+def _sweep(
+    reversed_records,
+    targets: Sequence,
+    target_keys: Sequence,
+    seeds: Sequence,
+    positional: bool = False,
+):
+    """The reverse sweep over records given last first.  Adjoints are
+    accumulated under the ``id`` of each record's tensors or, when
+    ``positional``, under its ``in_keys`` / ``out_keys`` (tape positions,
+    so a value no gradient rule reads is never made); the targets'
+    under ``target_keys``."""
     acc = _GradAccumulator()
-    for target, seed in zip(targets, output_gradients):
+    for target, key, seed in zip(targets, target_keys, seeds):
         if target is None:
             continue
         if not isinstance(target, TensorBase):
@@ -149,12 +169,15 @@ def imperative_grad(
                 raise InvalidArgumentError(
                     f"Gradient target has non-differentiable dtype {target.dtype}"
                 )
-        acc.add(id(target), seed if seed is not None else _ones_like(target))
+        acc.add(key, seed if seed is not None else _ones_like(target))
 
-    for rec in reversed(op_records):
-        out_grads = [
-            acc.get(id(o)) if isinstance(o, TensorBase) else None for o in rec.outputs
-        ]
+    for rec in reversed_records:
+        if positional:
+            out_grads = [acc.get(k) for k in rec.out_keys]
+        else:
+            out_grads = [
+                acc.get(id(o)) if isinstance(o, TensorBase) else None for o in rec.outputs
+            ]
         if not any(g is not None for g in out_grads):
             continue
         if rec.backward_function is not None:
@@ -166,23 +189,174 @@ def imperative_grad(
                 )
             grad_fn = registry.get_gradient_function(rec.op_name)
             in_grads = grad_fn(rec, *out_grads)
-        if len(in_grads) != len(rec.inputs):
+        inputs = rec.in_keys if positional else rec.inputs
+        if len(in_grads) != len(inputs):
             raise InternalError(
                 f"Gradient of {rec.op_name!r} returned {len(in_grads)} values "
-                f"for {len(rec.inputs)} inputs"
+                f"for {len(inputs)} inputs"
             )
-        for inp, g in zip(rec.inputs, in_grads):
-            if g is None or not isinstance(inp, TensorBase):
+        for key, g in zip(inputs, in_grads):
+            if g is None:
                 continue
-            acc.add(id(inp), g)
+            if not positional:
+                if not isinstance(key, TensorBase):
+                    continue
+                key = id(key)
+            acc.add(key, g)
+    return acc
 
-    results = []
-    for source in sources:
-        grad = acc.get(_tensor_id(source))
-        if grad is None and unconnected_gradients == "zero":
-            grad = _zeros_for_source(source)
-        results.append(grad)
+
+def check_unconnected(unconnected_gradients: str) -> None:
+    if unconnected_gradients not in ("none", "zero"):
+        raise InvalidArgumentError(
+            f"unconnected_gradients must be 'none' or 'zero', got "
+            f"{unconnected_gradients!r}"
+        )
+
+
+def fill_unconnected(results: list, sources: Sequence, unconnected_gradients: str) -> list:
+    """``results`` with zeros for the sources that got no gradient, under "zero"."""
+    if unconnected_gradients == "zero":
+        results = [
+            _zeros_for_source(s) if g is None else g for s, g in zip(sources, results)
+        ]
     return results
+
+
+class _TapeValues(dict):
+    """Position -> placeholder standing for the tape value there, made
+    on first read (a non-tensor seed stands for itself)."""
+
+    def __init__(self, graph, pattern, seeds: dict) -> None:
+        super().__init__()
+        self.graph, self.pattern, self.seeds = graph, pattern, seeds
+
+    def __missing__(self, position: int):
+        value = self.seeds.get(position, self)
+        if value is self:
+            value = placeholder(self.graph, *self.pattern.spec(position), name="tape_value")
+        elif isinstance(value, TensorBase):
+            value = placeholder(self.graph, value.dtype, value.shape, name="tape_value")
+        self[position] = value
+        return value
+
+
+class _TapeRecord:
+    """A tape record in the symbolic build: its values keyed by
+    position, so only those a gradient rule reads get a placeholder."""
+
+    __slots__ = ("op_name", "attrs", "in_keys", "out_keys", "_values")
+    backward_function = None
+
+    def __init__(self, op_name: str, attrs: dict, in_keys, out_keys, values) -> None:
+        self.op_name, self.attrs = op_name, attrs
+        self.in_keys, self.out_keys, self._values = in_keys, out_keys, values
+
+    @property
+    def inputs(self) -> list:
+        return [self._values[p] for p in self.in_keys]
+
+    @property
+    def outputs(self) -> list:
+        return [self._values[p] for p in self.out_keys]
+
+
+# Below this many swept nodes (≈ 0.5 MiB of them) a build's garbage is
+# not worth a full collection, which takes tens of ms in a large heap.
+_COLLECT_AT = 1000
+
+
+class _TapeGraph(ReplayGraph):
+    """The build's graph: output specs interned by value (a ResNet
+    backward has ~3 000 outputs and ~100 distinct specs)."""
+
+    def __init__(self) -> None:
+        super().__init__(name="tape_backward")
+        self._specs: dict = {}
+
+    def add_operation(self, *args, **kwargs) -> list:
+        outputs = super().add_operation(*args, **kwargs)
+        intern = self._specs.setdefault
+        for t in outputs:
+            t.spec = intern((t.spec.shape.dims, id(t.spec.dtype)), t.spec)
+        return outputs
+
+
+def build_tape_backward(pattern, positions: tuple, seeds: Sequence) -> tuple:
+    """An eager tape's backward as a compacted plan: ``(runner, inputs, feeds, mask)``.
+
+    Runs the reverse sweep once, symbolically, over the records of
+    ``pattern`` (a :class:`repro.graph.structural.TapePattern`), each
+    tape value a placeholder of its spec, made only if a gradient rule
+    reads it.  ``positions`` are the key's; ``seeds`` the gradient
+    call's.  The plan of the optimized, fused graph function takes the
+    tape values at ``feeds`` on its ``inputs`` and returns the gradient
+    of each source ``mask`` marks; only its printed CPU program is kept
+    (:meth:`~repro.graph.executor.GraphRunner.compact`).  Holds no tape
+    tensor: the forward is never re-run, its values are fed.
+    """
+    from repro.core.pipeline import CompilationPipeline
+    from repro.graph.optimize import _default_passes
+
+    fn, feeds, mask = _sweep_tape(pattern, positions, seeds)
+    # The build's high-water mark is the process's (small-object arenas
+    # do not shrink): for a large graph, free the sweep's scaffolding,
+    # and the nodes the passes drop, before ``fuse`` (the last pass when
+    # on; it has the largest transient), before the plan and after it.
+    collect = gc.collect if len(fn.graph.nodes) >= _COLLECT_AT else lambda: None
+    collect()
+    passes = _default_passes()
+    for stage in (passes[:-1], passes[-1:]):
+        CompilationPipeline(stage).finalize(fn)
+        collect()
+    runner = CompilationPipeline().plan(fn)
+    scheduled = {id(node) for node in runner.placeholders}  # optimizing may drop some
+    fed = [(ph, p) for ph, p in zip(fn.inputs, feeds) if id(ph.node) in scheduled]
+    runner.compact()
+    del fn
+    collect()
+    return runner, [ph for ph, _ in fed], tuple(p for _, p in fed), mask
+
+
+def _sweep_tape(pattern, positions: tuple, seeds: Sequence) -> tuple:
+    targets, sources, seed_positions = positions
+    graph = _TapeGraph()
+    values = _TapeValues(
+        graph, pattern, {p: s for p, s in zip(seed_positions, seeds) if p is not None}
+    )
+    # Only records downstream of a source can add to a source's adjoint.
+    reached = {p for p in sources if p is not None}
+    kept = bytearray(len(pattern))
+    for k in range(len(pattern)):
+        _, _, ins, outs = pattern.record(k)
+        if not reached.isdisjoint(ins):
+            reached.update(outs)
+            kept[k] = 1
+    records = (
+        _TapeRecord(*pattern.record(k), values)
+        for k in reversed(range(len(pattern)))
+        if kept[k]
+    )
+    with graph.as_default():
+        acc = _sweep(
+            records,
+            [None if p is None else values[p] for p in targets],
+            targets,
+            [None if p is None else values[p] for p in seed_positions],
+            positional=True,
+        )
+        grads = [None if p is None else acc.get(p) for p in sources]
+    if graph.captures:
+        raise InternalError("a tape gradient rule captured a value outside the tape")
+    outputs = [g for g in grads if g is not None]
+    used = {id(t) for node in graph.nodes for t in node.inputs}
+    used.update(map(id, outputs))
+    feeds = tuple(sorted(p for p, v in values.items() if id(v) in used))
+    graph.nodes = [
+        n for n in graph.nodes if n.op_name != "Placeholder" or id(n.outputs[0]) in used
+    ]
+    fn = GraphFunction("tape_backward", graph, [values[p] for p in feeds], outputs)
+    return fn, feeds, tuple(g is not None for g in grads)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +452,6 @@ def _extract(nodes: Sequence, inputs: Sequence, outputs: Sequence, name: str) ->
 def build_forward_backward(fn: GraphFunction, optimize: bool = True) -> ForwardBackward:
     """Construct the forward-with-intermediates and backward functions."""
     from repro.core.tape import GradientTape
-    from repro.core.tracing import ReplayGraph
 
     scratch = ReplayGraph(name=f"{fn.name}_fb")
     tape = GradientTape(persistent=True, watch_accessed_variables=False)
@@ -387,7 +560,6 @@ def build_rematerializing_backward(fn: GraphFunction) -> tuple[GraphFunction, li
     original inputs plus output gradients and recomputes what it needs.
     """
     from repro.core.tape import GradientTape
-    from repro.core.tracing import ReplayGraph
 
     scratch = ReplayGraph(name=f"{fn.name}_remat")
     tape = GradientTape(persistent=True, watch_accessed_variables=False)

@@ -20,7 +20,7 @@ eager/staged boundary.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

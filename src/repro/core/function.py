@@ -316,7 +316,6 @@ class ConcreteFunction:
 
         def backward_function(*out_grads):
             from repro.core import backprop
-            from repro.ops import array_ops
 
             user_grads = out_grads[: fb.num_outputs]
             extra_grads = out_grads[fb.num_outputs :]

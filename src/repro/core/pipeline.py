@@ -37,7 +37,10 @@ artifacts only where a backend demands them).
 **One artifact cache** (:func:`artifact_cache`) holds the planned graph
 function of every lazy segment (by ``segment_key``, relaxed) and trace
 (by ``trace_key`` plus the context the stages read), so a fresh trace
-equal to a compiled one skips optimize → fuse → plan.
+equal to a compiled one skips optimize → fuse → plan.  Its third tenant
+is the eager tape's backward (:class:`TapeBackward`, keyed by
+:class:`~repro.graph.structural.TapeStructure`): a tape structure seen
+once is walked, seen twice is staged.
 """
 
 from __future__ import annotations
@@ -51,7 +54,14 @@ from repro.graph.structural import trace_key
 from repro.runtime.context import context
 from repro.tensor import TensorSpec
 
-__all__ = ["CompilationPipeline", "TraceCache", "artifact_cache", "refine_shapes"]
+__all__ = [
+    "CompilationPipeline",
+    "TapeBackward",
+    "TraceCache",
+    "artifact_cache",
+    "refine_shapes",
+    "tape_backward",
+]
 
 
 class TraceCache:
@@ -148,11 +158,14 @@ class TraceCache:
                 return None, slot, None
             return None, (pattern, None), shapes
 
-    def insert(self, slot, artifact, relaxed: Optional[tuple] = None):
+    def insert(self, slot, artifact, relaxed: Optional[tuple] = None, yields: bool = False):
         """Store an artifact in ``slot``, evict past the bound; returns the slot's artifact.
 
         ``relaxed`` is the third value ``lookup`` returned for the slot.  An
         equal artifact another thread stored first stays and is returned.
+        A ``yields`` artifact evicts the least recently used one of its own
+        type when the cache holds another, so a stream of them cannot
+        flush the other tenants' artifacts.
         """
         with self._lock:
             pattern, exact = slot
@@ -167,7 +180,15 @@ class TraceCache:
                 self._stats["relaxations"] += 1
             self._entries[slot] = artifact
             while len(self._entries) > context.trace_cache_size:
-                (pattern, exact), evicted = self._entries.popitem(last=False)
+                victim = next(iter(self._entries))
+                if yields:
+                    kind = type(artifact)
+                    victim = next(
+                        (s for s, a in self._entries.items() if type(a) is kind and s != slot),
+                        victim,
+                    )
+                pattern, exact = victim
+                evicted = self._entries.pop(victim)
                 if exact is None:
                     del self._relaxed[pattern]
                 self._release(evicted)
@@ -190,13 +211,68 @@ class TraceCache:
             return dict(self._stats, size=len(self._entries))
 
 
-# Lazy segments and traces: a trace's pattern starts "trace", never a segment's.
+# Lazy segments, traces and tape backwards: a trace's pattern starts
+# "trace", a tape's "tape", never a segment's.
 _artifacts = TraceCache(lambda fn: fn.release_plan())
 
 
 def artifact_cache() -> TraceCache:
-    """The process-wide artifact cache (lazy segments and traced functions)."""
+    """The process-wide artifact cache (lazy segments, traced functions, tape backwards)."""
     return _artifacts
+
+
+class TapeBackward:
+    """The artifact of one eager tape structure: walked once, then a planned backward.
+
+    Stored unbuilt on the structure's first sighting, whose gradient
+    walks.  The second sighting sets ``built`` to ``(runner, inputs,
+    feeds, mask)``: the compacted plan of the backward graph function,
+    its input placeholders, the positions of the tape values fed to
+    them, and which sources its outputs are the gradients of.
+    ``failed``: the build or a run raised, so the structure walks.
+    ``key``: the structure's key, stored by the second sighting.
+    """
+
+    __slots__ = ("built", "failed", "key")
+
+    def __init__(self) -> None:
+        self.built: Optional[tuple] = None
+        self.failed = False
+        self.key: Optional[tuple] = None
+
+    def run(self, values: Sequence) -> Optional[list]:
+        """One gradient (or None) per source, from the tape ``values``;
+        None if the entry holds no plan (evicted meanwhile)."""
+        built = self.built
+        if built is None:
+            return None
+        runner, inputs, feeds, mask = built
+        produced = iter(runner.run([(ph, values[p]) for ph, p in zip(inputs, feeds)]))
+        return [next(produced) if has else None for has in mask]
+
+    def release_plan(self) -> None:
+        self.built = None
+
+
+def tape_backward(key: tuple) -> Optional[TapeBackward]:
+    """The entry for tape structure ``key``; None to walk without one.
+
+    Entries are slotted by ``hash(key)``.  The first sighting stores an
+    unbuilt entry that holds nothing else, so a structure seen once
+    costs a few hundred bytes, not its key.  The second sighting stores
+    the key in the entry, and every later one must equal it (a hash
+    collision walks, as a first sighting).  A full cache evicts another
+    tape's entry for a new one, when it holds one: tapes whose structure
+    never repeats then leave the traced and lazy artifacts alone.
+    """
+    entry, slot, _ = _artifacts.lookup(("tape", hash(key)), ())
+    if entry is None:
+        _artifacts.insert(slot, TapeBackward(), yields=True)
+    elif entry.key is None:
+        entry.key = key
+    elif entry.key != key:
+        return None
+    return entry
 
 
 def refine_shapes(fn) -> int:

@@ -16,7 +16,6 @@ Graphs containing ``py_func`` are rejected, matching §4.7.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from repro.framework.errors import InvalidArgumentError
 from repro.core.function import ConcreteFunction, Function
 from repro.core.variables import Variable
 from repro.graph.serialization import function_from_def, function_to_def
-from repro.tensor import Tensor, convert_to_tensor
+from repro.tensor import convert_to_tensor
 
 __all__ = ["save", "load", "LoadedFunction"]
 

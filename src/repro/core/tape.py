@@ -10,6 +10,14 @@ Recording is mode-agnostic: entries hold whatever tensors the executor
 produced — concrete ones under imperative execution, symbolic ones
 inside a trace — so the gradient computation (itself a composition of
 primitive ops) can run eagerly or be staged.
+
+An eager ``gradient`` keys the tape's records by structure, in one pass
+over them (:class:`~repro.graph.structural.TapeStructure`).  It walks a
+structure the first time it sees it; the second time it stages the
+walk into a planned graph function held in the artifact cache
+(:func:`repro.core.pipeline.tape_backward`), which every later sighting
+runs with the tape's saved tensors as feeds.  Each call's branch is
+counted in :mod:`repro.runtime.decisions` under site ``"tape"``.
 """
 
 from __future__ import annotations
@@ -20,13 +28,15 @@ from typing import Callable, Optional, Sequence
 from repro.framework import nest
 from repro.framework.errors import FailedPreconditionError, InvalidArgumentError
 from repro.framework import dtypes
-from repro.runtime import records
+from repro.graph.structural import TapeStructure, Unhashable
+from repro.runtime import decisions, dispatch, records
+from repro.runtime.context import context
 from repro.tensor import Tensor, TensorBase
 
 __all__ = ["GradientTape", "OpRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One recorded operation: what ran, on what, producing what."""
 
@@ -194,6 +204,7 @@ class GradientTape:
         self._used = True
         from repro.core import backprop
 
+        backprop.check_unconnected(unconnected_gradients)
         target_flat = [t for t in nest.flatten(target)]
         if output_gradients is None:
             out_grads_flat = [None] * len(target_flat)
@@ -208,22 +219,107 @@ class GradientTape:
         # mode: the forward ops this tape recorded may still be pending
         # in an unflushed lazy trace, and a deferred forward error must
         # surface here rather than mid-backward-sweep.
-        from repro.runtime.context import context as _runtime_context
-
-        if _runtime_context.executor_mode != "sync" and _runtime_context.executing_eagerly():
-            _runtime_context.sync()
+        if context.executor_mode != "sync" and context.executing_eagerly():
+            context.sync()
         with self.stop_recording():
-            result_flat = backprop.imperative_grad(
-                self._records,
-                target_flat,
-                source_flat,
-                out_grads_flat,
-                unconnected_gradients=unconnected_gradients,
+            entry, keyed = self._lookup(
+                target_flat, source_flat, out_grads_flat, unconnected_gradients
             )
+            result_flat = plan_raised = None
+            if entry is not None and entry.built is not None:
+                try:
+                    result_flat = entry.run(keyed[2])
+                except Exception:  # noqa: BLE001 - the walk tells the plan's fault from the data's
+                    plan_raised = True
+            if result_flat is not None:
+                decisions.count("tape", "hit")
+                result_flat = backprop.fill_unconnected(
+                    result_flat, source_flat, unconnected_gradients
+                )
+            else:
+                result_flat = backprop.imperative_grad(
+                    self._records,
+                    target_flat,
+                    source_flat,
+                    out_grads_flat,
+                    unconnected_gradients=unconnected_gradients,
+                )
+                if plan_raised:  # the walk did not: the plan is at fault
+                    entry.failed = True
+                    decisions.count("tape", "build_error")
+            build = None
+            if entry is not None and entry.built is None and not entry.failed:
+                build = (keyed[0].pattern(keyed[1]), keyed[3], out_grads_flat)
+            keyed = None
         if not self._persistent:
             self._records = []
             self._watched = set()
+        if build is not None:  # with the forward's tensors released
+            self._build(entry, *build)
         return nest.pack_sequence_as(sources, result_flat)
+
+    def _lookup(self, targets, sources, seeds, unconnected_gradients) -> tuple:
+        """``(entry, (structure, key, values, positions))`` of this tape's
+        staged backward, or ``(None, None)`` to walk without one; counts why."""
+        from repro.core import pipeline
+
+        keyed = None
+        if context.executor_mode != "sync":
+            cause = "lazy"
+        elif not context.executing_eagerly():
+            cause = "symbolic"
+        elif any(r is not self for r in records.active_recorders()):
+            cause = "outer_recorder"
+        elif dispatch.core.graph_interceptors:  # they see a walk's ops, not a plan's
+            cause = "intercepted"
+        elif not self._on_cpu(targets, sources, seeds):  # the plan runs as CPU code
+            cause = "off_cpu"
+        else:
+            structure = TapeStructure()
+            cause = structure.pack(self._records)
+            if cause is None:
+                try:
+                    keyed = structure.key(
+                        targets, [(_tensor_id(s), s) for s in sources], seeds
+                    )
+                except Unhashable:
+                    cause = "unhashable_attr"
+                else:
+                    cause = "symbolic"
+        if keyed is None:
+            decisions.count("tape", cause)
+            return None, None
+        entry = pipeline.tape_backward(keyed[0] + (unconnected_gradients, context.graph_fusion))
+        if entry is None or entry.failed:
+            decisions.count("tape", "first_sighting" if entry is None else "build_error")
+            return None, None
+        return entry, (structure, *keyed)
+
+    @staticmethod
+    def _on_cpu(targets, sources, seeds) -> bool:
+        """Whether the walk would run on the CPU: no device scope names
+        another device, and the tensors a gradient call passes live
+        there (the records' values are checked as they are packed)."""
+        cpu = context.cpu_device()
+        scope = context.current_device_name()
+        if scope is not None and context.get_device(scope) is not cpu:
+            return False
+        return all(v._device is cpu for v in (*targets, *sources, *seeds) if isinstance(v, Tensor))
+
+    @staticmethod
+    def _build(entry, pattern, positions, seeds) -> None:
+        """Stage a structure's backward into ``entry``.  Runs after the
+        walk, and after a released tape's tensors are freed, so the
+        build reuses their memory."""
+        from repro.core import backprop
+
+        try:
+            entry.built = backprop.build_tape_backward(pattern, positions, seeds)
+        except Exception:  # noqa: BLE001 - this structure keeps walking
+            entry.failed = True
+            decisions.count("tape", "build_error")
+        else:
+            decisions.count("tape", "built")
 
     def jacobian(self, target, source):
         """Dense Jacobian of a vector ``target`` w.r.t. ``source``.

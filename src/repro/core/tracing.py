@@ -22,10 +22,9 @@ import numpy as np
 
 from repro.framework import dtypes, nest
 from repro.framework.errors import FailedPreconditionError, InvalidArgumentError
-from repro.framework.tensor_shape import TensorShape
 from repro.runtime.context import context
-from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
-from repro.graph.function import GraphFunction, placeholder
+from repro.tensor import Tensor, TensorBase, TensorSpec
+from repro.graph.function import placeholder
 from repro.graph.graph import Graph, SymbolicTensor
 
 __all__ = [

@@ -16,7 +16,7 @@ writes are ordinary ops (stageable, capturable by reference — Listing
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
 from repro.runtime.context import context
-from repro.tensor import Tensor, TensorBase, convert_to_tensor
+from repro.tensor import Tensor, convert_to_tensor
 
 __all__ = ["Variable", "variable_creation_observer"]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional, Sequence
 
-import numpy as np
 
 from repro.framework import nest
 from repro.framework.errors import (
@@ -24,7 +23,7 @@ from repro.framework.errors import (
 )
 from repro.runtime.context import context, device as device_scope
 from repro.ops import array_ops, math_ops
-from repro.tensor import Tensor, TensorBase, convert_to_tensor
+from repro.tensor import Tensor, convert_to_tensor
 
 __all__ = ["DataParallelStrategy", "PerReplica"]
 

@@ -10,7 +10,7 @@ compatibility, merging, broadcasting, and concatenation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.framework.errors import InvalidArgumentError
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.framework import dtypes
-from repro.framework.errors import InvalidArgumentError
+from repro.framework.errors import FailedPreconditionError, InvalidArgumentError
 from repro.ops import registry
 from repro.runtime import dispatch
 from repro.runtime.context import context
@@ -125,7 +125,6 @@ class GraphRunner:
                 continue
             live.add(id(node))
             stack.extend(t.node for t in node.inputs)
-            stack.extend(node.control_inputs)
         self.schedule: list[Node] = [n for n in self.graph.nodes if id(n) in live]
 
         # Consumer counts (a fetch counts as one) for buffer freeing.
@@ -345,8 +344,27 @@ class GraphRunner:
     def _program(self, dispatch_all: bool) -> tuple:
         program = self._programs.get(dispatch_all)
         if program is None:
+            if self.graph is None:
+                raise FailedPreconditionError(
+                    "this plan was compacted to its CPU program: it cannot run "
+                    "with a \"graph\" interceptor registered or a feed off the CPU"
+                )
             program = self._programs[dispatch_all] = self._print(dispatch_all)
         return program
+
+    def compact(self) -> None:
+        """Print the CPU program now and release what printing needed.
+
+        For a plan that is only ever run from the CPU (the eager tape's
+        staged backward): the graph and the plan entries go, and
+        ``plan`` becomes each step's op name.  A later run that needs
+        the dispatch program raises ``FailedPreconditionError``.
+        """
+        for _, _, node in self._program(False)[2]:
+            node.graph = None  # a placeholder, kept to take its feed
+        self.plan = tuple(entry[0].op_name for entry in self.plan)
+        self.graph = self.fetches = self.schedule = self.consumers = None
+        self.placeholders = self.const_store = None
 
     # -- execution -------------------------------------------------------
     # `parallel` stays only because benchmarks/perf/spans.py forwards it positionally.

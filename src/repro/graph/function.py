@@ -20,7 +20,7 @@ from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
 from repro.ops.registry import register_gradient, register_op
 from repro.tensor import Tensor, TensorSpec
-from repro.graph.graph import Graph, Node, SymbolicTensor
+from repro.graph.graph import Graph, SymbolicTensor
 
 __all__ = ["GraphFunction", "placeholder"]
 

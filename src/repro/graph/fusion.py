@@ -221,7 +221,7 @@ def _fusable(node: Node) -> bool:
     op_def = node.op_def
     if registry.ELEMENTWISE not in op_def.traits:
         return False
-    if node.device is not None or node.control_inputs:
+    if node.device is not None:
         return False
     if len(node.outputs) != 1:
         return False
@@ -232,52 +232,41 @@ def _fusable(node: Node) -> bool:
     return registry.has_kernel(node.op_name, "CPU")
 
 
-def _producer_positions(
-    nodes: list[Node], pos_of: dict[int, int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per node: list positions of its data-input and control-input producers.
+def _producer_positions(nodes: list[Node], pos_of: dict[int, int]) -> list[list[int]]:
+    """Per node: list positions of its input producers.
 
-    Data producers keep input order (and duplicates); producers outside
-    the node list are dropped.  Every later stage of the pass walks
-    these instead of re-resolving ``id(t.node)`` per edge.
+    Producers keep input order (and duplicates); producers outside the
+    node list are dropped.  Every later stage of the pass walks these
+    instead of re-resolving ``id(t.node)`` per edge.
     """
     get = pos_of.get
     data: list[list[int]] = []
-    control: list[list[int]] = []
     for node in nodes:
         row = [get(id(t.node)) for t in node.inputs]
         if None in row:
             row = [p for p in row if p is not None]
         data.append(row)
-        crow = [get(id(c)) for c in node.control_inputs]
-        if None in crow:
-            crow = [p for p in crow if p is not None]
-        control.append(crow)
-    return data, control
+    return data
 
 
-def _ancestor_masks(producers: list[list[int]], control: list[list[int]]) -> list[int]:
+def _ancestor_masks(producers: list[list[int]]) -> list[int]:
     """Per-node ancestor sets as bitmasks over node-list positions."""
     masks = [0] * len(producers)
     for i, row in enumerate(producers):
         a = 0
         for p in row:
             a |= masks[p] | (1 << p)
-        for p in control[i]:
-            a |= masks[p] | (1 << p)
         masks[i] = a
     return masks
 
 
-def _cluster(
-    nodes: list[Node], producers: list[list[int]], control: list[list[int]]
-) -> tuple[dict, list]:
+def _cluster(nodes: list[Node], producers: list[list[int]]) -> tuple[dict, list]:
     """Greedy downward clustering with the exact acyclicity check.
 
     Returns ``(cluster_of, members)``: position -> cluster id, and the
     member-position lists (ascending, i.e. topological).
     """
-    ancestors = _ancestor_masks(producers, control)
+    ancestors = _ancestor_masks(producers)
     cluster_of: dict[int, int] = {}
     members: list[list[int]] = []
     masks: list[int] = []
@@ -366,11 +355,7 @@ def _cluster(
     return cluster_of, members
 
 
-def _contracted_is_acyclic(
-    producers: list[list[int]],
-    control: list[list[int]],
-    kept_cluster_of: dict[int, int],
-) -> bool:
+def _contracted_is_acyclic(producers: list[list[int]], kept_cluster_of: dict[int, int]) -> bool:
     """Kahn sweep over the cluster-contracted graph (safety net).
 
     Vertex ``n + cid`` stands for kept cluster ``cid``, vertex ``p`` for
@@ -384,12 +369,11 @@ def _contracted_is_acyclic(
     succs: dict[int, list[int]] = {v: [] for v in vertex}
     indeg = dict.fromkeys(succs, 0)
     for i, kv in enumerate(vertex):
-        for row in (producers[i], control[i]):
-            for p in row:
-                ku = vertex[p]
-                if ku != kv:
-                    succs[ku].append(kv)
-                    indeg[kv] += 1
+        for p in producers[i]:
+            ku = vertex[p]
+            if ku != kv:
+                succs[ku].append(kv)
+                indeg[kv] += 1
     queue = deque(v for v, d in indeg.items() if d == 0)
     seen = 0
     while queue:
@@ -545,16 +529,16 @@ def fuse_function(fn) -> int:
     if before < MIN_REGION_SIZE:
         return 0
     pos_of = {id(node): i for i, node in enumerate(nodes)}
-    producers, control = _producer_positions(nodes, pos_of)
+    producers = _producer_positions(nodes, pos_of)
 
-    cluster_of, members = _cluster(nodes, producers, control)
+    cluster_of, members = _cluster(nodes, producers)
     kept = [cid for cid, ms in enumerate(members) if len(ms) >= MIN_REGION_SIZE]
     if not kept:
         fn._fusion_stats = _fusion_stats(before, before, [])
         return 0
     kept_set = set(kept)
     kept_cluster_of = {p: cid for p, cid in cluster_of.items() if cid in kept_set}
-    if not _contracted_is_acyclic(producers, control, kept_cluster_of):
+    if not _contracted_is_acyclic(producers, kept_cluster_of):
         # Should be unreachable given the merge-time check; abandon
         # fusion for this graph rather than risk an unschedulable plan.
         return 0

@@ -145,7 +145,6 @@ class Node:
         "attrs",
         "device",
         "outputs",
-        "control_inputs",
     )
 
     def __init__(
@@ -167,8 +166,7 @@ class Node:
         self.inputs = list(inputs)
         self.attrs = dict(attrs)
         self.device = device
-        self.control_inputs: list["Node"] = []
-        self.outputs = [SymbolicTensor(self, i, spec) for i, spec in enumerate(output_specs)]
+        self.outputs = tuple([SymbolicTensor(self, i, spec) for i, spec in enumerate(output_specs)])
 
     def __repr__(self) -> str:
         ins = ", ".join(t.name for t in self.inputs)
@@ -342,7 +340,6 @@ class Graph:
                 continue
             live_nodes.add(id(node))
             stack.extend(t.node for t in node.inputs)
-            stack.extend(node.control_inputs)
         before = len(self.nodes)
         self.nodes = [n for n in self.nodes if id(n) in live_nodes]
         return before - len(self.nodes)

@@ -229,6 +229,7 @@ def cse(fn) -> int:
     still merge — they share the tag).
     """
     graph: Graph = fn.graph
+    # Nodes by (op, inputs, device); attrs are keyed only on a match.
     seen: dict = {}
     replaced = _Replacements()
     merged = 0
@@ -238,18 +239,23 @@ def cse(fn) -> int:
         op_def = node.op_def
         if op_def.is_stateful or op_def.has_side_effects or node.op_name == "Placeholder":
             continue
+        sig = (node.op_name, node.device, *map(id, node.inputs))
+        candidates = seen.get(sig)
+        if candidates is None:
+            seen[sig] = node
+            continue
         try:
-            sig = (
-                node.op_name,
-                tuple(map(id, node.inputs)),
-                value_key(node.attrs),
-                node.device,
-            )
+            attrs = value_key(node.attrs)
         except Unhashable:
             continue
-        existing = seen.get(sig)
-        if existing is None:
-            seen[sig] = node
+        if type(candidates) is not dict:
+            try:
+                candidates = seen[sig] = {value_key(candidates.attrs): candidates}
+            except Unhashable:  # the first is unmergeable: later ones key by this one
+                seen[sig] = {attrs: node}
+                continue
+        existing = candidates.setdefault(attrs, node)
+        if existing is node:
             continue
         for old, new in zip(node.outputs, existing.outputs):
             replaced.add(old, new)
@@ -377,9 +383,6 @@ def _topological_sort(fn) -> None:
             for t in node.inputs:
                 if id(t.node) not in visited:
                     stack.append((t.node, False))
-            for c in node.control_inputs:
-                if id(c) not in visited:
-                    stack.append((c, False))
     fn.graph.nodes = order
 
 
@@ -388,9 +391,6 @@ def _is_topological(fn) -> bool:
     for node in fn.graph.nodes:
         for t in node.inputs:
             if id(t.node) not in seen:
-                return False
-        for c in node.control_inputs:
-            if id(c) not in seen:
                 return False
         seen.add(id(node))
     return True

@@ -21,7 +21,7 @@ from repro.framework import dtypes
 from repro.framework.errors import OutOfRangeError
 from repro.core.checkpoint import Trackable
 from repro.core.variables import Variable
-from repro.tensor import Tensor, convert_to_tensor
+from repro.tensor import convert_to_tensor
 
 __all__ = ["Dataset", "Iterator", "synthetic_image_classification"]
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-import numpy as np
 
-from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.core.checkpoint import Trackable
 from repro.core.variables import Variable

@@ -10,9 +10,8 @@ application staged with function").
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
 
 from repro.framework.errors import InvalidArgumentError
 from repro.core.checkpoint import Trackable, _DictWrapper

@@ -28,7 +28,6 @@ from repro.nn.layers import (
     Conv2D,
     Dense,
     GlobalAveragePooling2D,
-    Layer,
     MaxPool2D,
     Model,
 )

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-import repro
 from repro.framework.errors import InvalidArgumentError
 from repro.nn import initializers
 from repro.nn.layers import Layer, Model
-from repro.ops import array_ops, control_flow, list_ops, math_ops
+from repro.ops import array_ops, list_ops, math_ops
 
 __all__ = ["LSTMCell", "GRUCell", "RNN", "Embedding", "LayerNormalization"]
 

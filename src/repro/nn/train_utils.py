@@ -7,7 +7,7 @@ the same single-surface property the rest of the model library has.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -17,13 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.framework import dtypes, nest
-from repro.framework.errors import (
-    InvalidArgumentError,
-    UnimplementedError,
-)
+from repro.framework.errors import InvalidArgumentError
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.runtime.context import context
-from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
+from repro.tensor import Tensor, TensorSpec, convert_to_tensor
 
 __all__ = ["cond", "while_loop"]
 

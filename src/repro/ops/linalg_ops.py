@@ -14,14 +14,12 @@ results for forward and reverse mode algorithmic differentiation"):
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
-from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
-from repro.ops.common import simple_kernel, unary_infer
+from repro.ops.common import simple_kernel
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.runtime.executor import execute
 from repro.tensor import TensorSpec, convert_to_tensor

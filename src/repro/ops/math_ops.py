@@ -9,7 +9,7 @@ gradients all reuse one set of definitions (paper §4.2).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.ops.common import (
 )
 from repro.ops.registry import SHAPE_PURE, register_gradient, register_kernel, register_op
 from repro.runtime.executor import execute
-from repro.tensor import TensorBase, TensorSpec, convert_to_tensor
+from repro.tensor import TensorSpec, convert_to_tensor
 
 __all__ = [
     "add",

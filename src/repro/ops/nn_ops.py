@@ -10,11 +10,10 @@ paper's Figure 3 depends on).
 from __future__ import annotations
 
 import builtins
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
 from repro.ops.common import elementwise, simple_kernel, unary_infer
@@ -24,7 +23,7 @@ from repro.ops.registry import (
     register_kernel,
     register_op,
 )
-from repro.tensor import TensorBase, TensorSpec, convert_to_tensor
+from repro.tensor import TensorSpec, convert_to_tensor
 
 __all__ = [
     "relu",

@@ -12,7 +12,6 @@ global seed (:func:`repro.runtime.context.set_random_seed`).
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

@@ -23,7 +23,7 @@ Three registries implement that split:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.framework.errors import (

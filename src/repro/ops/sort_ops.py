@@ -7,7 +7,7 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
-from repro.ops.common import simple_kernel, unary_infer
+from repro.ops.common import unary_infer
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.runtime.executor import execute
 from repro.tensor import TensorSpec, convert_to_tensor
@@ -36,8 +36,6 @@ def _sort_kernel(inputs, attrs, device):
 @register_gradient("Sort")
 def _sort_grad(op, grad):
     """Route gradients back through the permutation that sorted x."""
-    from repro.ops import array_ops
-
     x = op.inputs[0]
     axis = op.attrs["axis"]
     order = argsort(x, axis=axis, direction=op.attrs["direction"])
@@ -80,8 +78,6 @@ def _take_along_axis_kernel(inputs, attrs, device):
 
 @register_gradient("TakeAlongAxis")
 def _take_along_axis_grad(op, grad):
-    from repro.ops import array_ops
-
     x, indices = op.inputs
     if not x.shape.is_fully_defined:
         raise InvalidArgumentError("TakeAlongAxis gradient needs static shapes")

@@ -14,9 +14,7 @@ The duck type required of a handle's payload is small: ``_storage``
 
 from __future__ import annotations
 
-import numpy as np
 
-from repro.framework import dtypes
 from repro.framework.tensor_shape import TensorShape
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.ops.common import contiguous

@@ -235,6 +235,7 @@ class LazyTrace:
             else:
                 artifact, slot, relaxed = _segment_cache.lookup(*key, relax=True)
                 cache_hit = artifact is not None
+                _stats["cache_hits" if cache_hit else "cache_misses"] += 1
                 if artifact is None:
                     if relaxed is None:
                         artifact = self._compile(recs, fetches, key[1])
@@ -309,14 +310,16 @@ _stats = {
     "dead_flushes": 0,
     "relaxed_segments": 0,
     "max_segment_peak_bytes": 0,
+    "cache_hits": 0,  # segment lookups only: traces and tapes share the cache
+    "cache_misses": 0,
 }
 
 
 def lazy_stats() -> dict:
-    """Recording/flush counters plus the (shared) artifact cache's stats."""
-    stats = dict(_stats)
-    for key, value in _segment_cache.stats().items():
-        stats[f"cache_{key}"] = value
+    """Recording/flush counters and segment-cache hits/misses, plus the
+    shared artifact cache's relaxations, evictions and size."""
+    stats = {f"cache_{key}": value for key, value in _segment_cache.stats().items()}
+    stats.update(_stats)
     return stats
 
 

@@ -23,7 +23,7 @@ context, which is what lets gradient computation itself be staged.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.runtime import dispatch
 

@@ -20,7 +20,7 @@ flush of the recorded segment away.
 from __future__ import annotations
 
 import numbers
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 

@@ -20,19 +20,18 @@ is immaterial for cost modelling and keeps the executor simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.framework import dtypes
 from repro.framework.errors import UnimplementedError
-from repro.framework.tensor_shape import TensorShape
 from repro.ops import registry
 from repro.tensor import TensorSpec
 from repro.graph.function import GraphFunction
 from repro.graph.fusion import FUSED_OP
-from repro.graph.graph import Node, SymbolicTensor
+from repro.graph.graph import Node
 
 __all__ = ["HloInstruction", "HloComputation", "lower"]
 

@@ -157,6 +157,22 @@ class TestCSE:
         fn = _fn(build)
         assert optimize.cse(fn) == 0
 
+    def test_an_unhashable_node_does_not_block_later_merges(self):
+        from repro.runtime.executor import execute
+
+        def build(x):
+            unhashable = execute("Exp", [x], {"tag": {1, 2}})
+            a = execute("Exp", [x], {"tag": (1, 2)})
+            b = execute("Exp", [x], {"tag": (1, 2)})
+            return unhashable + a + b
+
+        fn = _fn(build)
+        assert optimize.cse(fn) == 1
+        optimize.prune(fn)
+        assert len(fn.graph.ops_by_type("Exp")) == 2
+        (out,) = fn.run([repro.constant([0.0, 1.0])])
+        np.testing.assert_allclose(out.numpy(), 3 * np.exp([0.0, 1.0]), rtol=1e-6)
+
 
 class TestDedupReads:
     def test_merges_reads_without_writes(self):

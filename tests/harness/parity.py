@@ -10,8 +10,9 @@ all three modes and both its outputs and its tape gradients must agree
 to tight tolerances.  Three further columns re-run the staged mode
 under one configuration each — graph fusion forced off, one
 shape-relaxed trace, and ``jit_compile=True`` (the XLA-sim executor) —
-and one more re-runs sync and staged with every kernel swapped, through
-the registry, for a counting wrapper.
+one more re-runs sync and staged with every kernel swapped, through
+the registry, for a counting wrapper, and the last re-runs sync until
+the tape's backward is staged (:func:`assert_staged_backward_parity`).
 
 The corpus is deliberately small programs — elementwise chains, dense
 layers, softmax losses, convolutions, data-dependent control flow, an
@@ -38,6 +39,7 @@ __all__ = [
     "assert_compiled_parity",
     "assert_parity",
     "assert_relaxed_parity",
+    "assert_staged_backward_parity",
     "assert_tracked_parity",
     "assert_unfused_parity",
     "run_program",
@@ -266,6 +268,44 @@ def assert_relaxed_parity(program: Program, dtype: str) -> None:
     )
     assert stats["relaxations"] == 1, f"{program.name}: {stats}"
     _assert_matches_sync(program, dtype, "relaxed-trace", out, grads)
+
+
+def assert_staged_backward_parity(program: Program, dtype: str) -> None:
+    """Assert the sync gradient from the tape's staged backward equals the walk's.
+
+    An eager tape structure walks on its first sighting, walks and is
+    staged on its second, and runs the staged plan from the third on.
+    The artifact cache is cleared first, so the first run walks; the
+    third must be a hit, and its output and gradients must match the
+    first's.
+    """
+    from repro.core.pipeline import artifact_cache
+    from repro.runtime import decisions
+
+    artifact_cache().clear()
+    before = decisions.snapshot()
+    walked_out, walked_grads = run_program(program, "sync", dtype)
+    run_program(program, "sync", dtype)
+    staged_out, staged_grads = run_program(program, "sync", dtype)
+    taken = {
+        cause: n - before.get(("tape", cause), 0)
+        for (site, cause), n in decisions.snapshot().items()
+        if site == "tape"
+    }
+    assert {k: n for k, n in taken.items() if n} == {
+        "first_sighting": 1,
+        "built": 1,
+        "hit": 1,
+    }, f"{program.name}: {taken}"
+    tol = _TOLERANCES[dtype]
+    np.testing.assert_allclose(staged_out, walked_out, **tol)
+    assert len(staged_grads) == len(walked_grads)
+    for i, (g, ref) in enumerate(zip(staged_grads, walked_grads)):
+        assert (g is None) == (ref is None), f"{program.name}: gradient {i} connectivity"
+        if ref is not None:
+            np.testing.assert_allclose(
+                g, ref, **tol, err_msg=f"{program.name}: staged backward gradient {i}"
+            )
 
 
 # -- the corpus --------------------------------------------------------------

@@ -21,6 +21,7 @@ from tests.harness.parity import (
     assert_compiled_parity,
     assert_parity,
     assert_relaxed_parity,
+    assert_staged_backward_parity,
     assert_tracked_parity,
     assert_unfused_parity,
     run_program,
@@ -95,6 +96,16 @@ def test_compiled_execution_agrees(program, dtype):
     if dtype not in program.dtypes:
         pytest.skip(f"{program.name} not defined for {dtype}")
     assert_compiled_parity(program, dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("program", CORPUS, ids=_IDS)
+def test_staged_tape_backward_agrees(program, dtype):
+    """An eager tape seen three times runs its backward as the staged
+    plan, and its gradients match the walk's."""
+    if dtype not in program.dtypes:
+        pytest.skip(f"{program.name} not defined for {dtype}")
+    assert_staged_backward_parity(program, dtype)
 
 
 @pytest.mark.parametrize("kernels", ["tracked"])
