@@ -177,10 +177,19 @@ class ForwardAccumulator:
         outputs: Sequence,
         backward_function=None,
     ) -> None:
+        """Push tangents through the op if any input carries one (the
+        interest test and the record are one pass over the inputs)."""
         if self._paused:
             return
-        in_tangents = [self._tangents.get(id(t)) for t in inputs]
-        if not any(t is not None for t in in_tangents):
+        tangents = self._tangents
+        in_tangents = []
+        carried = False
+        for t in inputs:
+            tangent = tangents.get(id(t))
+            in_tangents.append(tangent)
+            if tangent is not None:
+                carried = True
+        if not carried:
             return
         if op_name == "ReadVariableOp":
             # Tangent of the read value is the tangent watched on the
@@ -192,7 +201,7 @@ class ForwardAccumulator:
             t
             for t in outputs
             if isinstance(t, TensorBase)
-            and (t.dtype.is_differentiable or t.dtype == dtypes.variant)
+            and (t.dtype.is_differentiable or t.dtype is dtypes.variant)
         ]
         if not diff_outputs:
             return

@@ -624,6 +624,16 @@ class Function:
         concrete, _ = self._maybe_trace(args, kwargs)
         return concrete
 
+    def lookup_concrete(self, *args, **kwargs) -> Optional[ConcreteFunction]:
+        """The concrete function a call with these arguments would run,
+        or None where the call would trace; traces nothing (the probe
+        counts in :meth:`cache_stats` as a lookup).  For a function
+        without an ``input_signature``."""
+        args, kwargs = self._canonicalize(args, kwargs)
+        key, _ = self._call_key(args, kwargs)
+        with self._lock:
+            return self._traces.lookup(*key)[0]
+
     def _concrete_from_specs(self, args, kwargs) -> ConcreteFunction:
         """Trace (or fetch) the concrete function for spec-typed arguments.
 

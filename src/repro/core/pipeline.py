@@ -51,6 +51,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from repro.graph.structural import trace_key
+from repro.runtime import dispatch, records
 from repro.runtime.context import context
 from repro.tensor import TensorSpec
 
@@ -59,6 +60,7 @@ __all__ = [
     "TapeBackward",
     "TraceCache",
     "artifact_cache",
+    "eager_cause",
     "refine_shapes",
     "tape_backward",
 ]
@@ -273,6 +275,35 @@ def tape_backward(key: tuple) -> Optional[TapeBackward]:
     elif entry.key != key:
         return None
     return entry
+
+
+def eager_cause(values: Sequence, recorder=None) -> Optional[str]:
+    """Why an eager block cannot run a staged artifact here, or None if it can.
+
+    The policy of every site that stages an eager block (a tape's
+    backward, an optimizer's update); each counts the cause under its
+    own site.  ``lazy`` or ``symbolic``: the block is recorded or
+    staged with its caller.  ``recorder``: an active recorder other
+    than ``recorder`` must see the block op by op.  ``intercepted``: a
+    graph-mode interceptor would see the artifact's ops, not the
+    block's.  ``off_cpu``: a device scope names another device, or one
+    of ``values`` lives off the CPU (an artifact runs as CPU code).
+    """
+    if context.executor_mode != "sync":
+        return "lazy"
+    if not context.executing_eagerly():
+        return "symbolic"
+    if any(r is not recorder for r in records.active_recorders()):
+        return "recorder"
+    if dispatch.core.graph_interceptors:
+        return "intercepted"
+    cpu = context.cpu_device()
+    scope = context.current_device_name()
+    if scope is not None and context.get_device(scope) is not cpu:
+        return "off_cpu"
+    if any(getattr(v, "_device", cpu) is not cpu for v in values):
+        return "off_cpu"
+    return None
 
 
 def refine_shapes(fn) -> int:

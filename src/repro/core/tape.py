@@ -29,11 +29,19 @@ from repro.framework import nest
 from repro.framework.errors import FailedPreconditionError, InvalidArgumentError
 from repro.framework import dtypes
 from repro.graph.structural import TapeStructure, Unhashable
-from repro.runtime import decisions, dispatch, records
+from repro.runtime import decisions, records
 from repro.runtime.context import context
 from repro.tensor import Tensor, TensorBase
 
 __all__ = ["GradientTape", "OpRecord"]
+
+_RESOURCE = dtypes.resource
+# Outputs a tape keeps: differentiable values, and the resource/variant
+# handles gradients flow through.
+_TAPED_DTYPES = frozenset(
+    [d for d in dtypes.DType._registry.values() if d.is_differentiable]
+    + [dtypes.resource, dtypes.variant]
+)
 
 
 @dataclass(slots=True)
@@ -102,7 +110,7 @@ class GradientTape:
             if (
                 self._watch_accessed_variables
                 and isinstance(t, TensorBase)
-                and t.dtype == dtypes.resource
+                and t.dtype is _RESOURCE
             ):
                 return True
         return False
@@ -115,35 +123,47 @@ class GradientTape:
         outputs: Sequence,
         backward_function: Optional[Callable] = None,
     ) -> None:
+        """Record the op if it reads a watched tensor (or, when watching
+        accessed variables, any resource handle): one pass over the
+        inputs, outputs kept by dtype identity, each sequence copied once."""
         if self._paused:
+            return
+        watched = self._watched
+        auto = self._watch_accessed_variables
+        for t in inputs:
+            if id(t) in watched or (
+                auto and isinstance(t, TensorBase) and t.dtype is _RESOURCE
+            ):
+                break
+        else:
             return
         if op_name == "ReadVariableOp":
             self._note_variable_read(inputs[0])
-        differentiable = [
-            t for t in outputs if isinstance(t, TensorBase) and t.dtype.is_differentiable
-        ]
-        handles = [
-            t
-            for t in outputs
-            if isinstance(t, TensorBase) and t.dtype in (dtypes.resource, dtypes.variant)
-        ]
-        if not differentiable and not handles:
-            return
-        self._records.append(
-            OpRecord(op_name, attrs, list(inputs), list(outputs), backward_function)
-        )
-        for t in differentiable:
-            self._watched.add(id(t))
-        for t in handles:
-            self._watched.add(id(t))
+        outputs = list(outputs)
+        kept = False
+        for t in outputs:
+            # Eager outputs are plain Tensors: read the slot, not the property.
+            if type(t) is Tensor:
+                dtype = t._dtype
+            else:
+                dtype = t.dtype if isinstance(t, TensorBase) else None
+            if dtype in _TAPED_DTYPES:
+                watched.add(id(t))
+                kept = True
+        if kept:
+            self._records.append(
+                OpRecord(op_name, attrs, list(inputs), outputs, backward_function)
+            )
 
     def _note_variable_read(self, handle) -> None:
-        self._watched.add(id(handle))
-        var = None
-        if isinstance(handle, Tensor) and handle.dtype == dtypes.resource:
+        key = id(handle)
+        self._watched.add(key)
+        if key in self._watched_variables:  # the tape holds the handle: no id reuse
+            return
+        if isinstance(handle, Tensor) and handle._dtype is _RESOURCE:
             var = handle.resource_value()
-        if var is not None:
-            self._watched_variables[id(handle)] = var
+            if var is not None:
+                self._watched_variables[key] = var
 
     # -- user API ------------------------------------------------------------
     def watch(self, value) -> None:
@@ -264,17 +284,10 @@ class GradientTape:
         from repro.core import pipeline
 
         keyed = None
-        if context.executor_mode != "sync":
-            cause = "lazy"
-        elif not context.executing_eagerly():
-            cause = "symbolic"
-        elif any(r is not self for r in records.active_recorders()):
-            cause = "outer_recorder"
-        elif dispatch.core.graph_interceptors:  # they see a walk's ops, not a plan's
-            cause = "intercepted"
-        elif not self._on_cpu(targets, sources, seeds):  # the plan runs as CPU code
-            cause = "off_cpu"
-        else:
+        cause = pipeline.eager_cause((*targets, *sources, *seeds), recorder=self)
+        if cause == "recorder":
+            cause = "outer_recorder"  # this tape's own recording does not count
+        elif cause is None:
             structure = TapeStructure()
             cause = structure.pack(self._records)
             if cause is None:
@@ -294,17 +307,6 @@ class GradientTape:
             decisions.count("tape", "first_sighting" if entry is None else "build_error")
             return None, None
         return entry, (structure, *keyed)
-
-    @staticmethod
-    def _on_cpu(targets, sources, seeds) -> bool:
-        """Whether the walk would run on the CPU: no device scope names
-        another device, and the tensors a gradient call passes live
-        there (the records' values are checked as they are packed)."""
-        cpu = context.cpu_device()
-        scope = context.current_device_name()
-        if scope is not None and context.get_device(scope) is not cpu:
-            return False
-        return all(v._device is cpu for v in (*targets, *sources, *seeds) if isinstance(v, Tensor))
 
     @staticmethod
     def _build(entry, pattern, positions, seeds) -> None:

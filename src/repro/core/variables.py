@@ -24,6 +24,7 @@ from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError
 from repro.framework.tensor_shape import TensorShape
 from repro.runtime.context import context
+from repro.runtime.executor import execute
 from repro.tensor import Tensor, convert_to_tensor
 
 __all__ = ["Variable", "variable_creation_observer"]
@@ -131,8 +132,6 @@ class Variable:
     # -- reads -------------------------------------------------------------
     def read_value(self):
         """The current value, via a (stageable, tape-visible) read op."""
-        from repro.runtime.executor import execute
-
         return execute(
             "ReadVariableOp",
             [self._handle],
@@ -149,8 +148,6 @@ class Variable:
 
     # -- writes --------------------------------------------------------------
     def _assign_op(self, op_name: str, value):
-        from repro.runtime.executor import execute
-
         value = convert_to_tensor(value, dtype=self._dtype)
         execute(op_name, [self._handle, value], {})
         graph = context.current_graph()

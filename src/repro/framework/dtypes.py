@@ -90,7 +90,7 @@ class DType:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DType):
-            return self._name == other._name
+            return self is other
         try:
             return self._np_dtype == np.dtype(other)  # type: ignore[arg-type]
         except TypeError:
@@ -102,8 +102,9 @@ class DType:
             return result
         return not result
 
-    def __hash__(self) -> int:
-        return hash(self._name)
+    # Interned, so identity is equality: hash by identity, in C.  Kernel
+    # caches and recorded-dtype sets look dtypes up once per eager op.
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         # DTypes are interned singletons compared by identity in hot

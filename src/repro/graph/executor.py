@@ -70,7 +70,8 @@ def _tensor(value, dtype, device) -> Tensor:
             value.flags.writeable = False
         return Tensor._from_buffer(value, dtype, device)
     arr = value if isinstance(value, np.ndarray) else np.asarray(value)
-    return Tensor._from_buffer(device.wrap_output(arr), dtypes.as_dtype(arr.dtype), device)
+    (arr,) = device.adopt([arr])
+    return Tensor._from_buffer(arr, dtypes.as_dtype(arr.dtype), device)
 
 
 def _tensors(result, device, out_dtypes) -> list[Tensor]:

@@ -80,7 +80,7 @@ def execute_binary(op_name: str, x, y, reverse: bool = False):
     else:
         x = convert_to_tensor(x)
         y = convert_operand(y, like=x)
-    if x.dtype != y.dtype and op_name not in ("Equal", "NotEqual"):
+    if x.dtype is not y.dtype and op_name not in ("Equal", "NotEqual"):
         raise InvalidArgumentError(
             f"Operation {op_name!r} received mismatched dtypes "
             f"{x.dtype} and {y.dtype}; cast explicitly with repro.cast()"

@@ -16,6 +16,7 @@ import numpy as np
 from repro.framework import dtypes
 from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
+from repro.ops import convert_operand  # defined before this module loads
 from repro.ops.common import (
     constant_or_none,
     contiguous,
@@ -32,6 +33,7 @@ from repro.ops.registry import (
     register_op,
 )
 from repro.runtime.context import context, device as device_scope
+from repro.runtime.executor import execute
 from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
 
 __all__ = [
@@ -136,8 +138,6 @@ def constant(value, dtype=None, shape=None) -> TensorBase:
         device_name = context.current_device_name()
         device = context.get_device(device_name) if device_name else None
         return Tensor(arr, device=device)
-    from repro.runtime.executor import execute
-
     arr = contiguous(arr)
     if arr.flags.writeable:
         arr = arr.copy()
@@ -153,8 +153,6 @@ elementwise_unary(
 
 def identity(x):
     """Return a tensor with the same contents (a copy across devices)."""
-    from repro.runtime.executor import execute
-
     return execute("Identity", [_convert(x)])
 
 
@@ -171,8 +169,6 @@ elementwise_unary(
 
 def stop_gradient(x):
     """Block gradient flow through ``x``."""
-    from repro.runtime.executor import execute
-
     return execute("StopGradient", [_convert(x)])
 
 
@@ -201,8 +197,6 @@ register_gradient("Shape")(lambda op, grad: [None])
 
 def shape(x):
     """The shape of ``x`` as an int32 vector tensor (dynamic shape)."""
-    from repro.runtime.executor import execute
-
     return execute("Shape", [_convert(x)])
 
 
@@ -223,8 +217,6 @@ register_gradient("Size")(lambda op, grad: [None])
 
 def size(x):
     """The number of elements of ``x`` as a scalar int32 tensor."""
-    from repro.runtime.executor import execute
-
     return execute("Size", [_convert(x)])
 
 
@@ -245,8 +237,6 @@ register_gradient("Rank")(lambda op, grad: [None])
 
 def rank(x):
     """The rank of ``x`` as a scalar int32 tensor."""
-    from repro.runtime.executor import execute
-
     return execute("Rank", [_convert(x)])
 
 
@@ -292,8 +282,6 @@ def _reshape_grad(op, grad):
 
 def reshape(x, new_shape):
     """Reshape ``x``; ``new_shape`` may be a static list or an int tensor."""
-    from repro.runtime.executor import execute
-
     return execute("Reshape", [_convert(x), _shape_vector(new_shape)])
 
 
@@ -328,8 +316,6 @@ def _transpose_grad(op, grad):
 
 def transpose(x, perm: Optional[Sequence[int]] = None):
     """Permute dimensions (reverses them when ``perm`` is None)."""
-    from repro.runtime.executor import execute
-
     attrs = {"perm": None if perm is None else tuple(int(p) for p in perm)}
     return execute("Transpose", [_convert(x)], attrs)
 
@@ -364,8 +350,6 @@ def _expand_dims_grad(op, grad):
 
 def expand_dims(x, axis: int):
     """Insert a length-1 dimension at ``axis``."""
-    from repro.runtime.executor import execute
-
     return execute("ExpandDims", [_convert(x)], {"axis": int(axis)})
 
 
@@ -405,8 +389,6 @@ def _squeeze_grad(op, grad):
 
 def squeeze(x, axis=None):
     """Remove length-1 dimensions (all, or the given axes)."""
-    from repro.runtime.executor import execute
-
     if axis is not None and not isinstance(axis, (tuple, list)):
         axis = (axis,)
     attrs = {"axis": None if axis is None else tuple(int(a) for a in axis)}
@@ -465,8 +447,6 @@ def _concat_grad(op, grad):
 
 def concat(values: Sequence, axis: int):
     """Concatenate tensors along ``axis``."""
-    from repro.runtime.executor import execute
-
     values = [_convert(v) for v in values]
     if len(values) == 1:
         return values[0]
@@ -522,8 +502,6 @@ def _split_grad(op, *grads):
 
 def split(x, num_or_size_splits: Union[int, Sequence[int]], axis: int = 0):
     """Split ``x`` into pieces along ``axis``; returns a tuple of tensors."""
-    from repro.runtime.executor import execute
-
     x = _convert(x)
     dim = x.shape[axis]
     if isinstance(num_or_size_splits, int):
@@ -575,8 +553,6 @@ def _pack_grad(op, grad):
 
 def stack(values: Sequence, axis: int = 0):
     """Stack tensors along a new axis."""
-    from repro.runtime.executor import execute
-
     values = [_convert(v) for v in values]
     return execute("Pack", values, {"axis": int(axis)})
 
@@ -614,8 +590,6 @@ def _unpack_grad(op, *grads):
 
 def unstack(x, num: Optional[int] = None, axis: int = 0):
     """Unpack ``x`` along ``axis`` into a tuple of tensors."""
-    from repro.runtime.executor import execute
-
     x = _convert(x)
     if num is None:
         num = x.shape[axis]
@@ -651,8 +625,6 @@ def _gather_kernel(inputs, attrs, device):
 
 @register_gradient("Gather")
 def _gather_grad(op, grad):
-    from repro.runtime.executor import execute
-
     params, indices = op.inputs
     if params.shape.is_fully_defined:
         shape_t = _shape_vector(params.shape.as_list())
@@ -700,8 +672,6 @@ def _gather_grad_grad(op, grad):
     # Scatter-add is linear; its derivative reads the scattered slots
     # back out — the matching Gather.  Needed for second-order gradients
     # through embedding-style lookups.
-    from repro.runtime.executor import execute
-
     indices = op.inputs[1]
     g = execute("Gather", [grad, indices], {"axis": op.attrs.get("axis", 0)})
     return [g, None, None]
@@ -709,8 +679,6 @@ def _gather_grad_grad(op, grad):
 
 def gather(params, indices, axis: int = 0):
     """Gather slices of ``params`` at ``indices`` along ``axis``."""
-    from repro.runtime.executor import execute
-
     return execute(
         "Gather",
         [_convert(params), _convert(indices)],
@@ -751,15 +719,11 @@ def _pad_grad(op, grad):
     key = tuple(
         ("slice", lo, None if hi == 0 else -hi, 1) for lo, hi in paddings
     )
-    from repro.runtime.executor import execute
-
     return [execute("StridedSlice", [grad], {"key": key})]
 
 
 def pad(x, paddings, constant_value=0):
     """Zero-pad (or constant-pad) a tensor; ``paddings`` is [[lo, hi], ...]."""
-    from repro.runtime.executor import execute
-
     norm = tuple((int(lo), int(hi)) for lo, hi in paddings)
     return execute(
         "Pad", [_convert(x)], {"paddings": norm, "value": constant_value}
@@ -805,8 +769,6 @@ def _tile_grad(op, grad):
 
 def tile(x, multiples: Sequence[int]):
     """Repeat ``x`` ``multiples[i]`` times along each axis."""
-    from repro.runtime.executor import execute
-
     return execute(
         "Tile", [_convert(x)], {"multiples": tuple(int(m) for m in multiples)}
     )
@@ -838,8 +800,6 @@ register_gradient("Fill")(lambda op, grad: [None])
 
 def fill(dims, value, dtype=None):
     """A tensor of shape ``dims`` filled with a scalar ``value``."""
-    from repro.runtime.executor import execute
-
     if dtype is None:
         dtype = Tensor(value).dtype
     return execute(
@@ -880,8 +840,6 @@ elementwise_unary("ZerosLike", np.zeros_like, lambda op, grad: [None])
 
 def zeros_like(x):
     """A tensor of zeros with the shape and dtype of ``x``."""
-    from repro.runtime.executor import execute
-
     return execute("ZerosLike", [_convert(x)])
 
 
@@ -890,8 +848,6 @@ elementwise_unary("OnesLike", np.ones_like, lambda op, grad: [None])
 
 def ones_like(x):
     """A tensor of ones with the shape and dtype of ``x``."""
-    from repro.runtime.executor import execute
-
     return execute("OnesLike", [_convert(x)])
 
 
@@ -917,8 +873,6 @@ register_gradient("Diag")(lambda op, grad: [diag_part(grad)])
 
 def diag(x):
     """A square matrix with ``x`` on its diagonal (paper Listing 8)."""
-    from repro.runtime.executor import execute
-
     return execute("Diag", [_convert(x)])
 
 
@@ -937,8 +891,6 @@ register_gradient("DiagPart")(lambda op, grad: [diag(grad)])
 
 def diag_part(x):
     """The diagonal of a square matrix."""
-    from repro.runtime.executor import execute
-
     return execute("DiagPart", [_convert(x)])
 
 
@@ -962,8 +914,6 @@ def _range_kernel(inputs, attrs, device):
 
 def range(start, limit=None, delta=1, dtype=None):  # noqa: A001 - mirrors tf.range
     """Evenly spaced values (``tf.range`` semantics)."""
-    from repro.runtime.executor import execute
-
     if limit is None:
         start, limit = 0, start
     if dtype is None:
@@ -1004,8 +954,6 @@ def _broadcast_to_kernel(inputs, attrs, device):
 
 @register_gradient("BroadcastTo")
 def _broadcast_to_grad(op, grad):
-    from repro.runtime.executor import execute
-
     x = op.inputs[0]
     if x.shape.is_fully_defined:
         shape_t = _shape_vector(x.shape.as_list())
@@ -1016,8 +964,6 @@ def _broadcast_to_grad(op, grad):
 
 def broadcast_to(x, new_shape):
     """Broadcast ``x`` to a larger shape."""
-    from repro.runtime.executor import execute
-
     return execute("BroadcastTo", [_convert(x), _shape_vector(new_shape)])
 
 
@@ -1052,8 +998,6 @@ register_gradient("OneHot")(lambda op, grad: [None])
 
 def one_hot(indices, depth: int, on_value=1, off_value=0, dtype=dtypes.float32):
     """One-hot encode integer ``indices`` into ``depth`` classes."""
-    from repro.runtime.executor import execute
-
     return execute(
         "OneHot",
         [_convert(indices)],
@@ -1094,15 +1038,11 @@ elementwise("Select", simple_kernel(np.where), _select_infer, _select_grad)
 
 def where(condition, x=None, y=None):
     """Elementwise select: ``x`` where condition holds, else ``y``."""
-    from repro.runtime.executor import execute
-
     if x is None or y is None:
         raise UnimplementedError(
             "where() requires x and y; index-returning where is not implemented"
         )
     condition = _convert(condition)
-    from repro.ops import convert_operand
-
     if isinstance(x, TensorBase):
         y = convert_operand(y, like=x)
     elif isinstance(y, TensorBase):
@@ -1191,8 +1131,6 @@ def _strided_slice_kernel(inputs, attrs, device):
 
 @register_gradient("StridedSlice")
 def _strided_slice_grad(op, grad):
-    from repro.runtime.executor import execute
-
     x = op.inputs[0]
     if x.shape.is_fully_defined:
         shape_t = _shape_vector(x.shape.as_list())
@@ -1231,8 +1169,6 @@ def _strided_slice_grad_grad(op, grad):
     # The scatter is linear: its derivative is reading the same slice
     # back out.  Needed for higher-order gradients through indexing
     # (e.g. hvp of a scan that iterates tensor rows).
-    from repro.runtime.executor import execute
-
     return [execute("StridedSlice", [grad], {"key": op.attrs["key"]}), None]
 
 
@@ -1241,8 +1177,6 @@ def slice_helper(x, key):
 
     Scalar integer tensors as indices fall back to ``gather``.
     """
-    from repro.runtime.executor import execute
-
     x = _convert(x)
     if not isinstance(key, tuple):
         key = (key,)

@@ -31,6 +31,7 @@ from repro.ops.common import (
     unary_infer,
 )
 from repro.ops.registry import SHAPE_PURE, register_gradient, register_kernel, register_op
+from repro.ops import convert_operand, execute_binary  # defined before this module loads
 from repro.runtime.executor import execute
 from repro.tensor import TensorSpec, convert_to_tensor
 
@@ -92,12 +93,6 @@ __all__ = [
 
 def _convert(x, dtype=None):
     return convert_to_tensor(x, dtype=dtype)
-
-
-def _binary(op_name: str, x, y):
-    from repro.ops import execute_binary
-
-    return execute_binary(op_name, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -671,27 +666,27 @@ def _cumsum_grad(op, grad):
 
 def add(x, y):
     """Elementwise ``x + y`` with NumPy broadcasting."""
-    return _binary("Add", x, y)
+    return execute_binary("Add", x, y)
 
 
 def subtract(x, y):
     """Elementwise ``x - y`` with NumPy broadcasting."""
-    return _binary("Sub", x, y)
+    return execute_binary("Sub", x, y)
 
 
 def multiply(x, y):
     """Elementwise ``x * y`` with NumPy broadcasting."""
-    return _binary("Mul", x, y)
+    return execute_binary("Mul", x, y)
 
 
 def divide(x, y):
     """Elementwise true division."""
-    return _binary("RealDiv", x, y)
+    return execute_binary("RealDiv", x, y)
 
 
 def pow(x, y):  # noqa: A001 - mirrors tf.pow
     """Elementwise power."""
-    return _binary("Pow", x, y)
+    return execute_binary("Pow", x, y)
 
 
 def negative(x):
@@ -741,7 +736,7 @@ def square(x):
 
 def squared_difference(x, y):
     """Elementwise ``(x - y)**2``."""
-    return _binary("SquaredDifference", x, y)
+    return execute_binary("SquaredDifference", x, y)
 
 
 def sign(x):
@@ -791,52 +786,52 @@ def erf(x):
 
 def maximum(x, y):
     """Elementwise maximum."""
-    return _binary("Maximum", x, y)
+    return execute_binary("Maximum", x, y)
 
 
 def minimum(x, y):
     """Elementwise minimum."""
-    return _binary("Minimum", x, y)
+    return execute_binary("Minimum", x, y)
 
 
 def equal(x, y):
     """Elementwise equality, returning a bool tensor."""
-    return _binary("Equal", x, y)
+    return execute_binary("Equal", x, y)
 
 
 def not_equal(x, y):
     """Elementwise inequality, returning a bool tensor."""
-    return _binary("NotEqual", x, y)
+    return execute_binary("NotEqual", x, y)
 
 
 def less(x, y):
     """Elementwise ``x < y``."""
-    return _binary("Less", x, y)
+    return execute_binary("Less", x, y)
 
 
 def less_equal(x, y):
     """Elementwise ``x <= y``."""
-    return _binary("LessEqual", x, y)
+    return execute_binary("LessEqual", x, y)
 
 
 def greater(x, y):
     """Elementwise ``x > y``."""
-    return _binary("Greater", x, y)
+    return execute_binary("Greater", x, y)
 
 
 def greater_equal(x, y):
     """Elementwise ``x >= y``."""
-    return _binary("GreaterEqual", x, y)
+    return execute_binary("GreaterEqual", x, y)
 
 
 def logical_and(x, y):
     """Elementwise boolean AND."""
-    return _binary("LogicalAnd", x, y)
+    return execute_binary("LogicalAnd", x, y)
 
 
 def logical_or(x, y):
     """Elementwise boolean OR."""
-    return _binary("LogicalOr", x, y)
+    return execute_binary("LogicalOr", x, y)
 
 
 def logical_not(x):
@@ -856,7 +851,6 @@ def cast(x, dtype):
 def clip_by_value(x, clip_value_min, clip_value_max):
     """Clamp values into ``[clip_value_min, clip_value_max]``."""
     x = _convert(x)
-    from repro.ops import convert_operand
 
     lo = convert_operand(clip_value_min, like=x)
     hi = convert_operand(clip_value_max, like=x)

@@ -16,13 +16,16 @@ import numpy as np
 
 from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
-from repro.ops.common import elementwise, simple_kernel, unary_infer
+# The op modules this one builds on load before it (repro/ops/__init__.py).
+from repro.ops import array_ops, convert_operand, math_ops, random_ops
+from repro.ops.common import elementwise, normalize_axes, simple_kernel, unary_infer
 from repro.ops.registry import (
     SHAPE_PURE,
     register_gradient,
     register_kernel,
     register_op,
 )
+from repro.runtime.executor import execute
 from repro.tensor import TensorSpec, convert_to_tensor
 
 __all__ = [
@@ -59,8 +62,6 @@ def _convert(x, dtype=None):
 # ---------------------------------------------------------------------------
 
 def _relu_grad(op, grad):
-    from repro.ops import array_ops, math_ops
-
     out = op.outputs[0]
     zero = convert_to_tensor(0, dtype=grad.dtype)
     return [array_ops.where(math_ops.greater(out, zero), grad, array_ops.zeros_like(grad))]
@@ -77,8 +78,6 @@ elementwise(
 
 def relu(x):
     """Rectified linear unit: ``max(x, 0)``."""
-    from repro.runtime.executor import execute
-
     return execute("Relu", [_convert(x)])
 
 
@@ -89,8 +88,6 @@ def _leaky_relu_kernel(inputs, attrs, device):
 
 
 def _leaky_relu_grad(op, grad):
-    from repro.ops import array_ops, math_ops
-
     x = op.inputs[0]
     alpha = convert_to_tensor(op.attrs["alpha"], dtype=grad.dtype)
     zero = convert_to_tensor(0, dtype=grad.dtype)
@@ -102,8 +99,6 @@ elementwise("LeakyRelu", _leaky_relu_kernel, unary_infer, _leaky_relu_grad)
 
 def leaky_relu(x, alpha: float = 0.2):
     """Leaky ReLU with slope ``alpha`` for negative inputs."""
-    from repro.runtime.executor import execute
-
     return execute("LeakyRelu", [_convert(x)], {"alpha": float(alpha)})
 
 
@@ -114,8 +109,6 @@ def _softplus_kernel(inputs, attrs, device):
 
 
 def _softplus_grad(op, grad):
-    from repro.ops import math_ops
-
     return [grad * math_ops.sigmoid(op.inputs[0])]
 
 
@@ -124,8 +117,6 @@ elementwise("Softplus", _softplus_kernel, unary_infer, _softplus_grad)
 
 def softplus(x):
     """Smooth ReLU: ``log(1 + exp(x))`` (used by paper Listing 3)."""
-    from repro.runtime.executor import execute
-
     return execute("Softplus", [_convert(x)])
 
 
@@ -135,8 +126,6 @@ def _elu_kernel(inputs, attrs, device):
 
 
 def _elu_grad(op, grad):
-    from repro.ops import array_ops, math_ops
-
     x, out = op.inputs[0], op.outputs[0]
     one = convert_to_tensor(1, dtype=grad.dtype)
     zero = convert_to_tensor(0, dtype=grad.dtype)
@@ -148,8 +137,6 @@ elementwise("Elu", _elu_kernel, unary_infer, _elu_grad)
 
 def elu(x):
     """Exponential linear unit."""
-    from repro.runtime.executor import execute
-
     return execute("Elu", [_convert(x)])
 
 
@@ -166,8 +153,6 @@ def _softmax_kernel(inputs, attrs, device):
 
 @register_gradient("Softmax")
 def _softmax_grad(op, grad):
-    from repro.ops import math_ops
-
     out = op.outputs[0]
     inner = math_ops.reduce_sum(grad * out, axis=-1, keepdims=True)
     return [out * (grad - inner)]
@@ -175,8 +160,6 @@ def _softmax_grad(op, grad):
 
 def gelu(x):
     """Gaussian error linear unit (exact erf form, composite)."""
-    from repro.ops import math_ops
-
     x = _convert(x)
     half = convert_to_tensor(0.5, dtype=x.dtype)
     one = convert_to_tensor(1.0, dtype=x.dtype)
@@ -186,32 +169,24 @@ def gelu(x):
 
 def silu(x):
     """Sigmoid-weighted linear unit (swish), composite."""
-    from repro.ops import math_ops
-
     x = _convert(x)
     return x * math_ops.sigmoid(x)
 
 
 def softsign(x):
     """``x / (1 + |x|)`` (composite)."""
-    from repro.ops import math_ops
-
     x = _convert(x)
     return x / (math_ops.abs(x) + convert_to_tensor(1.0, dtype=x.dtype))
 
 
 def log_sigmoid(x):
     """``log(sigmoid(x))`` computed stably as ``-softplus(-x)``."""
-    from repro.ops import math_ops
-
     x = _convert(x)
     return math_ops.negative(softplus(math_ops.negative(x)))
 
 
 def softmax(x):
     """Softmax along the last axis."""
-    from repro.runtime.executor import execute
-
     return execute("Softmax", [_convert(x)])
 
 
@@ -227,8 +202,6 @@ def _log_softmax_kernel(inputs, attrs, device):
 
 @register_gradient("LogSoftmax")
 def _log_softmax_grad(op, grad):
-    from repro.ops import math_ops
-
     out = op.outputs[0]
     return [
         grad
@@ -238,8 +211,6 @@ def _log_softmax_grad(op, grad):
 
 def log_softmax(x):
     """Log-softmax along the last axis."""
-    from repro.runtime.executor import execute
-
     return execute("LogSoftmax", [_convert(x)])
 
 
@@ -277,8 +248,6 @@ def _xent_kernel(inputs, attrs, device):
 
 @register_gradient("SoftmaxCrossEntropyWithLogits")
 def _xent_grad(op, grad_loss, grad_backprop):
-    from repro.ops import array_ops, math_ops
-
     g = None
     if grad_loss is not None:
         g = array_ops.expand_dims(grad_loss, -1) * op.outputs[1]
@@ -297,8 +266,6 @@ def _xent_grad(op, grad_loss, grad_backprop):
 
 def softmax_cross_entropy_with_logits(labels, logits):
     """Per-example softmax cross-entropy for one-hot ``labels``."""
-    from repro.runtime.executor import execute
-
     loss, _ = execute(
         "SoftmaxCrossEntropyWithLogits", [_convert(logits), _convert(labels)]
     )
@@ -307,8 +274,6 @@ def softmax_cross_entropy_with_logits(labels, logits):
 
 def sparse_softmax_cross_entropy_with_logits(labels, logits):
     """Per-example cross-entropy for integer class ``labels`` (composite)."""
-    from repro.ops import array_ops
-
     logits = _convert(logits)
     depth = logits.shape[-1]
     if depth is None:
@@ -321,8 +286,6 @@ def sparse_softmax_cross_entropy_with_logits(labels, logits):
 
 def sigmoid_cross_entropy_with_logits(labels, logits):
     """Stable elementwise binary cross-entropy from logits (composite)."""
-    from repro.ops import math_ops
-
     logits, labels = _convert(logits), _convert(labels)
     # max(x, 0) - x*z + log(1 + exp(-|x|))
     zero = convert_to_tensor(0, dtype=logits.dtype)
@@ -419,8 +382,6 @@ def _conv2d_kernel(inputs, attrs, device):
 
 @register_gradient("Conv2D")
 def _conv2d_grad(op, grad):
-    from repro.runtime.executor import execute
-
     x, filters = op.inputs
     gx = execute(
         "Conv2DBackpropInput",
@@ -486,8 +447,6 @@ def _conv2d_backprop_input_grad(op, grad):
     # gx = backprop_input(gy, w) is bilinear in (gy, w).  With upstream
     # u shaped like x: d/dgy <u, gx> is the forward conv of u with w,
     # and d/dw <u, gx> = d/dw <gy, conv(u, w)> is backprop_filter(u, gy).
-    from repro.runtime.executor import execute
-
     gy, filters = op.inputs
     base = {"strides": op.attrs["strides"], "padding": op.attrs["padding"]}
     ggy = execute("Conv2D", [grad, filters], base)
@@ -512,8 +471,6 @@ def _conv2d_backprop_filter_grad(op, grad):
     # gf = backprop_filter(x, gy) is bilinear in (x, gy).  With upstream
     # u shaped like the filter: d/dx <u, gf> = backprop_input(gy, u) and
     # d/dgy <u, gf> = conv(x, u).
-    from repro.runtime.executor import execute
-
     x, gy = op.inputs
     base = {"strides": op.attrs["strides"], "padding": op.attrs["padding"]}
     gx = execute(
@@ -549,8 +506,6 @@ def _normalize_strides(strides) -> tuple[int, int]:
 
 def conv2d(x, filters, strides=1, padding: str = "SAME"):
     """2-D convolution over NHWC input with HWIO filters."""
-    from repro.runtime.executor import execute
-
     padding = padding.upper()
     if padding not in ("SAME", "VALID"):
         raise InvalidArgumentError(f"Bad padding: {padding!r}")
@@ -611,8 +566,6 @@ def _max_pool_kernel(inputs, attrs, device):
 
 @register_gradient("MaxPool")
 def _max_pool_grad(op, grad):
-    from repro.runtime.executor import execute
-
     x = op.inputs[0]
     return [execute("MaxPoolGrad", [x, op.outputs[0], grad], dict(op.attrs))]
 
@@ -656,8 +609,6 @@ def _max_pool_grad_grad(op, grad):
     # the scatter is linear in its grad input; its transpose gathers the
     # upstream back through the same max mask.  x and out get no
     # gradient (their dependence is discontinuous / measure-zero).
-    from repro.runtime.executor import execute
-
     x, out, _ = op.inputs
     return [
         None,
@@ -701,8 +652,6 @@ def _max_pool_grad_grad_kernel(inputs, attrs, device):
 @register_gradient("MaxPoolGradGrad")
 def _max_pool_grad_grad_grad(op, grad):
     # Linear in u with the mask held fixed; its transpose is MaxPoolGrad.
-    from repro.runtime.executor import execute
-
     x, out, _ = op.inputs
     return [None, None, execute("MaxPoolGrad", [x, out, grad], dict(op.attrs))]
 
@@ -726,8 +675,6 @@ def _avg_pool_kernel(inputs, attrs, device):
 
 @register_gradient("AvgPool")
 def _avg_pool_grad(op, grad):
-    from repro.runtime.executor import execute
-
     x = op.inputs[0]
     return [
         execute(
@@ -767,8 +714,6 @@ def _avg_pool_grad_kernel(inputs, attrs, device):
 
 
 def _pool(op_name: str, x, ksize, strides, padding: str):
-    from repro.runtime.executor import execute
-
     padding = padding.upper()
     if padding not in ("SAME", "VALID"):
         raise InvalidArgumentError(f"Bad padding: {padding!r}")
@@ -801,8 +746,6 @@ def avg_pool2d(x, ksize, strides=None, padding: str = "VALID"):
 
 def bias_add(x, bias):
     """Add a rank-1 bias to the last dimension of ``x``."""
-    from repro.ops import math_ops
-
     return math_ops.add(_convert(x), _convert(bias))
 
 
@@ -812,8 +755,6 @@ def dropout(x, rate: float):
     Expressed entirely in primitive ops, so the randomness stays inside
     staged graphs (paper §4.1).
     """
-    from repro.ops import array_ops, math_ops, random_ops
-
     x = _convert(x)
     if rate <= 0.0:
         return x
@@ -827,8 +768,6 @@ def dropout(x, rate: float):
 
 def moments(x, axes, keepdims: bool = False):
     """Mean and variance of ``x`` over ``axes`` (composite)."""
-    from repro.ops import array_ops, math_ops
-
     x = _convert(x)
     mean = math_ops.reduce_mean(x, axis=axes, keepdims=True)
     variance = math_ops.reduce_mean(
@@ -837,8 +776,6 @@ def moments(x, axes, keepdims: bool = False):
         keepdims=True,
     )
     if not keepdims:
-        from repro.ops.common import normalize_axes
-
         norm = normalize_axes(axes, x.shape.rank)
         mean = array_ops.squeeze(mean, axis=norm)
         variance = array_ops.squeeze(variance, axis=norm)
@@ -847,10 +784,8 @@ def moments(x, axes, keepdims: bool = False):
 
 def batch_normalization(x, mean, variance, offset, scale, variance_epsilon=1e-3):
     """Normalize ``x`` with the given moments, scale, and offset."""
-    from repro.ops import math_ops
-
     x = _convert(x)
-    inv = math_ops.rsqrt(variance + convert_to_tensor(variance_epsilon, dtype=x.dtype))
+    inv = math_ops.rsqrt(variance + convert_operand(variance_epsilon, like=x))
     if scale is not None:
         inv = inv * scale
     out = x * inv
@@ -862,7 +797,5 @@ def batch_normalization(x, mean, variance, offset, scale, variance_epsilon=1e-3)
 
 def l2_loss(x):
     """``sum(x**2) / 2`` (composite)."""
-    from repro.ops import math_ops
-
     x = _convert(x)
     return math_ops.reduce_sum(math_ops.square(x)) / convert_to_tensor(2, dtype=x.dtype)

@@ -196,6 +196,9 @@ class Device:
             )
         self._spec = spec
         self._name = spec.to_string()
+        #: ``"CPU"``, ``"GPU"`` or ``"TPU"`` (a plain attribute: the
+        #: eager dispatch path reads it per op).
+        self.device_type: str = spec.device_type  # type: ignore[assignment]
         self._memory_limit = memory_limit_bytes
         self._lock = threading.Lock()
         self._bytes_in_use = 0
@@ -215,10 +218,6 @@ class Device:
     @property
     def name(self) -> str:
         return self._name
-
-    @property
-    def device_type(self) -> str:
-        return self._spec.device_type  # type: ignore[return-value]
 
     @property
     def uses_simulated_time(self) -> bool:
@@ -290,27 +289,38 @@ class Device:
                 )
         return buf
 
-    def wrap_output(self, array: np.ndarray) -> np.ndarray:
-        """Adopt a kernel-produced array as a device buffer without copying.
+    def adopt(self, arrays: list, launches: int = 0) -> list:
+        """Adopt kernel-produced arrays as device buffers without copying.
 
         Safe because every tensor buffer in the system is read-only:
         kernel outputs either own fresh memory or are views of other
-        read-only buffers.  Only statistics are updated; the expensive
-        defensive copy in :meth:`allocate` is for *user-provided*
-        arrays, which may alias writable memory.
+        read-only buffers, so each array is frozen in place (a view of
+        writable memory is copied first; ``arrays`` is updated).  Only
+        statistics are updated, together with ``launches`` kernel
+        launches, under one lock acquisition; the expensive defensive
+        copy in :meth:`allocate` is for *user-provided* arrays, which
+        may alias writable memory.  Entries that are not NumPy arrays
+        (a kernel passing a Tensor through) are left alone.
         """
-        if array.flags.writeable:
-            if array.base is not None and array.base.flags.writeable:
-                array = array.copy()
-            array.flags.writeable = False
+        nbytes = count = 0
+        for i, array in enumerate(arrays):
+            if type(array) is not np.ndarray:
+                continue
+            if array.flags.writeable:
+                if array.base is not None and array.base.flags.writeable:
+                    array = arrays[i] = array.copy()
+                array.setflags(write=False)
+            nbytes += array.nbytes
+            count += 1
         # Remote workers and strategy replicas update these concurrently
         # with coordinator-thread dispatches, so the stats take the lock.
         with self._lock:
-            self._bytes_in_use += array.nbytes
-            self._num_allocations += 1
+            self._kernel_launches += launches
+            self._bytes_in_use += nbytes
+            self._num_allocations += count
             if self._bytes_in_use > self._peak_bytes:
                 self._peak_bytes = self._bytes_in_use
-        return array
+        return arrays
 
     def memory_stats(self) -> dict:
         with self._lock:
@@ -322,13 +332,6 @@ class Device:
             }
 
     # -- execution accounting ---------------------------------------------
-    def count_kernel_launch(self) -> None:
-        # Worker threads and the coordinator both launch kernels on the
-        # same device, so even this counter takes the lock: `n += 1` is
-        # not atomic (read/modify/write interleaves across threads).
-        with self._lock:
-            self._kernel_launches += 1
-
     def charge_simulated_time(self, microseconds: float) -> None:
         with self._lock:
             self._simulated_time_us += microseconds

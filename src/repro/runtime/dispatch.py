@@ -14,10 +14,15 @@ This module is that shared runtime boundary.  Both the eager executor
 2. resolves the kernel through a cache keyed by ``(op_name,
    device_kind, input_dtypes)`` so the hot path is a single dict hit
    instead of registry probing per op, and
-3. runs a small **interceptor stack** — profiler, op records for
-   gradient tapes, future tracing/metrics — as registered hooks rather
-   than inlined ``if`` checks.  With no interceptor registered the
-   per-op cost of the whole mechanism is one emptiness check.
+3. runs a small **interceptor stack** — the profiler, perf spans,
+   test probes — as registered hooks rather than inlined ``if``
+   checks.  With no interceptor registered the per-op cost of the
+   whole mechanism is one emptiness check.
+
+Gradient tapes are not interceptors: :func:`repro.runtime.executor.execute`
+offers every op to the thread's active recorders by a direct
+:func:`repro.runtime.records.record_operation` call, made only when the
+recorder stack is non-empty (one more emptiness check).
 
 Devices with their own execution path (remote devices, compilation-only
 accelerators) participate through the uniform :meth:`Device.dispatch`
@@ -51,6 +56,7 @@ where there is no device or kernel.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -75,6 +81,9 @@ GRAPH = "graph"
 STAGE = "stage"
 
 _HANDLE_DTYPES = (dtypes.resource, dtypes.variant)
+_NP_TO_DTYPE = dtypes._NP_TO_DTYPE
+_new_tensor = object.__new__
+_array_of = operator.attrgetter("_array")
 
 
 class OpInterceptor:
@@ -151,6 +160,7 @@ class DispatchCore:
         # (op_name, device_kind, input_dtypes) -> kernel
         self._kernel_cache: dict = {}
         self._compilation_runner: Optional[Callable] = None
+        self._cpu = context.cpu_device()  # fixed for the process
         registry.add_kernel_registration_listener(self.clear_kernel_cache)
 
     # -- interceptors ------------------------------------------------------
@@ -262,22 +272,57 @@ class DispatchCore:
 
         The only kernel-dispatch implementation in the system: eager
         ops, graph nodes, remote placements, and compiled accelerators
-        all come through here.
+        all come through here.  An eager op is one frame: one loop over
+        the inputs validates them, builds the dtype signature and finds
+        the first non-CPU device; then the device scope, the kernel
+        cache, the kernel and the output wrapping.  Gradient tapes are
+        offered the op by the caller, ``execute``, not here.
         """
-        if mode == EAGER:
-            in_dtypes = self._validate_eager_inputs(op_name, inputs)
-            if device is None:
-                device = self.resolve_device(context.current_device_name(), inputs)
-            interceptors = self.eager_interceptors
-        else:
+        if mode != EAGER:
             if device is None:
                 device = self.resolve_device(explicit_device, inputs)
-            in_dtypes = None
             interceptors = self.graph_interceptors
+            if not interceptors:
+                return self._dispatch_on(op_name, inputs, attrs, device, None)
+            return self._intercepted(op_name, inputs, attrs, device, None, interceptors)
 
-        if not interceptors:  # the hot path: one emptiness check
+        cpu = self._cpu
+        placed = None
+        in_dtypes = []
+        for t in inputs:
+            if not isinstance(t, Tensor):
+                raise self._not_eager(op_name, t)
+            in_dtypes.append(t._dtype)
+            if placed is None and t._device is not cpu:
+                placed = t._device
+        in_dtypes = tuple(in_dtypes)
+        if device is None:
+            scope = context._local.device_stack
+            if scope and scope[-1] is not None:
+                device = context.get_device(scope[-1])
+            else:
+                device = placed or cpu
+        interceptors = self.eager_interceptors
+        if interceptors:
+            return self._intercepted(op_name, inputs, attrs, device, in_dtypes, interceptors)
+        if device is not cpu or placed is not None or cpu._special_dispatch:
             return self._dispatch_on(op_name, inputs, attrs, device, in_dtypes)
+        # Every input already lives on the CPU the op runs on.
+        kernel = self._kernel_cache.get((op_name, cpu.device_type, in_dtypes))
+        if kernel is None:
+            kernel = self.resolve_kernel(op_name, cpu.device_type, in_dtypes)
+        return wrap_outputs(kernel(list(map(_array_of, inputs)), attrs, cpu), cpu)
 
+    def _intercepted(
+        self,
+        op_name: str,
+        inputs: Sequence,
+        attrs: dict,
+        device: Device,
+        in_dtypes: Optional[tuple],
+        interceptors: tuple,
+    ) -> list:
+        """Dispatch with the interceptors' full contract around the op."""
         tokens = [it.on_start(op_name, attrs, inputs, device) for it in interceptors]
         try:
             outputs = self._dispatch_on(op_name, inputs, attrs, device, in_dtypes)
@@ -316,30 +361,23 @@ class DispatchCore:
                 t = Tensor._from_buffer(buf, t._dtype, device)
             arrays.append(t._array)
 
-        device.count_kernel_launch()
-        results = kernel(arrays, attrs, device)
-        return wrap_outputs(results, device)
+        return wrap_outputs(kernel(arrays, attrs, device), device)
 
-    def _validate_eager_inputs(self, op_name: str, inputs: Sequence) -> tuple:
-        """Reject symbolic/non-tensor inputs; collect the dtype signature."""
-        dts = []
-        for t in inputs:
-            if isinstance(t, Tensor):
-                dts.append(t._dtype)
-            elif isinstance(t, TensorBase):
-                # A symbolic tensor leaking into eager execution means the
-                # user returned a traced value out of its graph context.
-                raise FailedPreconditionError(
-                    f"Operation {op_name!r} received the symbolic tensor {t!r} "
-                    "outside of its graph-building context. Symbolic tensors "
-                    "are only usable inside the function being traced."
-                )
-            else:
-                raise InternalError(
-                    f"Operation {op_name!r} received non-tensor input {t!r}; "
-                    "API functions must convert inputs before calling execute()"
-                )
-        return tuple(dts)
+    @staticmethod
+    def _not_eager(op_name: str, value) -> Exception:
+        """The error for a non-concrete input to an eager op."""
+        if isinstance(value, TensorBase):
+            # A symbolic tensor leaking into eager execution means the
+            # user returned a traced value out of its graph context.
+            return FailedPreconditionError(
+                f"Operation {op_name!r} received the symbolic tensor {value!r} "
+                "outside of its graph-building context. Symbolic tensors "
+                "are only usable inside the function being traced."
+            )
+        return InternalError(
+            f"Operation {op_name!r} received non-tensor input {value!r}; "
+            "API functions must convert inputs before calling execute()"
+        )
 
     # -- staging -----------------------------------------------------------
     def notify_staged(
@@ -370,19 +408,34 @@ class DispatchCore:
 
 
 def wrap_outputs(results, device: Device) -> list:
-    """Normalize a kernel's return value into a list of Tensors."""
-    if results is None:
-        return []
-    if isinstance(results, (Tensor, np.ndarray)) or np.isscalar(results):
+    """Normalize one kernel launch's return value into a list of Tensors.
+
+    The launch and its output buffers are accounted on ``device`` under
+    one lock acquisition (:meth:`Device.adopt`).
+    """
+    if type(results) is np.ndarray or isinstance(results, Tensor):
         results = [results]
+    elif results is None:
+        results = []
+    elif isinstance(results, (np.ndarray, np.generic)) or np.isscalar(results):
+        results = [np.asarray(results)]
+    else:
+        results = list(results)
+        for i, r in enumerate(results):
+            if type(r) is not np.ndarray and not isinstance(r, Tensor):
+                results[i] = np.asarray(r)
+    device.adopt(results, launches=1)
     outputs = []
     for r in results:
         if isinstance(r, Tensor):
             outputs.append(r)
             continue
-        arr = r if isinstance(r, np.ndarray) else np.asarray(r)
-        buf = device.wrap_output(arr)
-        outputs.append(Tensor._from_buffer(buf, dtypes.as_dtype(arr.dtype), device))
+        dtype = _NP_TO_DTYPE.get(r.dtype)
+        t = _new_tensor(Tensor)
+        t._array = r
+        t._dtype = dtype if dtype is not None else dtypes.as_dtype(r.dtype)
+        t._device = device
+        outputs.append(t)
     return outputs
 
 

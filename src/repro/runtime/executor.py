@@ -24,13 +24,17 @@ paper's claim that imperative and staged execution "use the same APIs
 and kernels" (§4.1) holds because both policies bottom out in the same
 :data:`repro.runtime.dispatch.core`.  Cross-cutting concerns hook in as
 interceptors (see the :mod:`repro.runtime.dispatch` docstring), not as
-special cases in this file.
+special cases in this file; the one exception is gradient tapes: after
+whichever branch ran, every op is offered to this thread's active
+recorders by one direct :func:`repro.runtime.records.record_operation`
+call.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.runtime import records
 from repro.runtime.context import context
 from repro.runtime.dispatch import core
 
@@ -40,6 +44,8 @@ __all__ = ["execute"]
 # staged-compilation stack, which must not be a hard import dependency
 # of the runtime package.
 _lazy = None
+_local = context._local  # this thread's device and graph stacks
+_recorders = records.stack  # this thread's active gradient tapes
 
 
 def execute(
@@ -65,16 +71,17 @@ def execute(
     global _lazy
     attrs = attrs or {}
 
-    graph = context.current_graph()
+    graph = context.current_graph() if _local.graph_stack else None
     if graph is not None:
         outputs = graph.add_operation(op_name, inputs, attrs, name=name)
-        core.notify_staged(op_name, attrs, inputs, outputs)
-        return outputs[0] if len(outputs) == 1 else tuple(outputs)
-
-    if context._executor_mode == "sync":
+    elif context._executor_mode == "sync":
         outputs = core.dispatch(op_name, inputs, attrs)
     else:
         if _lazy is None:
             from repro.runtime import lazy as _lazy
         outputs = _lazy.submit(op_name, inputs, attrs)
+    if _recorders.recorders:  # a tape or accumulator is active
+        records.record_operation(op_name, attrs, inputs, outputs)
+    if graph is not None:
+        core.notify_staged(op_name, attrs, inputs, outputs)
     return outputs[0] if len(outputs) == 1 else tuple(outputs)

@@ -54,7 +54,6 @@ from typing import Optional, Sequence
 from repro.framework.errors import NotFoundError
 from repro.graph.structural import segment_key
 from repro.ops import registry
-from repro.runtime import records
 from repro.runtime.context import context
 from repro.runtime.dispatch import core
 from repro.tensor import LazyTensor, Tensor, TensorSpec
@@ -434,11 +433,9 @@ def submit(op_name: str, inputs: Sequence, attrs: dict) -> list:
             must_flush = len(trace.records) >= SEGMENT_LIMIT
         break
     _stats["recorded_ops"] += 1
-    # Tapes are thread-local: recording happens caller-side with the
-    # pending outputs.  The flush later executes via
-    # the graph dispatch path, which the records interceptor does not
-    # observe — ops are never recorded twice.
-    records.record_operation(op_name, attrs, inputs, outputs)
+    # Tapes see the pending outputs (``execute`` offers them the op); the
+    # flush later executes via the graph dispatch path, which offers
+    # nothing to tapes — ops are never recorded twice.
     if must_flush:
         trace.flush()
     return outputs

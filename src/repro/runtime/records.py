@@ -3,17 +3,20 @@
 The runtime must notify active gradient tapes (paper §4.2) about every
 operation it runs, but the runtime layer cannot import the autodiff
 layer without creating a cycle.  This module holds the thread-local
-stack of *recorders* — duck-typed objects exposing
-``should_record(inputs)`` and ``record(...)`` — that
-:mod:`repro.core.tape` pushes and pops.
+stack of *recorders* that :mod:`repro.core.tape` pushes and pops.  A
+recorder is duck-typed:
 
-Recording integrates with execution as a dispatch **interceptor**
-(:class:`repro.runtime.dispatch.OpInterceptor`): while at least one
-recorder exists anywhere in the process, a single records interceptor
-is registered with the dispatch core and forwards each eager op
-(``on_complete``) and each staged op (``on_staged``) to
-:func:`record_operation`.  When no recorder exists the interceptor is
-unregistered, so tape-free programs pay nothing for this hook.
+* ``record(op_name, attrs, inputs, outputs, backward_function)`` is
+  offered every operation and records it only if it watches one of the
+  inputs — the interest test and the record are one call, one pass;
+* ``should_record(inputs)`` answers the interest test alone, for
+  callers that choose a path by it (:func:`could_record`).
+
+Recording is a direct call, not a dispatch interceptor:
+:func:`repro.runtime.executor.execute` calls :func:`record_operation`
+once per op — after staging it, dispatching it or submitting it to the
+lazy trace — when this thread's stack (``stack.recorders``) is
+non-empty, so tape-free programs pay one emptiness check per op.
 
 Recording is mode-agnostic: tapes see concrete tensors when executing
 eagerly and symbolic tensors when an op runs inside a graph-building
@@ -25,8 +28,6 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from repro.runtime import dispatch
-
 __all__ = [
     "push_recorder",
     "pop_recorder",
@@ -34,6 +35,7 @@ __all__ = [
     "record_operation",
     "could_record",
     "stop_recording",
+    "stack",
 ]
 
 
@@ -43,58 +45,31 @@ class _RecorderStack(threading.local):
         self.stopped_depth: int = 0
 
 
-_stack = _RecorderStack()
-
-
-class _RecordsInterceptor(dispatch.OpInterceptor):
-    """Offers executed and staged ops to the active gradient tapes."""
-
-    name = "records"
-    modes = (dispatch.EAGER, dispatch.STAGE)
-
-    def on_complete(self, op_name, attrs, inputs, outputs, device, token) -> None:
-        record_operation(op_name, attrs, inputs, outputs)
-
-    def on_staged(self, op_name, attrs, inputs, outputs) -> None:
-        record_operation(op_name, attrs, inputs, outputs)
-
-
-_interceptor = _RecordsInterceptor()
-_count_lock = threading.Lock()
-_total_recorders = 0  # across all threads; guards interceptor registration
+stack = _RecorderStack()
+"""This thread's recorders (``stack.recorders``, innermost last)."""
 
 
 def push_recorder(recorder) -> None:
-    global _total_recorders
-    _stack.recorders.append(recorder)
-    with _count_lock:
-        _total_recorders += 1
-        if _total_recorders == 1:
-            dispatch.core.register_interceptor(_interceptor)
+    stack.recorders.append(recorder)
 
 
 def pop_recorder(recorder) -> None:
-    global _total_recorders
-    if not _stack.recorders or _stack.recorders[-1] is not recorder:
+    if not stack.recorders or stack.recorders[-1] is not recorder:
         raise RuntimeError("Recorder stack corrupted: popping a non-top recorder")
-    _stack.recorders.pop()
-    with _count_lock:
-        _total_recorders -= 1
-        if _total_recorders == 0:
-            dispatch.core.unregister_interceptor(_interceptor)
+    stack.recorders.pop()
 
 
 def active_recorders() -> list:
-    if _stack.stopped_depth > 0:
+    if stack.stopped_depth > 0:
         return []
-    return list(_stack.recorders)
+    return list(stack.recorders)
 
 
 def could_record(inputs: Sequence) -> bool:
     """Cheap check: is any active recorder interested in these inputs?"""
-    if _stack.stopped_depth > 0 or not _stack.recorders:
+    if stack.stopped_depth > 0 or not stack.recorders:
         return False
-    return any(r.should_record(inputs) for r in _stack.recorders)
+    return any(r.should_record(inputs) for r in stack.recorders)
 
 
 def record_operation(
@@ -105,22 +80,21 @@ def record_operation(
     backward_function=None,
 ) -> None:
     """Offer an executed operation to every active tape."""
-    if _stack.stopped_depth > 0:
+    if stack.stopped_depth > 0:
         return
-    for recorder in _stack.recorders:
-        if recorder.should_record(inputs):
-            recorder.record(op_name, attrs, inputs, outputs, backward_function)
+    for recorder in stack.recorders:
+        recorder.record(op_name, attrs, inputs, outputs, backward_function)
 
 
 class stop_recording:
     """Context manager suspending all tape recording (``tape.stop_recording``)."""
 
     def __enter__(self) -> "stop_recording":
-        _stack.stopped_depth += 1
+        stack.stopped_depth += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _stack.stopped_depth -= 1
+        stack.stopped_depth -= 1
 
 
 class suspend:
@@ -134,13 +108,13 @@ class suspend:
     """
 
     def __enter__(self) -> "suspend":
-        self._saved = _stack.recorders
-        _stack.recorders = []
+        self._saved = stack.recorders
+        stack.recorders = []
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if _stack.recorders:
+        if stack.recorders:
             raise RuntimeError(
                 "Recorder stack not balanced inside records.suspend()"
             )
-        _stack.recorders = self._saved
+        stack.recorders = self._saved

@@ -81,7 +81,8 @@ class CompiledExecutable:
         self._cost_us: dict = {}  # device -> launch overhead + Σ program_cost_us
 
     def execute(self, arrays: Sequence[np.ndarray], device: Device) -> list[np.ndarray]:
-        """Run the program; charges one launch on the device's clock."""
+        """Run the program; charges one launch's time on the device's
+        clock (:meth:`run` counts the launch)."""
         s = [None] * self._size
         for pnum, i in self._params:
             s[i] = arrays[pnum]
@@ -95,7 +96,6 @@ class CompiledExecutable:
                 cost += cm.program_cost_us(i.flops, i.bytes_accessed)
             self._cost_us[device] = cost
         device.charge_simulated_time(cost)
-        device.count_kernel_launch()
         return [s[i] for i in self._roots]
 
     def run(self, inputs: Sequence[Tensor], device: Device) -> list[Tensor]:
@@ -107,13 +107,15 @@ class CompiledExecutable:
             else device.allocate(t._array)
             for t in inputs
         ]
+        results = self.execute(arrays, device)
+        # One launch and the outputs' buffers, accounted under one lock;
+        # handles pass by reference, never adopted.
+        owned = [i for i, dtype in enumerate(self._root_dtypes) if dtype not in _HANDLE_DTYPES]
+        for i, arr in zip(owned, device.adopt([results[i] for i in owned], launches=1)):
+            results[i] = arr
         return [
-            Tensor._from_buffer(
-                arr if dtype in _HANDLE_DTYPES else device.wrap_output(arr),
-                dtype,
-                device,
-            )
-            for arr, dtype in zip(self.execute(arrays, device), self._root_dtypes)
+            Tensor._from_buffer(arr, dtype, device)
+            for arr, dtype in zip(results, self._root_dtypes)
         ]
 
     def __repr__(self) -> str:

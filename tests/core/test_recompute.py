@@ -62,6 +62,18 @@ class TestEagerRecompute:
         grad = tape.gradient(loss, w)
         np.testing.assert_allclose(grad.numpy(), x.numpy())
 
+    def test_variable_read_inside_a_staged_call(self):
+        """A function captured variable is noted by the segment's watcher
+        (its handle is among the call's inputs), so it gets a gradient."""
+        w = repro.Variable([1.0, 2.0, 3.0], dtype=repro.float64)
+        x = repro.constant([2.0, 3.0, 4.0], dtype=repro.float64)
+        scaled = repro.function(lambda x: w * x)
+
+        with repro.GradientTape() as tape:
+            loss = repro.reduce_sum(recompute_grad(scaled)(x))
+        grad = tape.gradient(loss, w)
+        np.testing.assert_allclose(grad.numpy(), x.numpy())
+
     def test_kwargs_and_structure_pass_through(self):
         def seg(x, scale=1.0):
             return {"out": x * scale}

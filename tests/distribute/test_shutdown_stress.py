@@ -55,7 +55,7 @@ class TestCounterConcurrency:
 
         def bump():
             for _ in range(n_incr):
-                device.count_kernel_launch()
+                device.adopt([], launches=1)
 
         threads = [threading.Thread(target=bump, daemon=True) for _ in range(n_threads)]
         for t in threads:

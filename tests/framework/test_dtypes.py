@@ -45,6 +45,21 @@ class TestDTypeBasics:
         assert dtypes.as_dtype("float32") is dtypes.float32
         assert hash(dtypes.float32) == hash(dtypes.as_dtype(np.float32))
 
+    @pytest.mark.parametrize("name", sorted(dtypes.DType._registry))
+    def test_identity_hash_survives_pickle_and_deepcopy(self, name):
+        """DTypes hash by identity, so every copy must be the interned one."""
+        import copy
+        import pickle
+
+        dtype = dtypes.as_dtype(name)
+        table = {dtype: name, (dtype, dtypes.float32): "pair"}
+        for clone in (pickle.loads(pickle.dumps(dtype)), copy.deepcopy(dtype)):
+            assert clone is dtype
+            assert hash(clone) == hash(dtype)
+            assert table[clone] == name
+            assert table[(clone, dtypes.float32)] == "pair"
+        assert copy.deepcopy(table) == table
+
     def test_repr(self):
         assert "float32" in repr(dtypes.float32)
         assert str(dtypes.int64) == "int64"

@@ -16,7 +16,9 @@ class _SpyRecorder:
         return self.interested
 
     def record(self, op_name, attrs, inputs, outputs, backward_function=None):
-        self.seen.append(op_name)
+        # Offered every op: the recorder tests its own interest.
+        if self.should_record(inputs):
+            self.seen.append(op_name)
 
 
 class TestRecorderStack:
