@@ -26,6 +26,7 @@ objects being saved and restored, not on other parts of the program."
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -39,6 +40,25 @@ __all__ = ["Trackable", "Checkpoint", "NumpyState", "CheckpointStatus"]
 
 def _is_trackable_value(value) -> bool:
     return isinstance(value, (Trackable, Variable))
+
+
+# Bumped after every change to an edge of any object graph (an
+# attribute, list element or dict entry that is or was trackable), so a
+# walk of the graph can be cached until the next bump
+# (``Layer.variables``).  Versions come from a counter, whose ``next``
+# is atomic: no two bumps write the same value, even from two threads.
+_versions = itertools.count(1)
+_graph_version = 0
+
+
+def graph_version() -> int:
+    """The object-graph version: equal values mean no edge has changed."""
+    return _graph_version
+
+
+def _bump_graph_version() -> None:
+    global _graph_version
+    _graph_version = next(_versions)
 
 
 def _maybe_wrap(value):
@@ -62,11 +82,19 @@ class Trackable:
 
     def __setattr__(self, name: str, value) -> None:
         value = _maybe_wrap(value)
+        previous = self.__dict__.get(name)
         object.__setattr__(self, name, value)
+        if _is_trackable_value(value) or _is_trackable_value(previous):
+            _bump_graph_version()
         if _is_trackable_value(value) and not name.startswith("__"):
             deferred = self.__dict__.get("_deferred_dependencies")
             if deferred and name in deferred:
                 _restore_subtree(value, *deferred.pop(name))
+
+    def __delattr__(self, name: str) -> None:
+        if _is_trackable_value(self.__dict__.get(name)):
+            _bump_graph_version()
+        object.__delattr__(self, name)
 
     def _checkpoint_dependencies(self) -> list[tuple[str, object]]:
         """(edge name, child) pairs, sorted by name for determinism."""
@@ -104,6 +132,7 @@ class _ListWrapper(Trackable):
 
     def append(self, value) -> None:
         self._values.append(_maybe_wrap(value))
+        _bump_graph_version()
 
     def _checkpoint_dependencies(self):
         return [
@@ -122,6 +151,7 @@ class _DictWrapper(Trackable):
 
     def __setitem__(self, key, value) -> None:
         self._values[key] = _maybe_wrap(value)
+        _bump_graph_version()
 
     def __len__(self) -> int:
         return len(self._values)

@@ -13,9 +13,9 @@ from typing import Callable, Optional, Sequence
 
 
 from repro.framework.errors import InvalidArgumentError
-from repro.core.checkpoint import Trackable
+from repro.core.checkpoint import Trackable, graph_version
 from repro.core.variables import Variable
-from repro.ops import array_ops, math_ops, nn_ops
+from repro.ops import array_ops, math_ops, nn_ops, state_ops
 from repro.nn import initializers
 
 __all__ = [
@@ -72,6 +72,17 @@ class Layer(Trackable):
         return var
 
     # -- variable collection -----------------------------------------------
+    def _cached_variables(self) -> tuple[tuple, tuple]:
+        """(all, trainable) variables, walked again only after an edge of
+        some object graph changed (``checkpoint.graph_version``)."""
+        version = graph_version()
+        cached = self.__dict__.get("_variables_cache")
+        if cached is None or cached[0] != version:
+            found = tuple(self._walk_variables())
+            cached = (version, found, tuple(v for v in found if v.trainable))
+            object.__setattr__(self, "_variables_cache", cached)
+        return cached[1], cached[2]
+
     def _walk_variables(self) -> list[Variable]:
         out: list[Variable] = []
         seen: set[int] = set()
@@ -92,11 +103,11 @@ class Layer(Trackable):
     @property
     def variables(self) -> list[Variable]:
         """Every variable reachable through the object graph."""
-        return self._walk_variables()
+        return list(self._cached_variables()[0])
 
     @property
     def trainable_variables(self) -> list[Variable]:
-        return [v for v in self._walk_variables() if v.trainable]
+        return list(self._cached_variables()[1])
 
 
 class Model(Layer):
@@ -200,7 +211,8 @@ class BatchNormalization(Layer):
 
     The moving-average updates are variable assignments — stateful ops
     that survive staging because the traced graph captures the
-    variables by reference (paper Listing 7).
+    variables by reference (paper Listing 7).  Each is one
+    ``AssignMovingAverage`` op, which no tape records.
     """
 
     def __init__(
@@ -227,13 +239,8 @@ class BatchNormalization(Layer):
             rank = x.shape.rank
             axes = tuple(range(rank - 1))
             mean, variance = nn_ops.moments(x, axes)
-            one_minus = 1.0 - self.momentum
-            self.moving_mean.assign_add(
-                (mean - self.moving_mean.read_value()) * one_minus
-            )
-            self.moving_variance.assign_add(
-                (variance - self.moving_variance.read_value()) * one_minus
-            )
+            state_ops.assign_moving_average(self.moving_mean, mean, self.momentum)
+            state_ops.assign_moving_average(self.moving_variance, variance, self.momentum)
         else:
             mean = self.moving_mean.read_value()
             variance = self.moving_variance.read_value()

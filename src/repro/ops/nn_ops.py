@@ -767,15 +767,24 @@ def dropout(x, rate: float):
 
 
 def moments(x, axes, keepdims: bool = False):
-    """Mean and variance of ``x`` over ``axes`` (composite)."""
+    """Mean and variance of ``x`` over ``axes`` (composite).
+
+    Over a leading run of axes (batch norm's ``(0, 1, 2)`` on NHWC) the
+    reduced statistics already broadcast against ``x``, so they are
+    reduced without ``keepdims`` and need no ``Squeeze``.
+    """
     x = _convert(x)
-    mean = math_ops.reduce_mean(x, axis=axes, keepdims=True)
+    squeeze = not keepdims
+    if squeeze and x.shape.rank is not None:
+        norm = normalize_axes(axes, x.shape.rank)
+        squeeze = norm is not None and norm != tuple(range(len(norm)))
+    mean = math_ops.reduce_mean(x, axis=axes, keepdims=keepdims or squeeze)
     variance = math_ops.reduce_mean(
         math_ops.squared_difference(x, array_ops.stop_gradient(mean)),
         axis=axes,
-        keepdims=True,
+        keepdims=keepdims or squeeze,
     )
-    if not keepdims:
+    if squeeze:
         norm = normalize_axes(axes, x.shape.rank)
         mean = array_ops.squeeze(mean, axis=norm)
         variance = array_ops.squeeze(variance, axis=norm)

@@ -14,13 +14,15 @@ The duck type required of a handle's payload is small: ``_storage``
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.framework.tensor_shape import TensorShape
 from repro.ops.registry import register_gradient, register_kernel, register_op
 from repro.ops.common import contiguous
-from repro.tensor import TensorSpec, unwrap_handle
+from repro.runtime.executor import execute
+from repro.tensor import TensorSpec, convert_to_tensor, unwrap_handle
 
-__all__ = []
+__all__ = ["assign_moving_average"]
 
 
 def _handle_const_infer(inputs, attrs):
@@ -67,16 +69,19 @@ def _assign_infer(inputs, attrs):
     return []
 
 
+def _store(var, new) -> None:
+    buf = contiguous(new)
+    if buf is var._storage or not buf.flags.owndata:
+        buf = buf.copy()
+    buf.flags.writeable = False
+    var._storage = buf
+
+
 def _make_assign_kernel(combine):
     def kernel(inputs, attrs, device):
         handle, value = inputs
         var = unwrap_handle(handle)
-        new = combine(var._storage, value)
-        buf = contiguous(new)
-        if buf is var._storage or not buf.flags.owndata:
-            buf = buf.copy()
-        buf.flags.writeable = False
-        var._storage = buf
+        _store(var, combine(var._storage, value))
         return []
 
     return kernel
@@ -108,3 +113,35 @@ register_op(
 )
 register_kernel("AssignSubVariableOp")(_make_assign_kernel(lambda old, new: old - new))
 register_gradient("AssignSubVariableOp")(lambda op, *grads: [None, None])
+
+
+# One write for a moving average: ``old + (value - old) * (1 - momentum)``,
+# in the variable's dtype -- the float arithmetic of the read, ``Sub``,
+# ``Mul`` and ``AssignAddVariableOp`` it replaces, bit for bit.  It has
+# no outputs, so no tape records it (batch norm's moving statistics are
+# read by no loss).
+register_op(
+    "AssignMovingAverage",
+    infer_fn=_assign_infer,
+    is_stateful=True,
+    has_side_effects=True,
+)
+
+
+@register_kernel("AssignMovingAverage")
+def _assign_moving_average_kernel(inputs, attrs, device):
+    handle, value = inputs
+    var = unwrap_handle(handle)
+    old = var._storage
+    rate = np.asarray(1.0 - attrs["momentum"], dtype=old.dtype)
+    _store(var, old + (value - old) * rate)
+    return []
+
+
+register_gradient("AssignMovingAverage")(lambda op, *grads: [None, None])
+
+
+def assign_moving_average(variable, value, momentum: float) -> None:
+    """Move ``variable`` toward ``value``: ``v += (value - v) * (1 - momentum)``."""
+    value = convert_to_tensor(value, dtype=variable.dtype)
+    execute("AssignMovingAverage", [variable.handle, value], {"momentum": float(momentum)})

@@ -199,6 +199,26 @@ class TestDedupReads:
         assert optimize.dedup_reads(fn) == 0
         assert len(fn.graph.ops_by_type("ReadVariableOp")) == 2
 
+    def test_moving_average_write_invalidates(self):
+        """``AssignMovingAverage`` is a write: a read after it sees the
+        moved value, not the merged earlier read."""
+        from repro.ops import state_ops
+
+        v = repro.Variable([1.0, 2.0])
+
+        def build(x):
+            a = v.read_value()
+            state_ops.assign_moving_average(v, x, momentum=0.5)
+            b = v.read_value()
+            return a + b
+
+        fn = _fn(build)
+        assert optimize.dedup_reads(fn) == 0
+        assert len(fn.graph.ops_by_type("ReadVariableOp")) == 2
+        (out,) = fn.run([repro.constant([3.0, 4.0])])
+        np.testing.assert_array_equal(out.numpy(), [3.0, 5.0])  # [1, 2] + [2, 3]
+        np.testing.assert_array_equal(v.numpy(), [2.0, 3.0])
+
     def test_unrelated_write_does_not_invalidate(self):
         """Side-effect ordering is per-resource: a write to one variable
         must not split reads of a *different* variable (it needlessly

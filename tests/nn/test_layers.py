@@ -135,6 +135,33 @@ class TestSequentialAndTracking:
         assert len(bn.variables) == 4
         assert len(bn.trainable_variables) == 2
 
+    def test_variables_follow_tracked_mutations(self):
+        """The cached variable lists see every edge added or removed
+        after the first read, and each read is a fresh list."""
+        x = repro.constant(np.ones((1, 3), np.float32))
+        model = nn.Sequential([nn.Dense(2)])
+        extra, appended, table = nn.Dense(2), nn.Dense(2, use_bias=False), nn.Dense(2)
+        bn = nn.BatchNormalization()
+        for layer in (model, extra, appended, table, bn):
+            layer(x)  # built before the first read: no variable creation below
+        model.table = {"a": table}
+        first = model.trainable_variables
+        assert len(first) == 4
+        first.clear()
+        assert len(model.trainable_variables) == 4
+
+        model.extra = extra  # a sublayer
+        assert len(model.trainable_variables) == 6
+        model.layers.append(appended)  # a list element
+        assert len(model.trainable_variables) == 7
+        model.table["b"] = bn  # a dict entry
+        assert (len(model.trainable_variables), len(model.variables)) == (9, 11)
+
+        del model.extra
+        assert len(model.trainable_variables) == 7
+        model.table = None
+        assert len(model.trainable_variables) == 3
+
     def test_layers_work_inside_function(self):
         model = nn.Sequential([nn.Dense(4), nn.Dense(1)])
 

@@ -10,6 +10,7 @@ recording ``GradientTape``, 459 under a ``ForwardAccumulator`` and 29
 with one eager interceptor registered.
 """
 
+import gc
 import sys
 
 import pytest
@@ -23,7 +24,12 @@ FORWARD_ACCUMULATOR = 287  # the add, then its JVP through the Add gradient
 
 
 def _frames(x, y) -> list:
-    """Names of the Python frames one ``repro.add(x, y)`` enters."""
+    """Names of the Python frames one ``repro.add(x, y)`` enters.
+
+    The garbage collector is off while the add runs: a collection that
+    starts inside it would add the frames of any ``gc.callbacks``
+    (hypothesis registers one) to the count.
+    """
     repro.add(x, y)  # warm the kernel cache
     names = []
     previous = sys.getprofile()  # e.g. a coverage collector: keep it fed
@@ -34,11 +40,16 @@ def _frames(x, y) -> list:
         if previous is not None:
             previous(frame, event, arg)
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         repro.add(x, y)
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     return names
 
 
